@@ -48,7 +48,12 @@ def _seed_option(seed):
     if seed is not None:
         return seed
     env = os.environ.get("QCORR_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"QCORR_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_measured(measured):
@@ -225,7 +230,7 @@ def chain(config_path, seed, out_prefix):
 
 @cli.command()
 @click.option("--suite", required=True, type=str)
-@click.option("--samples", default=None, type=int)
+@click.option("--samples", default=None, type=click.IntRange(min=1))
 @click.option("--seed", default=None, type=int)
 @click.option("--jobs", default=1, show_default=True)
 @click.option("--out-prefix", default=None)
@@ -254,7 +259,7 @@ def verify(suite, samples, seed, jobs, out_prefix):
         f"worst margin {result.worst_margin:.3e} [{status}]"
     )
     if not result.ok:
-        sys.exit(1)
+        sys.exit(EXIT_INVARIANT)
 
 
 @cli.command()

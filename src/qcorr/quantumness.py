@@ -13,6 +13,7 @@ no global-optimality guarantee.
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
@@ -40,6 +41,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise InvariantError("restarts must be >= 1")
+        if self.max_iter < 1:
+            raise InvariantError("max_iter must be >= 1")
         if self.tol <= 0:
             raise InvariantError("tolerance must be positive")
 
@@ -61,15 +64,19 @@ def _fast_kron(a, b):
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
+@lru_cache(maxsize=None)
+def _triu(d):
+    return np.triu_indices(d, 1)
+
+
 def _fill_hermitian(params, d):
+    # strict upper triangle in row-major order, the order of the params
+    rows, cols = _triu(d)
+    off = params[d::2] + 1j * params[d + 1 :: 2]
     h = np.zeros((d, d), dtype=complex)
     h[np.diag_indices(d)] = params[:d]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            h[i, j] = params[k] + 1j * params[k + 1]
-            h[j, i] = params[k] - 1j * params[k + 1]
-            k += 2
+    h[rows, cols] = off
+    h[cols, rows] = np.conj(off)
     return h
 
 
@@ -133,12 +140,28 @@ def plan_negativity(state, plan):
 class _Workspace:
     """Precomputed machinery for repeated objective evaluations on one state.
 
-    Local-unitary trick: measuring in basis U equals rotating the state by
-    U^dag and measuring in the computational basis, and the rotation is
-    local on the system side of the system:apparatus cut, so neither the
-    negativity nor the dephasing entropy is affected.  The computational-
-    basis isometry and the partial-transpose axis permutation are therefore
-    fixed and built once.
+    Measuring in basis U equals rotating the state by U^dag and recording
+    the computational index: sigma = G rho G^dag with G the tensor product
+    of the U_k^dag, and the isometry |s> -> |s>|rec(s)>, where rec(s) is the
+    tuple of measured sub-indices of s.  The rotation is local on the system
+    side of the system:apparatus cut, so it changes neither objective.
+    Grouping the indices s by record a splits sigma into blocks sigma_ab,
+    and the partial transpose of the pre-measurement state is a direct sum
+    of the diagonal blocks sigma_aa and, for each a < b, the pair
+    [[0, sigma_ab], [sigma_ba, 0]], whose eigenvalues are plus and minus the
+    singular values of sigma_ab.  Hence
+
+        negativity(system : apparatus) = sum_{a<b} ||sigma_ab||_1,
+
+    and the dephased state is the direct sum of the sigma_aa, so its
+    entropy is that of the diagonal-block eigenvalues (Nakano, Piani &
+    Adesso, PRA 88, 012117, 2013).  Each block is m x m, with m the product
+    of the unmeasured dimensions.  When every subsystem is measured, m = 1:
+    each record names one index, the negativity is the sum of |sigma_ss'|
+    over s < s', and the dephased spectrum is the diagonal of sigma.
+
+    Construction builds the flat gather indices of the stacked off-diagonal
+    blocks (a < b) and of the stacked diagonal blocks.
     """
 
     def __init__(self, state, measured):
@@ -150,41 +173,27 @@ class _Workspace:
         self.meas_dims = [reg.dims[i] for i in self.measured_idx]
         self.param_len = sum(d * d for d in self.meas_dims)
 
+        # Record of each full computational index: the flattened tuple of
+        # its measured sub-indices, written in measurement order.
         big_d = reg.total_dim
-        self.big_d = big_d
+        full = np.arange(big_d)
+        rec = np.zeros(big_d, dtype=np.intp)
+        for idx, d in zip(self.measured_idx, self.meas_dims):
+            stride = int(np.prod(self.dims[idx + 1 :], dtype=int))
+            rec = rec * d + (full // stride) % d
+        # members[a] = the m indices with record a, ascending
+        members = np.argsort(rec, kind="stable").reshape(int(np.prod(self.meas_dims)), -1)
+        a, b = np.triu_indices(members.shape[0], 1)
+        off = members[a][:, :, None] * big_d + members[b][:, None, :]
+        diag = members[:, :, None] * big_d + members[:, None, :]
+        self.scalar_blocks = members.shape[1] == 1
+        if self.scalar_blocks:
+            off, diag = off.ravel(), diag.ravel()
+        self.off_idx = off
+        self.diag_idx = diag
 
-        # Measured sub-indices of each full computational index; the
-        # apparatus record for basis state |s> is the flattened tuple of
-        # measured sub-indices, written in measurement order.
-        sub_idx = []
-        for idx in self.measured_idx:
-            stride = int(np.prod(self.dims[idx + 1 :])) if idx + 1 < self.n else 1
-            sub_idx.append((np.arange(big_d) // stride) % self.dims[idx])
-        dm = int(np.prod(self.meas_dims))
-        aidx = np.zeros(big_d, dtype=np.intp)
-        for s, d in zip(sub_idx, self.meas_dims):
-            aidx = aidx * d + s
-        self.final_d = big_d * dm
-
-        # Flat positions of sigma[s, s'] inside the apparatus-partial-
-        # transposed pre-measurement matrix: entry ((s, a), (s', a')) is
-        # nonzero only for a = record(s'), a' = record(s).
-        s_grid = np.arange(big_d)[:, None]
-        sp_grid = np.arange(big_d)[None, :]
-        rows = s_grid * dm + aidx[sp_grid]
-        cols = sp_grid * dm + aidx[s_grid]
-        self.pt_flat_pos = (rows * self.final_d + cols).ravel()
-
-        # dephasing mask: zero where measured-subsystem indices differ
-        mask = np.ones((big_d, big_d), dtype=bool)
-        for s in sub_idx:
-            mask &= s[:, None] == s[None, :]
-        self.dephase_mask = mask.astype(float)
         self.base_entropy = linalg.von_neumann_entropy(self.rho)
         self._eyes = {d: np.eye(d, dtype=complex) for d in set(self.dims)}
-        # scratch buffer reused across objective calls (single-threaded per
-        # workspace; each optimizer call builds its own workspace)
-        self._pt_buf = np.zeros(self.final_d * self.final_d, dtype=complex)
 
     def _rotate(self, params):
         """sigma = G rho G^dag with G = (x) U_k^dag on measured subsystems."""
@@ -203,15 +212,18 @@ class _Workspace:
         return g @ self.rho @ np.conj(g).T
 
     def neg_objective(self, params):
-        sigma = self._rotate(params)
-        pt = self._pt_buf
-        pt[self.pt_flat_pos] = sigma.ravel()
-        w = np.linalg.eigvalsh(pt.reshape(self.final_d, self.final_d))
-        return -float(np.minimum(w, 0.0).sum())
+        blocks = self._rotate(params).take(self.off_idx)
+        if self.scalar_blocks:
+            return float(np.abs(blocks).sum())
+        return float(np.linalg.svd(blocks, compute_uv=False).sum())
 
     def deficit_objective(self, params):
-        sigma = self._rotate(params)
-        return linalg.von_neumann_entropy(sigma * self.dephase_mask) - self.base_entropy
+        blocks = self._rotate(params).take(self.diag_idx)
+        if self.scalar_blocks:
+            probs = blocks.real
+        else:
+            probs = np.linalg.eigvalsh(blocks).ravel()
+        return linalg.entropy_of_probs(probs) - self.base_entropy
 
 
 def _optimize(objective, param_len, cfg):
@@ -249,6 +261,8 @@ def _check_measured(state, measured):
     measured = tuple(measured)
     if not measured:
         raise InvariantError("measured subset must be nonempty")
+    if len(set(measured)) != len(measured):
+        raise InvariantError(f"duplicate measured labels: {measured}")
     for lab in measured:
         state.register.index(lab)
     return measured

@@ -110,12 +110,16 @@ def plan_from_json(obj, where="plan"):
 
 def optimizer_from_json(obj, seed_default=0):
     obj = obj or {}
-    return OptimizerConfig(
-        restarts=int(obj.get("restarts", 24)),
-        max_iter=int(obj.get("max_iter", 300)),
-        tol=float(obj.get("tol", 1e-8)),
-        seed=int(obj.get("seed", seed_default)),
-    )
+    if not isinstance(obj, dict):
+        raise ParseError(f"optimizer: expected an object, got {type(obj).__name__}")
+    try:
+        restarts = int(obj.get("restarts", 24))
+        max_iter = int(obj.get("max_iter", 300))
+        tol = float(obj.get("tol", 1e-8))
+        seed = int(obj.get("seed", seed_default))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"optimizer: non-numeric setting ({exc})") from None
+    return OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
 
 
 def chain_config_from_json(obj, where="chain config", seed=0):

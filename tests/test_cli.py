@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from qcorr import serialize
+from qcorr import cli, serialize
 from qcorr.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from qcorr.states import bell_state, werner_state
+from qcorr.suites import SuiteResult
 
 
 @pytest.fixture
@@ -96,6 +97,47 @@ class TestExitCodes:
     def test_usage_error_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")
         assert code == EXIT_USAGE
+
+    def test_usage_error_non_integer_env_seed(self, capsys, bell_file, monkeypatch):
+        monkeypatch.setenv("QCORR_SEED", "abc")
+        code, _, err = run(
+            capsys,
+            "measure", "--state", bell_file, "--measure", "q-negativity", "--measured", "A",
+        )
+        assert code == EXIT_USAGE
+        assert "QCORR_SEED" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_usage_error_non_positive_samples(self, capsys, samples):
+        code, _, _ = run(capsys, "verify", "--suite", "theorem2", "--samples", samples)
+        assert code == EXIT_USAGE
+
+    def test_invariant_error_duplicate_measured(self, capsys, bell_file):
+        code, _, err = run(
+            capsys,
+            "measure", "--state", bell_file, "--measure", "q-negativity", "--measured", "A,A",
+        )
+        assert code == EXIT_INVARIANT
+        assert "duplicate" in err
+
+    def test_invariant_error_zero_max_iter(self, capsys, bell_file):
+        code, _, _ = run(
+            capsys,
+            "measure", "--state", bell_file, "--measure", "q-negativity",
+            "--measured", "A", "--max-iter", "0",
+        )
+        assert code == EXIT_INVARIANT
+
+    def test_parse_error_non_numeric_chain_optimizer(self, capsys, tmp_path):
+        config = tmp_path / "chain.json"
+        config.write_text(json.dumps({
+            "state": serialize.state_to_json(bell_state()),
+            "links": [{"target": "B"}],
+            "optimizer": {"restarts": "many"},
+        }))
+        code, _, err = run(capsys, "chain", "--config", str(config))
+        assert code == EXIT_PARSE
+        assert "parse error" in err
 
 
 class TestMeasure:
@@ -245,3 +287,12 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "v.json").read_text())
         assert report["failures"] == 0
         assert (tmp_path / "v.csv").exists()
+
+    def test_suite_failures_exit_invariant(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        failed = SuiteResult("theorem2", trials=[(0, -1.0)], failures=1, worst_margin=-1.0)
+        monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: failed)
+        code, out, _ = run(capsys, "verify", "--suite", "theorem2", "--out-prefix", "v")
+        assert code == EXIT_INVARIANT
+        assert "FAILED" in out
+        assert json.loads((tmp_path / "v.json").read_text())["failures"] == 1

@@ -89,6 +89,10 @@ class TestParameterization:
             u = params_to_unitary(params, d)
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-12
 
+    def test_max_iter_must_be_positive(self):
+        with pytest.raises(InvariantError):
+            OptimizerConfig(max_iter=0)
+
     def test_length_check(self):
         with pytest.raises(InvariantError):
             params_to_unitary(np.zeros(3), 2)
@@ -108,43 +112,62 @@ class TestParameterization:
 
 
 class TestWorkspaceAgainstReferencePath:
-    """The fast gather-index objective must agree with the explicit
-    pre-measurement construction."""
+    """The block objectives (off-diagonal trace norms, diagonal-block
+    entropies) must agree with the explicit pre-measurement construction."""
+
+    SHAPES = [
+        (("A", "B"), (2, 2), ("A",)),
+        (("A", "B"), (2, 2), ("B",)),
+        (("A", "B"), (2, 2), ("A", "B")),
+        (("A", "B"), (2, 2), ("B", "A")),
+        (("A", "B"), (3, 3), ("A",)),
+        (("A", "B"), (3, 3), ("A", "B")),
+        (("A", "B"), (3, 3), ("B", "A")),
+        (("A", "B", "C"), (2, 2, 2), ("A",)),
+        (("A", "B", "C"), (2, 2, 2), ("A", "C")),
+        (("A", "B"), (2, 3), ("B",)),
+    ]
+
+    def cases(self, seed):
+        # ranks 1..3 in turn; rank 1 puts zero singular values and
+        # eigenvalues at the EIG_ZERO cutoff
+        rng = make_rng(seed)
+        for k, (labels, dims, measured) in enumerate(self.SHAPES):
+            state = random_mixed(Register(labels, dims), rank=1 + k % 3, seed=seed + k)
+            ws = _Workspace(state, measured)
+            for _ in range(2):
+                params = rng.normal(size=ws.param_len)
+                yield state, measured, ws, params, make_plan(state, measured, params)
+
+    def test_scalar_blocks_iff_all_measured(self):
+        for labels, dims, measured in self.SHAPES:
+            state = random_mixed(Register(labels, dims), rank=2, seed=0)
+            ws = _Workspace(state, measured)
+            assert ws.scalar_blocks == (len(measured) == len(dims))
 
     def test_negativity_objective(self):
-        rng = make_rng(3)
-        for trial in range(6):
-            state = random_mixed(default_register(2), rank=1 + trial % 3, seed=100 + trial)
-            measured = ("A",) if trial % 2 else ("B",)
-            ws = _Workspace(state, measured)
-            params = rng.normal(size=ws.param_len)
+        for state, measured, ws, params, plan in self.cases(100):
+            if ws.scalar_blocks:
+                continue
             fast = ws.neg_objective(params)
-            slow = plan_negativity(state, make_plan(state, measured, params))
-            assert abs(fast - slow) <= 1e-11
+            slow = plan_negativity(state, plan)
+            assert abs(fast - slow) <= 1e-11, (state.register.dims, measured)
 
     def test_negativity_objective_both_measured(self):
-        rng = make_rng(4)
-        state = random_mixed(default_register(2), rank=2, seed=200)
-        for measured in (("A", "B"), ("B", "A")):
-            ws = _Workspace(state, measured)
-            params = rng.normal(size=ws.param_len)
+        for state, measured, ws, params, plan in self.cases(200):
+            if not ws.scalar_blocks:
+                continue
             fast = ws.neg_objective(params)
-            slow = plan_negativity(state, make_plan(state, measured, params))
-            assert abs(fast - slow) <= 1e-11
+            slow = plan_negativity(state, plan)
+            assert abs(fast - slow) <= 1e-11, (state.register.dims, measured)
 
     def test_deficit_objective(self):
-        rng = make_rng(5)
-        for trial in range(4):
-            state = random_mixed(default_register(2), rank=2, seed=300 + trial)
-            measured = ("A",) if trial % 2 else ("A", "B")
-            ws = _Workspace(state, measured)
-            params = rng.normal(size=ws.param_len)
+        for state, measured, ws, params, plan in self.cases(300):
             fast = ws.deficit_objective(params)
-            plan = make_plan(state, measured, params)
             slow = linalg.von_neumann_entropy(
                 dephase(state, plan).rho
             ) - linalg.von_neumann_entropy(state.rho)
-            assert abs(fast - slow) <= 1e-10
+            assert abs(fast - slow) <= 1e-10, (state.register.dims, measured)
 
 
 class TestQNegativity:
@@ -197,6 +220,16 @@ class TestQNegativity:
             q_negativity(bell_state(), (), FAST)
         with pytest.raises(InvariantError):
             q_negativity(bell_state(), ("Z",), FAST)
+
+    def test_duplicate_measured_rejected_before_optimizing(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("objective evaluated")
+
+        monkeypatch.setattr(_Workspace, "neg_objective", never)
+        monkeypatch.setattr(_Workspace, "deficit_objective", never)
+        for fn in (q_negativity, deficit):
+            with pytest.raises(InvariantError, match="duplicate"):
+                fn(bell_state(), ("A", "A"), FAST)
 
 
 class TestDeficit:

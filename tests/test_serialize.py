@@ -113,6 +113,19 @@ class TestChainConfig:
         with pytest.raises(ParseError):
             serialize.chain_config_from_json({"links": []})
 
+    @pytest.mark.parametrize(
+        "optimizer",
+        [{"restarts": "many"}, {"max_iter": "many"}, {"tol": "many"}, {"seed": "many"}, [4]],
+    )
+    def test_malformed_optimizer_block(self, optimizer):
+        obj = {
+            "state": serialize.state_to_json(bell_state()),
+            "links": [{"target": "B"}],
+            "optimizer": optimizer,
+        }
+        with pytest.raises(ParseError):
+            serialize.chain_config_from_json(obj)
+
 
 class TestFiles:
     def test_load_json_reports_location(self, tmp_path):
