@@ -232,13 +232,12 @@ def chain(config_path, seed, out_prefix):
 @click.option("--suite", required=True, type=str)
 @click.option("--samples", default=None, type=click.IntRange(min=1))
 @click.option("--seed", default=None, type=int)
-@click.option("--jobs", default=1, show_default=True)
 @click.option("--out-prefix", default=None)
-def verify(suite, samples, seed, jobs, out_prefix):
+def verify(suite, samples, seed, out_prefix):
     """Run a named property suite; exit 0 iff zero failures."""
     started = time.monotonic()
     seed = _seed_option(seed)
-    result = run_suite(suite, samples=samples, seed=seed, jobs=jobs)
+    result = run_suite(suite, samples=samples, seed=seed)
     prefix = out_prefix or f"verify-{suite}"
     if result.columns:
         serialize.write_csv(prefix + ".csv", result.columns, result.trials)
@@ -250,7 +249,7 @@ def verify(suite, samples, seed, jobs, out_prefix):
     }
     payload.update(result.summary)
     manifest = serialize.make_manifest(
-        "verify", {"suite": suite, "samples": samples, "jobs": jobs}, seed
+        "verify", {"suite": suite, "samples": samples}, seed
     )
     serialize.write_report(prefix + ".json", payload, manifest, started)
     status = "ok" if result.ok else "FAILED"

@@ -8,15 +8,21 @@ permutations); redundancy is accepted and invariance is covered by tests.
 
 All reported minima are upper bounds: Nelder-Mead with multi-start makes
 no global-optimality guarantee.
+
+The restarts of one optimization run in lockstep.  ``minimize`` is
+scipy's Nelder-Mead applied to every start at once: each step evaluates
+the objective once on a batch holding the reflected point of every restart
+still running, once on the expansion or contraction points of the restarts
+that need one, and once on the shrink vertices, and each restart stops on
+its own tolerances.  The objectives therefore take a (B, param_len) array
+of parameter rows and return B values; exp(iH), the rotation and the block
+spectra are all computed as stacked numpy calls over the batch.
 """
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import linalg
 from .entanglement import BipartitionCut, negativity
@@ -57,44 +63,53 @@ class QuantumnessReport:
     converged: bool
 
 
-def _fast_kron(a, b):
-    """np.kron without its generic-shape overhead (2-d inputs only)."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+# Closed form for d = 2: H = [[a, b+ic], [b-ic, e]] has
+# exp(iH) = e^{it} (cos r I + i sin(r)/r (H - t I)), t = (a+e)/2, g = (a-e)/2,
+# r = |(g, b, c)|.  _TO_GBCT maps (a, e, b, c) to (g, b, c, t).  _COMBINE
+# maps the products (cos t, sin t) x (s g, s b, s c, cos r), s = sin(r)/r,
+# to the real and imaginary parts of U00, U01, U10, U11.  Every part is a
+# signed sum of two products, so this rounds like the complex arithmetic
+# written out, and no fused multiply-add can change it.
+_TO_GBCT = np.array([[0.5, 0, 0, 0.5], [-0.5, 0, 0, 0.5], [0, 1, 0, 0], [0, 0, 1, 0]])
+_COMBINE = np.array([
+    # Re00 Im00 Re01 Im01 Re10 Im10 Re11 Im11
+    [0, 1, 0, 0, 0, 0, 0, -1],  # cos t * s g
+    [0, 0, 0, 1, 0, 1, 0, 0],  # cos t * s b
+    [0, 0, -1, 0, 1, 0, 0, 0],  # cos t * s c
+    [1, 0, 0, 0, 0, 0, 1, 0],  # cos t * cos r
+    [-1, 0, 0, 0, 0, 0, 1, 0],  # sin t * s g
+    [0, 0, -1, 0, -1, 0, 0, 0],  # sin t * s b
+    [0, 0, 0, -1, 0, 1, 0, 0],  # sin t * s c
+    [0, 1, 0, 0, 0, 0, 0, 1],  # sin t * cos r
+], dtype=float)
 
 
 @lru_cache(maxsize=None)
-def _triu(d):
-    return np.triu_indices(d, 1)
+def _hermitian_slots(d):
+    return (np.arange(d),) + np.triu_indices(d, 1)
 
 
-def _fill_hermitian(params, d):
-    # strict upper triangle in row-major order, the order of the params
-    rows, cols = _triu(d)
-    off = params[d::2] + 1j * params[d + 1 :: 2]
-    h = np.zeros((d, d), dtype=complex)
-    h[np.diag_indices(d)] = params[:d]
-    h[rows, cols] = off
-    h[cols, rows] = np.conj(off)
-    return h
-
-
-def _unitary_2x2(params):
-    # closed-form exp(iH) for H = [[a, b+ic], [b-ic, e]]
-    a, e, b, c = float(params[0]), float(params[1]), float(params[2]), float(params[3])
-    t = 0.5 * (a + e)
-    g = 0.5 * (a - e)
-    r = math.sqrt(g * g + b * b + c * c)
-    s = math.sin(r) / r if r > 1e-300 else 1.0
-    phase = cmath.exp(1j * t)
-    cr = math.cos(r)
-    u = np.empty((2, 2), dtype=complex)
-    u[0, 0] = phase * (cr + 1j * s * g)
-    u[0, 1] = phase * (1j * s * (b + 1j * c))
-    u[1, 0] = phase * (1j * s * (b - 1j * c))
-    u[1, 1] = phase * (cr - 1j * s * g)
-    return u
+def _exp_ih(params, d):
+    """exp(iH) for each row of ``params`` (B, d^2): an array (B, d, d)."""
+    if d == 2:
+        gbct = params @ _TO_GBCT
+        gbc = gbct[:, :3]
+        r = np.sqrt(np.add.reduce(gbc * gbc, 1))
+        phase = np.exp(1j * gbct[:, 3]).view(float).reshape(-1, 2, 1)
+        rot = np.exp(1j * r)
+        # sin(r)/r; at r = 0, g = b = c = 0 and any finite s gives exp(iH)
+        s = rot.imag / np.maximum(r, 1e-300)
+        x = gbct * s[:, None]
+        x[:, 3] = rot.real
+        return ((phase * x[:, None, :]).reshape(-1, 8) @ _COMBINE).view(complex).reshape(-1, 2, 2)
+    # eigh reads the lower triangle: the diagonal, then the conjugate of the
+    # strict upper triangle, whose row-major order is the order of the params
+    diag, rows, cols = _hermitian_slots(d)
+    h = np.zeros((len(params), d, d), dtype=complex)
+    h[:, diag, diag] = params[:, :d]
+    h[:, cols, rows] = params[:, d::2] - 1j * params[:, d + 1 :: 2]
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)[:, None, :]) @ np.conj(v).swapaxes(1, 2)
 
 
 def params_to_unitary(params, d):
@@ -102,11 +117,7 @@ def params_to_unitary(params, d):
     params = np.asarray(params, dtype=float)
     if params.size != d * d:
         raise InvariantError(f"expected {d * d} parameters for dimension {d}, got {params.size}")
-    if d == 2:
-        return _unitary_2x2(params)
-    h = _fill_hermitian(params, d)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ np.conj(v).T
+    return _exp_ih(params.reshape(1, d * d), d)[0]
 
 
 def decode_basis(params, d, subsystem=""):
@@ -161,7 +172,9 @@ class _Workspace:
     over s < s', and the dephased spectrum is the diagonal of sigma.
 
     Construction builds the flat gather indices of the stacked off-diagonal
-    blocks (a < b) and of the stacked diagonal blocks.
+    blocks (a < b) and of the stacked diagonal blocks.  Both objectives take
+    a batch of parameter rows (B, param_len), form G for every row, and
+    return one value per row.
     """
 
     def __init__(self, state, measured):
@@ -193,68 +206,210 @@ class _Workspace:
         self.diag_idx = diag
 
         self.base_entropy = linalg.von_neumann_entropy(self.rho)
-        self._eyes = {d: np.eye(d, dtype=complex) for d in set(self.dims)}
+        # G = (x) U_k^dag over the register, with identities on unmeasured
+        # subsystems (adjacent ones merged).  Parameters follow the
+        # measurement order; the unitaries of all measured subsystems of one
+        # dimension come from one exp(iH) call over their columns.
+        starts = np.cumsum([0] + [d * d for d in self.meas_dims])
+        self._unitary_groups = []
+        for d in sorted(set(self.meas_dims)):
+            pos = [j for j, dj in enumerate(self.meas_dims) if dj == d]
+            cols = np.concatenate([np.arange(starts[j], starts[j] + d * d) for j in pos])
+            if len(pos) == len(self.meas_dims):
+                cols = slice(None)
+            self._unitary_groups.append((d, pos, cols))
+        self._factors = []  # position in measurement order, or an identity
+        for i, d in enumerate(self.dims):
+            if i in self.measured_idx:
+                self._factors.append(self.measured_idx.index(i))
+            elif self._factors and not isinstance(self._factors[-1], int):
+                self._factors[-1] = np.eye(self._factors[-1].shape[-1] * d, dtype=complex)[None]
+            else:
+                self._factors.append(np.eye(d, dtype=complex)[None])
 
     def _rotate(self, params):
-        """sigma = G rho G^dag with G = (x) U_k^dag on measured subsystems."""
-        slices = {}
-        k = 0
-        for idx, d in zip(self.measured_idx, self.meas_dims):
-            slices[idx] = slice(k, k + d * d)
-            k += d * d
+        """sigma = G rho G^dag for each row of ``params``: (B, D, D)."""
+        b = len(params)
+        u_dag = [None] * len(self.meas_dims)
+        for d, pos, cols in self._unitary_groups:
+            u = _exp_ih(params[:, cols].reshape(-1, d * d), d)
+            u = np.conj(u).swapaxes(1, 2).reshape(b, len(pos), d, d)
+            for k, j in enumerate(pos):
+                u_dag[j] = u[:, k]
         g = None
-        for i in range(self.n):
-            if i in slices:
-                m = np.conj(params_to_unitary(params[slices[i]], self.dims[i])).T
+        for f in self._factors:
+            m = u_dag[f] if isinstance(f, int) else f
+            if g is None:
+                g = m
             else:
-                m = self._eyes[self.dims[i]]
-            g = m if g is None else _fast_kron(g, m)
-        return g @ self.rho @ np.conj(g).T
+                (_, ra, ca), (_, rb, cb) = g.shape, m.shape
+                g = (g[:, :, None, :, None] * m[:, None, :, None, :]).reshape(-1, ra * rb, ca * cb)
+        return g @ self.rho @ np.conj(g).swapaxes(1, 2)
 
     def neg_objective(self, params):
-        blocks = self._rotate(params).take(self.off_idx)
+        """Negativity objective for each row of ``params`` (B, param_len)."""
+        sigma = self._rotate(params).reshape(len(params), -1)
+        blocks = sigma.take(self.off_idx, axis=1)
         if self.scalar_blocks:
-            return float(np.abs(blocks).sum())
-        return float(np.linalg.svd(blocks, compute_uv=False).sum())
+            return np.abs(blocks).sum(axis=1)
+        return np.linalg.svd(blocks, compute_uv=False).sum(axis=(1, 2))
 
     def deficit_objective(self, params):
-        blocks = self._rotate(params).take(self.diag_idx)
+        """Deficit objective for each row of ``params`` (B, param_len)."""
+        sigma = self._rotate(params).reshape(len(params), -1)
+        blocks = sigma.take(self.diag_idx, axis=1)
         if self.scalar_blocks:
             probs = blocks.real
         else:
-            probs = np.linalg.eigvalsh(blocks).ravel()
-        return linalg.entropy_of_probs(probs) - self.base_entropy
+            probs = np.linalg.eigvalsh(blocks).reshape(len(params), -1)
+        # entropy in bits with eigenvalues at or below EIG_ZERO dropped
+        probs = np.where(probs > linalg.EIG_ZERO, probs, 1.0)
+        return -(probs * np.log2(probs)).sum(axis=1) - self.base_entropy
+
+
+@dataclass(frozen=True)
+class MinimizeResult:
+    """Per-row outcome of a lockstep ``minimize``; ``nfev`` is the total."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    success: np.ndarray
+    nit: np.ndarray
+    nfev: int
+
+
+def minimize(fun, x0s, max_iter, xatol, fatol, adaptive):
+    """Nelder-Mead from every row of ``x0s`` (B, N) at once.
+
+    Each row follows scipy's ``minimize(method="Nelder-Mead")`` with
+    ``maxiter=max_iter``: the same initial simplex (x_k scaled by 1.05, or
+    0.00025 where x_k = 0), the same coefficients (Gao & Han's when
+    ``adaptive``), the same tests in the same order and the same stopping
+    rule.  ``fun`` maps a (K, N) array of points to their K values; the
+    rows share one call for the reflections, one for the expansion and
+    contraction points, and one for the shrink vertices of every iteration.
+    A row stops on its own tolerances, or at ``max_iter`` with
+    ``success=False``.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    n_rows, n = x0s.shape
+    if adaptive:
+        rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    else:
+        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    # second trial point p * xbar - q * worst, by kind: 0 expansion,
+    # 1 outside contraction, 2 inside contraction
+    p2 = np.array([1 + rho * chi, 1 + psi * rho, 1 - psi])[:, None]
+    q2 = np.array([rho * chi, psi * rho, -psi])[:, None]
+
+    sim = np.repeat(x0s[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0s != 0, (1 + 0.05) * x0s, 0.00025)
+    fsim = fun(sim.reshape(-1, n)).reshape(n_rows, n + 1)
+    nfev = fsim.size
+
+    x = np.empty((n_rows, n))
+    fval = np.empty(n_rows)
+    success = np.zeros(n_rows, dtype=bool)
+    nit = np.full(n_rows, max_iter)
+    rows = np.arange(n_rows)  # original index of each active row
+    at = rows[:, None]
+    for _ in range(2):  # scipy sorts the first simplex twice
+        order = fsim.argsort(axis=1)
+        sim, fsim = sim[at, order], fsim[at, order]
+    iterations = 1
+    while True:
+        if iterations >= max_iter:
+            done = np.ones(len(rows), dtype=bool)
+        else:
+            # scipy's test max|f_0 - f_j| <= fatol and max|x_j - x_0| <=
+            # xatol; f is sorted, so its maximum is f_N - f_0
+            done = fsim[:, -1] - fsim[:, 0] <= fatol
+            if np.count_nonzero(done):
+                done &= np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(rows), -1).max(axis=1) <= xatol
+        if np.count_nonzero(done):
+            stop = rows[done]
+            x[stop] = sim[done, 0]
+            fval[stop] = fsim[done].min(axis=1)
+            if iterations < max_iter:
+                success[stop] = True
+                nit[stop] = iterations
+            keep = ~done
+            rows, sim, fsim = rows[keep], sim[keep], fsim[keep]
+            if not len(rows):
+                break
+            at = np.arange(len(rows))[:, None]
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        worst = sim[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = fun(xr)
+        nfev += len(rows)
+
+        # scipy's branches: expand when xr beats the best vertex, keep xr
+        # when it beats the second worst, else contract: outside when xr
+        # beats the worst, inside when not
+        expand = fxr < fsim[:, 0]
+        need = expand | ~(fxr < fsim[:, -2])
+        n2 = np.count_nonzero(need)
+        shrink = None
+        if n2:
+            kind = np.where(expand, 0, 2 - (fxr < fsim[:, -1]))
+            x2 = p2[kind] * xbar - q2[kind] * worst
+            if n2 == len(rows):
+                f2 = fun(x2)
+            else:
+                f2 = np.full(len(rows), np.nan)  # rows that need no second point
+                f2[need] = fun(x2[need])
+            nfev += n2
+            # an expansion point replaces xr if f2 < fxr, an outside
+            # contraction point if f2 <= fxr, an inside one if f2 < f_N;
+            # a contraction that fails shrinks the simplex
+            take = np.where(kind == 2, f2 < fsim[:, -1], np.where(kind == 1, f2 <= fxr, f2 < fxr))
+            xr = np.where(take[:, None], x2, xr)
+            fxr = np.where(take, f2, fxr)
+            shrink = need & ~(take | expand)
+        if shrink is not None and np.count_nonzero(shrink):
+            keep = ~shrink
+            sim[keep, -1], fsim[keep, -1] = xr[keep], fxr[keep]
+            best = sim[shrink, :1]
+            pts = best + sigma * (sim[shrink, 1:] - best)
+            sim[shrink, 1:] = pts
+            fsim[shrink, 1:] = fun(pts.reshape(-1, n)).reshape(-1, n)
+            nfev += pts.shape[0] * n
+        else:
+            sim[:, -1], fsim[:, -1] = xr, fxr
+        iterations += 1
+        order = fsim.argsort(axis=1)
+        sim, fsim = sim[at, order], fsim[at, order]
+    return MinimizeResult(x, fval, success, nit, int(nfev))
 
 
 def _optimize(objective, param_len, cfg):
-    """Multi-start Nelder-Mead; restart 0 at zero parameters."""
-    best_x = None
-    best_val = np.inf
-    restart_values = []
-    converged = False
-    for r in range(cfg.restarts):
-        if r == 0:
-            x0 = np.zeros(param_len)
-        else:
-            rng = spawn_rng(cfg.seed, r)
-            x0 = rng.normal(scale=1.0, size=param_len)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iter,
-                "xatol": 1e-6,
-                "fatol": cfg.tol,
-                "adaptive": param_len > 6,
-            },
-        )
-        restart_values.append(float(res.fun))
-        converged = converged or bool(res.success)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = res.x
-    return best_val, best_x, tuple(restart_values), converged
+    """Multi-start Nelder-Mead with every restart advancing in lockstep.
+
+    Restart 0 starts at zero parameters, restart r > 0 at a normal draw
+    from ``spawn_rng(cfg.seed, r)``.  All restarts run through one
+    ``minimize`` call, so each step evaluates ``objective`` once on a batch
+    holding one point per restart still running; each restart's path is
+    the one scipy's Nelder-Mead would take from its start alone.  The first
+    strict minimum over restarts wins, and ``converged`` is True when any
+    restart stopped on its tolerances before ``max_iter``.
+    """
+    x0s = np.zeros((cfg.restarts, param_len))
+    for r in range(1, cfg.restarts):
+        x0s[r] = spawn_rng(cfg.seed, r).normal(scale=1.0, size=param_len)
+    res = minimize(
+        objective,
+        x0s,
+        max_iter=cfg.max_iter,
+        xatol=1e-6,
+        fatol=cfg.tol,
+        adaptive=param_len > 6,
+    )
+    best = int(np.argmin(res.fun))
+    restart_values = tuple(float(v) for v in res.fun)
+    return restart_values[best], res.x[best], restart_values, bool(res.success.any())
 
 
 def _check_measured(state, measured):

@@ -12,7 +12,14 @@ from importlib import metadata
 
 import numpy as np
 
-from .chain import ChainConfig, LinkSpec, FLAG_COPY, OPTIMIZED
+from .chain import (
+    FLAG_COPY,
+    OPTIMIZED,
+    TRACK_NEGATIVITY,
+    TRACK_QUANTUMNESS,
+    ChainConfig,
+    LinkSpec,
+)
 from .errors import InvariantError, ParseError
 from .premeasure import MeasurementPlan
 from .quantumness import OptimizerConfig
@@ -43,6 +50,8 @@ def _matrix_from_parts(obj, where):
         raise ParseError(f"{where}: non-numeric matrix entries ({exc})") from None
     if re_arr.shape != im_arr.shape or re_arr.ndim != 2:
         raise ParseError(f"{where}: 're' and 'im' must be equal-shape 2-d arrays")
+    if not (np.isfinite(re_arr).all() and np.isfinite(im_arr).all()):
+        raise ParseError(f"{where}: non-finite matrix entry")
     return re_arr + 1j * im_arr
 
 
@@ -108,15 +117,26 @@ def plan_from_json(obj, where="plan"):
     return MeasurementPlan(tuple(str(s) for s in measured), bases)
 
 
+def _count(obj, key, default):
+    """An integer setting; a bool or a number with a fractional part is refused."""
+    val = obj.get(key, default)
+    if isinstance(val, bool) or (isinstance(val, float) and not val.is_integer()):
+        raise ParseError(f"optimizer: {key!r} must be an integer, got {val!r}")
+    try:
+        return int(val)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"optimizer: non-numeric setting ({exc})") from None
+
+
 def optimizer_from_json(obj, seed_default=0):
     obj = obj or {}
     if not isinstance(obj, dict):
         raise ParseError(f"optimizer: expected an object, got {type(obj).__name__}")
+    restarts = _count(obj, "restarts", 24)
+    max_iter = _count(obj, "max_iter", 300)
+    seed = _count(obj, "seed", seed_default)
     try:
-        restarts = int(obj.get("restarts", 24))
-        max_iter = int(obj.get("max_iter", 300))
         tol = float(obj.get("tol", 1e-8))
-        seed = int(obj.get("seed", seed_default))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"optimizer: non-numeric setting ({exc})") from None
     return OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
@@ -142,7 +162,15 @@ def chain_config_from_json(obj, where="chain config", seed=0):
                 f"or an explicit basis object"
             )
         links.append(LinkSpec(target, basis))
-    track = frozenset(obj.get("track", ["negativity"]))
+    track = obj.get("track", [TRACK_NEGATIVITY])
+    if not isinstance(track, list) or any(
+        t not in (TRACK_NEGATIVITY, TRACK_QUANTUMNESS) for t in track
+    ):
+        raise ParseError(
+            f"{where}: 'track' must be a list of {TRACK_NEGATIVITY!r} and "
+            f"{TRACK_QUANTUMNESS!r}, got {track!r}"
+        )
+    track = frozenset(track)
     q_cfg = optimizer_from_json(obj.get("optimizer"), seed_default=seed)
     return ChainConfig(state, tuple(links), track, q_cfg)
 

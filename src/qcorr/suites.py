@@ -2,11 +2,10 @@
 
 Each suite runs seeded randomized trials, returns per-trial rows plus a
 summary, and counts a failure whenever a checked inequality misses its
-stated tolerance.  Trials are independent with per-trial derived seeds, so
-they may run concurrently; results are ordered by trial index regardless.
+stated tolerance.  Trials are independent with per-trial derived seeds and
+run in trial order.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,13 +76,6 @@ def derive_seed(seed, *key):
     return int(ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0])
 
 
-def _map_trials(fn, n, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, range(n)))
-    return [fn(t) for t in range(n)]
-
-
 def _random_two_qubit_mixed(seed, t):
     rank = 1 + t % 4
     return random_mixed(default_register(2), rank, derive_seed(seed, t))
@@ -94,7 +86,7 @@ def _random_two_qubit_mixed(seed, t):
 # dominate smaller ones (with optimizer slack on the larger search space).
 # ---------------------------------------------------------------------------
 
-def run_theorem2(samples=200, seed=7, jobs=1, restarts=24):
+def run_theorem2(samples=200, seed=7, restarts=24):
     ab_cut = BipartitionCut((0,), (1,))
 
     def trial(t):
@@ -110,7 +102,7 @@ def run_theorem2(samples=200, seed=7, jobs=1, restarts=24):
         ok = m_a >= -1e-9 and m_ab >= -1e-9 and m_order >= -1e-5
         return (t, n_ab, qa, qb, qab, m_a, m_ab, m_order, ok)
 
-    rows = _map_trials(trial, samples, jobs)
+    rows = [trial(t) for t in range(samples)]
     failures = sum(1 for r in rows if not r[-1])
     worst = min(min(r[5], r[6], r[7]) for r in rows)
     return SuiteResult(
@@ -151,7 +143,7 @@ def _random_entangled_state(seed, t, min_negativity=0.05):
     raise RuntimeError("failed to sample an entangled state")
 
 
-def run_theorem1(samples=50, seed=11, jobs=1, threshold=1e-7, restarts=24):
+def run_theorem1(samples=50, seed=11, threshold=1e-7, restarts=24):
     cfg_for = lambda t: OptimizerConfig(restarts=restarts, seed=derive_seed(seed, t, 1))
 
     def trial(t):
@@ -166,7 +158,7 @@ def run_theorem1(samples=50, seed=11, jobs=1, threshold=1e-7, restarts=24):
         ok = verdict["cc"] == expect_cc and oracle == verdict["cc"]
         return (t, expect_cc, verdict["cc"], oracle, verdict["residual"], ok)
 
-    rows = _map_trials(trial, 2 * samples, jobs)
+    rows = [trial(t) for t in range(2 * samples)]
     failures = sum(1 for r in rows if not r[-1])
     # margin: distance of the residual from the decision threshold
     worst = min(
@@ -186,7 +178,7 @@ def run_theorem1(samples=50, seed=11, jobs=1, threshold=1e-7, restarts=24):
 # the corresponding entanglement across the cut.
 # ---------------------------------------------------------------------------
 
-def run_pure_saturation(samples=100, seed=3, jobs=1, restarts=24, tol=1e-5):
+def run_pure_saturation(samples=100, seed=3, restarts=24, tol=1e-5):
     ab_cut = BipartitionCut((0,), (1,))
 
     def trial(t):
@@ -201,7 +193,7 @@ def run_pure_saturation(samples=100, seed=3, jobs=1, restarts=24, tol=1e-5):
         ok = gap_q <= tol and gap_d <= tol
         return (t, n_ab, qa, e_ent, da, gap_q, gap_d, ok)
 
-    rows = _map_trials(trial, samples, jobs)
+    rows = [trial(t) for t in range(samples)]
     failures = sum(1 for r in rows if not r[-1])
     worst = min(tol - max(r[5], r[6]) for r in rows)
     return SuiteResult(
@@ -219,7 +211,7 @@ def run_pure_saturation(samples=100, seed=3, jobs=1, restarts=24, tol=1e-5):
 # branch outputs agree, and per-basis monotonicity holds.
 # ---------------------------------------------------------------------------
 
-def run_locc_undo(samples=100, seed=5, jobs=1):
+def run_locc_undo(samples=100, seed=5):
     def undo_trial(t):
         d = 2 if t % 2 == 0 else 3
         reg = Register(("A", "B"), (d, d))
@@ -251,8 +243,8 @@ def run_locc_undo(samples=100, seed=5, jobs=1):
         step = verify_monotonicity_step(state, plan)
         return (t, step["lhs"], step["rhs"], step["lhs"] - step["rhs"], step["holds"])
 
-    undo_rows = _map_trials(undo_trial, samples, jobs)
-    mono_rows = _map_trials(mono_trial, 5 * samples, jobs)
+    undo_rows = [undo_trial(t) for t in range(samples)]
+    mono_rows = [mono_trial(t) for t in range(5 * samples)]
     failures = sum(1 for r in undo_rows if not r[-1]) + sum(
         1 for r in mono_rows if not r[-1]
     )
@@ -283,7 +275,7 @@ def _chain_labels(n_links):
     return labels
 
 
-def run_chain_monotone(samples=50, seed=13, jobs=1, n_links=4):
+def run_chain_monotone(samples=50, seed=13, n_links=4):
     def trial(t):
         state = random_mixed(
             Register(("S",), (2,)), 1 + t % 2, derive_seed(seed, t)
@@ -319,7 +311,7 @@ def run_chain_monotone(samples=50, seed=13, jobs=1, n_links=4):
         ok = mono_margin >= -1e-9 and flag_drift <= 1e-10 and break_drift <= 1e-10
         return (t, mono_margin, flag_drift, break_drift, ok) + tuple(e_seq)
 
-    rows = _map_trials(trial, samples, jobs)
+    rows = [trial(t) for t in range(samples)]
     failures = sum(1 for r in rows if not r[4])
     worst = min(min(r[1], 1e-10 - r[2], 1e-10 - r[3]) for r in rows)
     columns = ("trial", "monotone_margin", "flag_drift", "break_drift", "ok") + tuple(
@@ -339,7 +331,7 @@ def _biseparable_state():
     return pure_state(psi, default_register(3))
 
 
-def run_theorem3(samples=5, seed=17, jobs=1, links=2):
+def run_theorem3(samples=5, seed=17, links=2):
     cases = [
         ("ghz3", ghz_state(3), True),
         ("w3", w_state(3), True),
@@ -356,7 +348,7 @@ def run_theorem3(samples=5, seed=17, jobs=1, links=2):
         ok = all(f == expect for f in flags) and witnesses_ok
         return (t, name, expect, str(flags), ok)
 
-    rows = _map_trials(trial, samples * len(cases), jobs)
+    rows = [trial(t) for t in range(samples * len(cases))]
     failures = sum(1 for r in rows if not r[-1])
     return SuiteResult(
         "theorem3",
@@ -386,10 +378,10 @@ _DEFAULT_SAMPLES = {
 }
 
 
-def run_suite(name, samples=None, seed=None, jobs=1):
+def run_suite(name, samples=None, seed=None):
     if name not in _SUITES:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    kwargs = {"jobs": jobs}
+    kwargs = {}
     if samples is not None:
         kwargs["samples"] = samples
     if seed is not None:

@@ -128,6 +128,41 @@ class TestExitCodes:
         )
         assert code == EXIT_INVARIANT
 
+    @pytest.mark.parametrize("count", [{"restarts": 2.7}, {"max_iter": True}, {"seed": 0.5}])
+    def test_parse_error_fractional_chain_optimizer_count(self, capsys, tmp_path, count):
+        config = tmp_path / "chain.json"
+        config.write_text(json.dumps({
+            "state": serialize.state_to_json(bell_state()),
+            "links": [{"target": "B"}],
+            "optimizer": count,
+        }))
+        code, _, err = run(capsys, "chain", "--config", str(config))
+        assert code == EXIT_PARSE
+        assert "must be an integer" in err
+
+    def test_parse_error_unknown_chain_track(self, capsys, tmp_path):
+        config = tmp_path / "chain.json"
+        config.write_text(json.dumps({
+            "state": serialize.state_to_json(bell_state()),
+            "links": [{"target": "B"}],
+            "track": ["negativty"],
+        }))
+        code, _, err = run(capsys, "chain", "--config", str(config))
+        assert code == EXIT_PARSE
+        assert "track" in err
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")])
+    def test_parse_error_non_finite_matrix_entry(self, capsys, tmp_path, entry):
+        obj = serialize.state_to_json(bell_state())
+        obj["re"][0][3] = entry
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(
+            capsys, "measure", "--state", str(path), "--measure", "negativity", "--cut", "A:B"
+        )
+        assert code == EXIT_PARSE
+        assert "non-finite matrix entry" in err
+
     def test_parse_error_non_numeric_chain_optimizer(self, capsys, tmp_path):
         config = tmp_path / "chain.json"
         config.write_text(json.dumps({

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import minimize as scipy_minimize
 
 from qcorr import linalg
 from qcorr.entanglement import BipartitionCut, negativity
@@ -12,11 +13,13 @@ from qcorr.quantumness import (
     TWO_WAY_DEFICIT,
     OptimizerConfig,
     _Workspace,
+    _optimize,
     cc_commutation_oracle,
     classify_cc,
     decode_basis,
     deficit,
     make_plan,
+    minimize,
     params_to_unitary,
     plan_negativity,
     q_negativity,
@@ -31,6 +34,7 @@ from qcorr.states import (
     make_rng,
     random_mixed,
     random_pure,
+    spawn_rng,
 )
 
 FAST = OptimizerConfig(restarts=6, max_iter=300, seed=0)
@@ -130,14 +134,16 @@ class TestWorkspaceAgainstReferencePath:
 
     def cases(self, seed):
         # ranks 1..3 in turn; rank 1 puts zero singular values and
-        # eigenvalues at the EIG_ZERO cutoff
+        # eigenvalues at the EIG_ZERO cutoff.  Each case is a batch of three
+        # parameter rows, evaluated in one objective call.
         rng = make_rng(seed)
         for k, (labels, dims, measured) in enumerate(self.SHAPES):
             state = random_mixed(Register(labels, dims), rank=1 + k % 3, seed=seed + k)
             ws = _Workspace(state, measured)
             for _ in range(2):
-                params = rng.normal(size=ws.param_len)
-                yield state, measured, ws, params, make_plan(state, measured, params)
+                params = rng.normal(size=(3, ws.param_len))
+                plans = [make_plan(state, measured, row) for row in params]
+                yield state, measured, ws, params, plans
 
     def test_scalar_blocks_iff_all_measured(self):
         for labels, dims, measured in self.SHAPES:
@@ -146,28 +152,121 @@ class TestWorkspaceAgainstReferencePath:
             assert ws.scalar_blocks == (len(measured) == len(dims))
 
     def test_negativity_objective(self):
-        for state, measured, ws, params, plan in self.cases(100):
+        for state, measured, ws, params, plans in self.cases(100):
             if ws.scalar_blocks:
                 continue
             fast = ws.neg_objective(params)
-            slow = plan_negativity(state, plan)
-            assert abs(fast - slow) <= 1e-11, (state.register.dims, measured)
+            assert fast.shape == (len(plans),)
+            for value, plan in zip(fast, plans):
+                slow = plan_negativity(state, plan)
+                assert abs(value - slow) <= 1e-11, (state.register.dims, measured)
 
     def test_negativity_objective_both_measured(self):
-        for state, measured, ws, params, plan in self.cases(200):
+        for state, measured, ws, params, plans in self.cases(200):
             if not ws.scalar_blocks:
                 continue
             fast = ws.neg_objective(params)
-            slow = plan_negativity(state, plan)
-            assert abs(fast - slow) <= 1e-11, (state.register.dims, measured)
+            assert fast.shape == (len(plans),)
+            for value, plan in zip(fast, plans):
+                slow = plan_negativity(state, plan)
+                assert abs(value - slow) <= 1e-11, (state.register.dims, measured)
 
     def test_deficit_objective(self):
-        for state, measured, ws, params, plan in self.cases(300):
+        for state, measured, ws, params, plans in self.cases(300):
             fast = ws.deficit_objective(params)
-            slow = linalg.von_neumann_entropy(
-                dephase(state, plan).rho
-            ) - linalg.von_neumann_entropy(state.rho)
-            assert abs(fast - slow) <= 1e-10, (state.register.dims, measured)
+            assert fast.shape == (len(plans),)
+            for value, plan in zip(fast, plans):
+                slow = linalg.von_neumann_entropy(
+                    dephase(state, plan).rho
+                ) - linalg.von_neumann_entropy(state.rho)
+                assert abs(value - slow) <= 1e-10, (state.register.dims, measured)
+
+
+def rippled_rosenbrock(x):
+    """Row-wise Rosenbrock plus a ripple that makes Nelder-Mead shrink."""
+    smooth = 100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (1 - x[:, :-1]) ** 2
+    return smooth.sum(axis=1) + 3.0 * np.sin(40.0 * x).sum(axis=1)
+
+
+def scipy_nelder_mead(fun, x0, max_iter, adaptive, fatol=1e-8):
+    """The reference: scipy's Nelder-Mead on one row of a batched objective."""
+    return scipy_minimize(
+        lambda v: float(fun(v[None])[0]),
+        x0,
+        method="Nelder-Mead",
+        options={"maxiter": max_iter, "xatol": 1e-6, "fatol": fatol, "adaptive": adaptive},
+    )
+
+
+class TestLockstepMinimize:
+    """Every row of the lockstep minimize is scipy's Nelder-Mead, bit for bit."""
+
+    def assert_rows_match_scipy(self, fun, x0s, max_iter, adaptive):
+        res = minimize(fun, x0s, max_iter=max_iter, xatol=1e-6, fatol=1e-8, adaptive=adaptive)
+        nfev = 0
+        for i, x0 in enumerate(x0s):
+            ref = scipy_nelder_mead(fun, x0, max_iter, adaptive)
+            assert np.array_equal(res.x[i], ref.x), i
+            assert res.fun[i] == ref.fun, i
+            assert res.success[i] == ref.success, i
+            assert res.nit[i] == ref.nit, i
+            nfev += ref.nfev
+        assert res.nfev == nfev
+        return res
+
+    @pytest.mark.parametrize("n, adaptive", [(4, False), (8, True), (18, True)])
+    def test_rows_match_scipy(self, n, adaptive):
+        x0s = np.random.default_rng(n).normal(size=(6, n))
+        x0s[0] = 0.0
+        self.assert_rows_match_scipy(rippled_rosenbrock, x0s, 300, adaptive)
+
+        # one row at a time, a batch of n points can only be a shrink
+        shrinks = 0
+        for x0 in x0s:
+            sizes = []
+
+            def recorded(x):
+                sizes.append(len(x))
+                return rippled_rosenbrock(x)
+
+            minimize(recorded, x0[None], max_iter=300, xatol=1e-6, fatol=1e-8, adaptive=adaptive)
+            shrinks += sum(1 for size in sizes[1:] if size == n)
+        assert shrinks > 0
+
+    def test_rows_stop_at_different_iterations(self):
+        def bowl(x):
+            return ((x - 1.0) ** 2).sum(axis=1)
+
+        x0s = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [4.0, -3.0, 2.0], [60.0, 9.0, -40.0]])
+        res = self.assert_rows_match_scipy(bowl, x0s, 400, False)
+        assert res.success.all()
+        assert len(set(res.nit.tolist())) == len(x0s)
+
+    def test_max_iter_one_runs_no_iteration(self):
+        res = self.assert_rows_match_scipy(rippled_rosenbrock, np.ones((2, 3)), 1, False)
+        assert not res.success.any()
+        assert res.nfev == 2 * 4
+
+
+class TestOptimizeAgainstSerialScipy:
+    """_optimize is the old serial loop of scipy runs, one per restart."""
+
+    @pytest.mark.parametrize("measured", [("A",), ("A", "B")])
+    def test_matches_serial_restarts(self, measured):
+        state = random_mixed(default_register(2), rank=2, seed=21)
+        ws = _Workspace(state, measured)
+        cfg = OptimizerConfig(restarts=4, seed=5)
+        value, best_x, restart_values, converged = _optimize(ws.neg_objective, ws.param_len, cfg)
+
+        refs = []
+        for r in range(cfg.restarts):
+            x0 = np.zeros(ws.param_len) if r == 0 else spawn_rng(cfg.seed, r).normal(size=ws.param_len)
+            refs.append(scipy_nelder_mead(ws.neg_objective, x0, cfg.max_iter, ws.param_len > 6, cfg.tol))
+        assert restart_values == tuple(float(ref.fun) for ref in refs)
+        best = min(range(len(refs)), key=lambda r: (refs[r].fun, r))
+        assert value == refs[best].fun
+        assert np.array_equal(best_x, refs[best].x)
+        assert converged == any(ref.success for ref in refs)
 
 
 class TestQNegativity:

@@ -126,6 +126,20 @@ class TestChainConfig:
         with pytest.raises(ParseError):
             serialize.chain_config_from_json(obj)
 
+    @pytest.mark.parametrize("track", ["negativity", ["negativty"], ["negativity", 1], {}])
+    def test_malformed_track(self, track):
+        obj = {
+            "state": serialize.state_to_json(bell_state()),
+            "links": [{"target": "B"}],
+            "track": track,
+        }
+        with pytest.raises(ParseError, match="track"):
+            serialize.chain_config_from_json(obj)
+
+    def test_integral_float_counts_accepted(self):
+        cfg = serialize.optimizer_from_json({"restarts": 4.0, "max_iter": 50, "seed": 2.0})
+        assert (cfg.restarts, cfg.max_iter, cfg.seed) == (4, 50, 2)
+
 
 class TestFiles:
     def test_load_json_reports_location(self, tmp_path):
