@@ -45,15 +45,17 @@ E_MEASURES = {
 
 def _seed_option(seed):
     """Explicit --seed wins; QCORR_SEED is the fallback; default 0."""
-    if seed is not None:
-        return seed
-    env = os.environ.get("QCORR_SEED")
-    if not env:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"QCORR_SEED must be an integer, got {env!r}") from None
+    if seed is None:
+        env = os.environ.get("QCORR_SEED")
+        if not env:
+            return 0
+        try:
+            seed = int(env)
+        except ValueError:
+            raise UsageError(f"QCORR_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise UsageError(f"the seed must be non-negative, got {seed}")
+    return seed
 
 
 def _parse_measured(measured):

@@ -28,19 +28,6 @@ def is_hermitian(a, tol=TOL_PSD):
     return np.max(np.abs(a - dagger(a))) <= tol
 
 
-def kron(a, b):
-    """Kronecker product (subsystem of ``a`` slowest-varying)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def kron_all(mats):
-    """Kronecker product of a sequence of matrices, left to right."""
-    out = np.asarray(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, np.asarray(m))
-    return out
-
-
 def hermitian_eig(h, tol=TOL_PSD):
     """Eigendecomposition of a Hermitian matrix.
 

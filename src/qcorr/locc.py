@@ -15,12 +15,7 @@ import numpy as np
 from . import linalg
 from .entanglement import BipartitionCut, negativity
 from .errors import InvariantError
-from .premeasure import (
-    IMAGE_TOL,
-    global_isometry,
-    global_operator,
-    premeasure,
-)
+from .premeasure import MeasurementPlan, _local, _pull_back, premeasure
 from .states import APPARATUS_PREFIX, LabeledState
 
 
@@ -53,24 +48,14 @@ def correction_unitary(k, d):
 
 
 def _check_premeasured(premeasured, plan, label):
-    """The input must lie in the image of the pre-measurement isometry."""
+    """The input must lie in the image of the pre-measurement isometry; returns the basis."""
     reg = premeasured.register
-    app_label = APPARATUS_PREFIX + label
-    a = reg.index(label)
-    m = reg.index(app_label)
+    m = reg.index(APPARATUS_PREFIX + label)
     basis = plan.basis_for(label)
     # move the apparatus to the end so the isometry check applies directly
     order = [i for i in range(reg.n) if i != m] + [m]
-    moved = premeasured.permuted(order)
-    w = global_isometry(moved.register.drop_last(), label, basis)
-    projected = linalg.dagger(w) @ moved.rho @ w
-    recon = w @ projected @ linalg.dagger(w)
-    residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(recon - moved.rho)))
-    if residual > IMAGE_TOL:
-        raise InvariantError(
-            f"not a valid pre-measurement state for the plan (residual {residual:.3e})"
-        )
-    return a, m, basis
+    _pull_back(premeasured.permuted(order), MeasurementPlan((label,), (basis,)))
+    return basis
 
 
 def locc_undo(premeasured, plan, label):
@@ -79,37 +64,36 @@ def locc_undo(premeasured, plan, label):
     Removes subsystem ``label`` from the register; the output equals the
     original state with that subsystem's information held by the apparatus.
     """
-    a, m, basis = _check_premeasured(premeasured, plan, label)
+    basis = _check_premeasured(premeasured, plan, label)
     reg = premeasured.register
+    a = reg.index(label)
     d = reg.dims[a]
-    u = basis.vectors
 
     # Fourier in the plan basis on the measured subsystem
-    f_plan = fourier_unitary(d) @ linalg.dagger(u)
-    g = global_operator(reg, label, f_plan)
-    rho1 = g @ premeasured.rho @ linalg.dagger(g)
+    f_plan = fourier_unitary(d) @ linalg.dagger(basis.vectors)
+    rho1 = _local(premeasured.rho, reg.dims, a, f_plan).reshape(reg.dims * 2)
 
     app_label = APPARATUS_PREFIX + label
-    keep = [i for i in range(reg.n) if i != a]
     out_reg = reg.drop(label)
+    big = out_reg.total_dim
+    after = int(np.prod(out_reg.dims[out_reg.index(app_label) + 1 :], dtype=int))
     probs = []
     corrections = []
     branches = []
     for k in range(d):
-        proj = np.zeros((d, d))
-        proj[k, k] = 1.0
-        pk_op = global_operator(reg, label, proj)
-        branch = pk_op @ rho1 @ pk_op
+        # outcome k: the (k, k) slice on the measured subsystem is the
+        # unnormalized state of the rest, already traced over that subsystem
+        branch = rho1.take(k, axis=reg.n + a).take(k, axis=a).reshape(big, big)
         p = float(np.real(np.trace(branch)))
         if p < 1e-12:
             raise InvariantError(f"degenerate outcome probability {p} for k={k}")
         probs.append(p)
-        ck = correction_unitary(k, d)
+        # the correction U_k is diagonal: a phase on the apparatus index of
+        # the ket and its conjugate on the bra
+        ck = np.diag(correction_unitary(k, d))[:, None]
         corrections.append(f"diag phase U_{k} on {app_label}")
-        ck_op = global_operator(reg, app_label, ck)
-        branch = ck_op @ branch @ linalg.dagger(ck_op)
-        branch_out = linalg.partial_trace(branch / p, reg.dims, keep)
-        branches.append(LabeledState(out_reg, branch_out))
+        branch = (branch.reshape(-1, d, after * big) * ck).reshape(-1, d, after) * np.conj(ck)
+        branches.append(LabeledState(out_reg, branch.reshape(big, big) / p))
 
     avg = np.zeros_like(branches[0].rho)
     for p, b in zip(probs, branches):

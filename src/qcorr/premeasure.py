@@ -1,8 +1,23 @@
 """Measurement interactions, pre-measurement states, and induced dephasing.
 
-A complete von Neumann measurement of subsystem k in basis {|b_i>} is
-implemented as the isometry V |b_i> = |b_i> (x) |i>, with the apparatus in
-the computational basis and appended at the end of the register.
+A complete von Neumann measurement of subsystem k in basis {|b_i> = U|i>}
+is the isometry V |b_i> = |b_i> (x) |i>, with the apparatus in the
+computational basis and appended at the end of the register.  It factors
+as V = (U (x) 1) C U^dag, where C |i> = |i> (x) |i> copies the index:
+measuring in basis U is rotating by U^dag, recording the computational
+index, and rotating back.  For a plan on several subsystems, the record
+rec(s) of a computational index s is the tuple of its measured sub-indices
+in plan order, and with sigma = G rho G^dag, G the tensor product of the
+U_k^dag,
+
+    premeasure:  sigma[s, s'] moves to ((s, rec s), (s', rec s'));
+    dephase:     sigma[s, s'] is kept where rec s = rec s', zeroed elsewhere;
+    undo:        the inverse gather, refused when the weight outside the
+                 record positions exceeds IMAGE_TOL;
+
+each followed by the rotation back by the U_k on the system subsystems.
+Every rotation acts on one tensor axis at a time; no operator on the whole
+register is formed.
 """
 
 from dataclasses import dataclass
@@ -46,6 +61,8 @@ class MeasurementPlan:
                 )
 
     def basis_for(self, label):
+        if label not in self.measured:
+            raise InvariantError(f"label {label!r} is not measured by the plan {self.measured}")
         return self.bases[self.measured.index(label)]
 
     def check_register(self, register):
@@ -62,45 +79,39 @@ def plan_for(label, basis_vectors):
     return MeasurementPlan((label,), (LocalBasis(label, basis_vectors),))
 
 
-def measurement_isometry(basis):
-    """The (d^2 x d) isometry V with V |b_i> = |b_i> (x) |i>."""
-    d = basis.dim
-    v = np.zeros((d * d, d), dtype=complex)
-    for i in range(d):
-        b = basis.vectors[:, i]
-        e = np.zeros(d, dtype=complex)
-        e[i] = 1.0
-        v += np.outer(np.kron(b, e), np.conj(b))
-    return v
+def _records(dims, measured_idx):
+    """Record of each computational index of a register with subsystem ``dims``.
+
+    The record is the tuple of the index's sub-indices on the subsystems
+    ``measured_idx``, flattened in that order (the first one slowest).
+    """
+    full = np.arange(int(np.prod(dims, dtype=int)))
+    rec = np.zeros_like(full)
+    for k in measured_idx:
+        stride = int(np.prod(dims[k + 1 :], dtype=int))
+        rec = rec * dims[k] + (full // stride) % dims[k]
+    return rec
 
 
-def global_isometry(register, label, basis):
-    """Isometry on the full register measuring ``label`` with the apparatus appended."""
-    k = register.index(label)
-    d = register.dims[k]
-    if basis.dim != d:
-        raise InvariantError(f"basis dimension {basis.dim} != subsystem dim {d}")
-    d_before = int(np.prod(register.dims[:k], dtype=int)) if k else 1
-    d_after = int(np.prod(register.dims[k + 1 :], dtype=int)) if k + 1 < register.n else 1
-    big_d = register.total_dim
-    w = np.zeros((big_d * d, big_d), dtype=complex)
-    eye_b = np.eye(d_before)
-    eye_a = np.eye(d_after)
-    for i in range(d):
-        b = basis.vectors[:, i]
-        proj = np.kron(np.kron(eye_b, np.outer(b, np.conj(b))), eye_a)
-        e = np.zeros((d, 1), dtype=complex)
-        e[i, 0] = 1.0
-        w += np.kron(proj, e)
-    return w
+def _local(rho, dims, k, op):
+    """(1 (x) op (x) 1) rho (1 (x) op (x) 1)^dag, with ``op`` on subsystem ``k``."""
+    big = rho.shape[0]
+    d, after = dims[k], int(np.prod(dims[k + 1 :], dtype=int))
+    rho = op @ rho.reshape(-1, d, after * big)
+    return (np.conj(op) @ rho.reshape(-1, d, after)).reshape(big, big)
 
 
-def global_operator(register, label, op):
-    """``op`` acting on ``label``, identity elsewhere."""
-    k = register.index(label)
-    d_before = int(np.prod(register.dims[:k], dtype=int)) if k else 1
-    d_after = int(np.prod(register.dims[k + 1 :], dtype=int)) if k + 1 < register.n else 1
-    return linalg.kron_all([np.eye(d_before), np.asarray(op, dtype=complex), np.eye(d_after)])
+def _rotate(rho, dims, measured_idx, ops):
+    """Apply each of ``ops`` locally on its subsystem in ``measured_idx``."""
+    for k, op in zip(measured_idx, ops):
+        rho = _local(rho, dims, k, op)
+    return rho
+
+
+def _plan_axes(register, plan):
+    """Subsystem indices of the plan labels and the basis unitaries U_k."""
+    plan.check_register(register)
+    return [register.index(label) for label in plan.measured], [b.vectors for b in plan.bases]
 
 
 def premeasure(state, plan):
@@ -109,59 +120,71 @@ def premeasure(state, plan):
     One apparatus per measured label, dimension matching, label
     "M:<label>", appended in measurement order.
     """
-    plan.check_register(state.register)
     reg = state.register
-    rho = state.rho
-    for label, basis in zip(plan.measured, plan.bases):
-        d = reg.dim(label)
-        if reg.total_dim * d > MAX_TOTAL_DIM:
-            raise InvariantError(
-                f"pre-measurement would exceed total dimension {MAX_TOTAL_DIM}"
-            )
-        w = global_isometry(reg, label, basis)
-        rho = w @ rho @ linalg.dagger(w)
+    idx, us = _plan_axes(reg, plan)
+    big = reg.total_dim
+    records = int(np.prod([reg.dims[k] for k in idx], dtype=int))
+    if big * records > MAX_TOTAL_DIM:
+        raise InvariantError(f"pre-measurement would exceed total dimension {MAX_TOTAL_DIM}")
+    sigma = _rotate(state.rho, reg.dims, idx, [linalg.dagger(u) for u in us])
+    pos = np.arange(big) * records + _records(reg.dims, idx)
+    out = np.zeros((big * records, big * records), dtype=complex)
+    out[np.ix_(pos, pos)] = sigma
+    for label in plan.measured:
         reg = reg.with_apparatus(label)
-    return LabeledState(reg, rho)
+    # rebinding frees the unrotated array before the density checks run
+    out = _rotate(out, reg.dims, idx, us)
+    return LabeledState(reg, out)
 
 
 def dephase(state, plan):
     """Pinching in the plan bases on each measured subsystem."""
-    plan.check_register(state.register)
-    rho = state.rho
-    for label, basis in zip(plan.measured, plan.bases):
-        out = np.zeros_like(rho)
-        for i in range(basis.dim):
-            b = basis.vectors[:, i]
-            p = global_operator(state.register, label, np.outer(b, np.conj(b)))
-            out += p @ rho @ p
-        rho = out
-    return LabeledState(state.register, rho)
+    dims = state.register.dims
+    idx, us = _plan_axes(state.register, plan)
+    sigma = _rotate(state.rho, dims, idx, [linalg.dagger(u) for u in us])
+    rec = _records(dims, idx)
+    sigma = np.where(rec[:, None] == rec, sigma, 0)
+    return LabeledState(state.register, _rotate(sigma, dims, idx, us))
+
+
+def _pull_back(premeasured, plan):
+    """V^dag rho V for the plan isometry V: (register without apparatuses, rho).
+
+    The last len(plan.measured) labels must be the plan's apparatuses in plan
+    order, and ``rho`` must lie in the image of V: half the trace norm of
+    its part outside the record positions may not exceed IMAGE_TOL.
+    """
+    reg = premeasured.register
+    n = reg.n - len(plan.measured)
+    apparatuses = tuple(APPARATUS_PREFIX + label for label in plan.measured)
+    if reg.labels[n:] != apparatuses:
+        raise InvariantError(
+            f"expected apparatuses {apparatuses} last in register, found {reg.labels[n:]}"
+        )
+    base = Register(reg.labels[:n], reg.dims[:n], reg.kinds[:n])
+    idx, us = _plan_axes(base, plan)
+    if reg.dims[n:] != tuple(base.dims[k] for k in idx):
+        raise InvariantError(
+            f"apparatus dimensions {reg.dims[n:]} do not match the measured subsystems"
+        )
+    big = base.total_dim
+    sigma = _rotate(premeasured.rho, reg.dims, idx, [linalg.dagger(u) for u in us])
+    pos = np.arange(big) * (reg.total_dim // big) + _records(base.dims, idx)
+    block = sigma[np.ix_(pos, pos)]
+    sigma[np.ix_(pos, pos)] = 0
+    residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(sigma)))
+    if residual > IMAGE_TOL:
+        raise InvariantError(
+            f"state is not in the image of the measurement isometry (residual {residual:.3e})"
+        )
+    return base, _rotate(block, base.dims, idx, us)
 
 
 def undo_interaction(premeasured, plan):
     """Invert the measurement interaction, removing the apparatuses.
 
+    The apparatuses must be the last labels of the register, in plan order.
     The input must lie in the image of the pre-measurement isometry; a
     residual weight above 1e-8 outside the image is an error.
     """
-    reg = premeasured.register
-    rho = premeasured.rho
-    for label, basis in zip(reversed(plan.measured), reversed(plan.bases)):
-        app_label = APPARATUS_PREFIX + label
-        if reg.labels[-1] != app_label:
-            raise InvariantError(
-                f"expected apparatus {app_label!r} last in register, found {reg.labels[-1]!r}"
-            )
-        base_reg = reg.drop_last()
-        w = global_isometry(base_reg, label, basis)
-        projected = linalg.dagger(w) @ rho @ w
-        recon = w @ projected @ linalg.dagger(w)
-        residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(recon - rho)))
-        if residual > IMAGE_TOL:
-            raise InvariantError(
-                f"state is not in the image of the measurement isometry "
-                f"(residual {residual:.3e})"
-            )
-        rho = projected
-        reg = base_reg
-    return LabeledState(reg, rho)
+    return LabeledState(*_pull_back(premeasured, plan))

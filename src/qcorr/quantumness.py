@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .entanglement import BipartitionCut, negativity
 from .errors import InvariantError
-from .premeasure import MeasurementPlan, premeasure
+from .premeasure import MeasurementPlan, _records, premeasure
 from .states import SYSTEM, LabeledState, LocalBasis, spawn_rng
 
 NEGATIVITY_OF_QUANTUMNESS = "negativity_of_quantumness"
@@ -49,8 +49,10 @@ class OptimizerConfig:
             raise InvariantError("restarts must be >= 1")
         if self.max_iter < 1:
             raise InvariantError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise InvariantError("tolerance must be positive")
+        if not 0 < self.tol < float("inf"):  # also refuses NaN
+            raise InvariantError(f"tolerance must be positive and finite, got {self.tol}")
+        if self.seed < 0:
+            raise InvariantError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -152,10 +154,10 @@ class _Workspace:
     """Precomputed machinery for repeated objective evaluations on one state.
 
     Measuring in basis U equals rotating the state by U^dag and recording
-    the computational index: sigma = G rho G^dag with G the tensor product
-    of the U_k^dag, and the isometry |s> -> |s>|rec(s)>, where rec(s) is the
-    tuple of measured sub-indices of s.  The rotation is local on the system
-    side of the system:apparatus cut, so it changes neither objective.
+    the computational index (see :mod:`qcorr.premeasure`): sigma = G rho
+    G^dag with G the tensor product of the U_k^dag, and the isometry
+    |s> -> |s>|rec(s)>.  The rotation is local on the system side of the
+    system:apparatus cut, so it changes neither objective.
     Grouping the indices s by record a splits sigma into blocks sigma_ab,
     and the partial transpose of the pre-measurement state is a direct sum
     of the diagonal blocks sigma_aa and, for each a < b, the pair
@@ -186,14 +188,8 @@ class _Workspace:
         self.meas_dims = [reg.dims[i] for i in self.measured_idx]
         self.param_len = sum(d * d for d in self.meas_dims)
 
-        # Record of each full computational index: the flattened tuple of
-        # its measured sub-indices, written in measurement order.
         big_d = reg.total_dim
-        full = np.arange(big_d)
-        rec = np.zeros(big_d, dtype=np.intp)
-        for idx, d in zip(self.measured_idx, self.meas_dims):
-            stride = int(np.prod(self.dims[idx + 1 :], dtype=int))
-            rec = rec * d + (full // stride) % d
+        rec = _records(self.dims, self.measured_idx)
         # members[a] = the m indices with record a, ascending
         members = np.argsort(rec, kind="stable").reshape(int(np.prod(self.meas_dims)), -1)
         a, b = np.triu_indices(members.shape[0], 1)

@@ -7,6 +7,7 @@ are printed with 17 significant digits so reruns diff cleanly.
 
 import csv
 import json
+import math
 import time
 from importlib import metadata
 
@@ -31,8 +32,14 @@ except metadata.PackageNotFoundError:  # running from a source tree
     VERSION = "0.0.0+src"
 
 
+def _object(obj, where):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
+    return obj
+
+
 def _require(obj, key, kind, where):
-    if key not in obj:
+    if key not in _object(obj, where):
         raise ParseError(f"{where}: missing field {key!r}")
     val = obj[key]
     if not isinstance(val, kind):
@@ -68,12 +75,9 @@ def state_to_json(state):
 
 def state_from_json(obj, where="state"):
     labels = _require(obj, "labels", list, where)
-    dims = _require(obj, "dims", list, where)
+    dims = [_integer(d, f"{where}: dims") for d in _require(obj, "dims", list, where)]
     rho = _matrix_from_parts(obj, where)
-    try:
-        total = int(np.prod([int(d) for d in dims]))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: bad dims ({exc})") from None
+    total = math.prod(dims)
     if rho.shape != (total, total):
         raise ParseError(
             f"{where}: matrix shape {rho.shape} does not match dims {dims} "
@@ -117,24 +121,21 @@ def plan_from_json(obj, where="plan"):
     return MeasurementPlan(tuple(str(s) for s in measured), bases)
 
 
-def _count(obj, key, default):
-    """An integer setting; a bool or a number with a fractional part is refused."""
-    val = obj.get(key, default)
+def _integer(val, what):
+    """``val`` as an int; a bool or a number with a fractional part is refused."""
     if isinstance(val, bool) or (isinstance(val, float) and not val.is_integer()):
-        raise ParseError(f"optimizer: {key!r} must be an integer, got {val!r}")
+        raise ParseError(f"{what} must be an integer, got {val!r}")
     try:
         return int(val)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"optimizer: non-numeric setting ({exc})") from None
+        raise ParseError(f"{what}: not a number ({exc})") from None
 
 
 def optimizer_from_json(obj, seed_default=0):
-    obj = obj or {}
-    if not isinstance(obj, dict):
-        raise ParseError(f"optimizer: expected an object, got {type(obj).__name__}")
-    restarts = _count(obj, "restarts", 24)
-    max_iter = _count(obj, "max_iter", 300)
-    seed = _count(obj, "seed", seed_default)
+    obj = _object({} if obj is None else obj, "optimizer")
+    restarts = _integer(obj.get("restarts", 24), "optimizer: 'restarts'")
+    max_iter = _integer(obj.get("max_iter", 300), "optimizer: 'max_iter'")
+    seed = _integer(obj.get("seed", seed_default), "optimizer: 'seed'")
     try:
         tol = float(obj.get("tol", 1e-8))
     except (TypeError, ValueError) as exc:
@@ -143,10 +144,10 @@ def optimizer_from_json(obj, seed_default=0):
 
 
 def chain_config_from_json(obj, where="chain config", seed=0):
-    if "state" in obj:
+    if "state" in _object(obj, where):
         state = state_from_json(obj["state"], f"{where}.state")
     elif "state_file" in obj:
-        state = load_state(obj["state_file"])
+        state = load_state(_require(obj, "state_file", str, where))
     else:
         raise ParseError(f"{where}: needs 'state' or 'state_file'")
     links_raw = _require(obj, "links", list, where)

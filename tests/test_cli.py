@@ -1,8 +1,11 @@
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import cli, serialize
 from qcorr.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
@@ -107,6 +110,12 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "QCORR_SEED" in err
 
+    def test_usage_error_negative_seed(self, capsys, bell_file, monkeypatch):
+        argv = ("measure", "--state", bell_file, "--measure", "q-negativity", "--measured", "A")
+        assert run(capsys, *argv, "--seed", "-1")[0] == EXIT_USAGE
+        monkeypatch.setenv("QCORR_SEED", "-1")
+        assert run(capsys, *argv)[0] == EXIT_USAGE
+
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_usage_error_non_positive_samples(self, capsys, samples):
         code, _, _ = run(capsys, "verify", "--suite", "theorem2", "--samples", samples)
@@ -173,6 +182,58 @@ class TestExitCodes:
         code, _, err = run(capsys, "chain", "--config", str(config))
         assert code == EXIT_PARSE
         assert "parse error" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_invariant_error_non_finite_tol(self, capsys, bell_file, tol):
+        code, _, err = run(
+            capsys,
+            "measure", "--state", bell_file, "--measure", "q-negativity",
+            "--measured", "A", "--tol", tol,
+        )
+        assert code == EXIT_INVARIANT
+        assert "positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"links": ["target"]},
+            {"links": [["target"]]},
+            {"state": "labels"},
+            {"state_file": 3},
+        ],
+        ids=["link-string", "link-list", "state-string", "state-file-int"],
+    )
+    def test_parse_error_non_object_chain_node(self, capsys, tmp_path, change):
+        obj = {"state": serialize.state_to_json(bell_state()), "links": [{"target": "B"}]}
+        if "state_file" in change:
+            del obj["state"]
+        obj.update(change)
+        config = tmp_path / "chain.json"
+        config.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "chain", "--config", str(config))
+        assert code == EXIT_PARSE
+        assert "wrong type" in err or "expected an object" in err
+
+    def test_parse_error_non_object_state_file(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps("labels"))
+        code, _, err = run(
+            capsys, "measure", "--state", str(path), "--measure", "negativity", "--cut", "A:B"
+        )
+        assert code == EXIT_PARSE
+        assert "expected an object" in err
+
+    @pytest.mark.parametrize("dims", [[2.7, 2.2], [2.0, True]])
+    def test_parse_error_non_integer_dims(self, capsys, tmp_path, dims):
+        obj = serialize.state_to_json(bell_state())
+        obj["dims"] = dims
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(
+            capsys, "measure", "--state", str(path), "--measure", "negativity", "--cut", "A:B"
+        )
+        assert code == EXIT_PARSE
+        assert "must be an integer" in err
 
 
 class TestMeasure:
@@ -331,3 +392,84 @@ class TestVerifyCommand:
         assert code == EXIT_INVARIANT
         assert "FAILED" in out
         assert json.loads((tmp_path / "v.json").read_text())["failures"] == 1
+
+
+# -- fuzzing the exit-code contract -------------------------------------------
+
+_DELETE = object()
+
+# Replacements for one JSON node: non-object nodes, bools, fractional, string
+# and non-finite numbers, and deletion.  Numbers stay small, so that a
+# mutated optimizer count cannot make a run long.
+BAD_VALUES = st.one_of(
+    st.sampled_from([
+        _DELETE, None, True, False, 2.5, 2.0, "2", "nan", "labels", "target",
+        float("nan"), float("inf"), -float("inf"), [], ["target"], [["target"]],
+        {}, {"re": None},
+    ]),
+    st.integers(-3, 3),
+    st.floats(-10, 10),
+    st.text(max_size=3),
+)
+
+FUZZ = settings(max_examples=120, derandomize=True, deadline=None, database=None)
+
+
+def _paths(node, path=()):
+    """Every node of a JSON document, as the key path from the root."""
+    yield path
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _paths(val, path + (key,))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _paths(val, path + (i,))
+
+
+def _mutated(data, doc):
+    """``doc`` with one or two nodes replaced by a bad value or deleted."""
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        value = data.draw(BAD_VALUES)
+        if not path:
+            return None if value is _DELETE else value
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestExitCodeFuzz:
+    """Malformed state and chain JSON exits 0, 2, 3 or 64; main never raises."""
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_state(self, fuzz_dir, data):
+        path = fuzz_dir / "state.json"
+        path.write_text(json.dumps(_mutated(data, serialize.state_to_json(bell_state()))))
+        code = main(["measure", "--state", str(path), "--measure", "negativity", "--cut", "A:B"])
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_INVARIANT, EXIT_USAGE)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_chain(self, fuzz_dir, data):
+        config = {
+            "state": serialize.state_to_json(bell_state()),
+            "links": [{"target": "B", "basis": "optimized"}, {"target": "M:B"}],
+            "track": ["negativity"],
+            "optimizer": {"restarts": 2, "max_iter": 20, "tol": 1e-6, "seed": 1},
+        }
+        path = fuzz_dir / "chain.json"
+        path.write_text(json.dumps(_mutated(data, config)))
+        code = main(["chain", "--config", str(path), "--out-prefix", str(fuzz_dir / "chain")])
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_INVARIANT, EXIT_USAGE)

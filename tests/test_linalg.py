@@ -26,24 +26,6 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(linalg.kron(I2, I2), np.eye(4))
-
-    def test_diag(self):
-        out = linalg.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert np.array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_spectrum_with_rank1_factor(self):
-        # spectrum of |0><0| (x) rho is the spectrum of rho padded with zeros
-        rng = np.random.default_rng(11)
-        rho = random_density(rng, 3)
-        proj = np.diag([1.0, 0.0])
-        big = linalg.kron(proj, rho)
-        expected = np.sort(np.concatenate([np.linalg.eigvalsh(rho), np.zeros(3)]))
-        assert np.allclose(np.linalg.eigvalsh(big), expected, atol=1e-12)
-
-
 class TestPartialTrace:
     def test_product_state(self):
         rng = np.random.default_rng(0)

@@ -117,6 +117,12 @@ class TestLoccUndo:
         with pytest.raises(InvariantError):
             locc_undo(tampered, plan, "B")
 
+    def test_rejects_label_outside_plan(self):
+        state = random_mixed(default_register(2), rank=2, seed=77)
+        pm = premeasure(state, single_plan("A", 2))
+        with pytest.raises(InvariantError, match="not measured by the plan"):
+            locc_undo(pm, single_plan("B", 2), "A")
+
     def test_transfer_order_irrelevant(self):
         state = random_mixed(default_register(2), rank=2, seed=75)
         rng = make_rng(76)

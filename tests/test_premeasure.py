@@ -7,8 +7,6 @@ from qcorr.errors import InvariantError
 from qcorr.premeasure import (
     MeasurementPlan,
     dephase,
-    global_isometry,
-    measurement_isometry,
     plan_for,
     premeasure,
     undo_interaction,
@@ -30,6 +28,67 @@ from qcorr.states import (
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+# Dense Kronecker oracle: the measurement isometry and local operators as
+# matrices on the whole register, applied one measured label at a time.
+
+def measurement_isometry(basis):
+    """The (d^2 x d) isometry V with V |b_i> = |b_i> (x) |i>."""
+    d = basis.dim
+    v = np.zeros((d * d, d), dtype=complex)
+    for i in range(d):
+        b = basis.vectors[:, i]
+        v += np.outer(np.kron(b, np.eye(d)[i]), np.conj(b))
+    return v
+
+
+def global_operator(register, label, op):
+    """``op`` acting on ``label``, identity elsewhere."""
+    k = register.index(label)
+    before = int(np.prod(register.dims[:k], dtype=int))
+    after = int(np.prod(register.dims[k + 1 :], dtype=int))
+    return np.kron(np.kron(np.eye(before), op), np.eye(after))
+
+
+def global_isometry(register, label, basis):
+    """Isometry on the full register measuring ``label`` with the apparatus appended."""
+    d = basis.dim
+    w = np.zeros((register.total_dim * d, register.total_dim), dtype=complex)
+    for i in range(d):
+        b = basis.vectors[:, i]
+        proj = global_operator(register, label, np.outer(b, np.conj(b)))
+        w += np.kron(proj, np.eye(d)[:, i : i + 1])
+    return w
+
+
+def dense_premeasure(state, plan):
+    reg, rho = state.register, state.rho
+    for label, basis in zip(plan.measured, plan.bases):
+        w = global_isometry(reg, label, basis)
+        rho = w @ rho @ w.conj().T
+        reg = reg.with_apparatus(label)
+    return rho
+
+
+def dense_dephase(state, plan):
+    rho = state.rho
+    for label, basis in zip(plan.measured, plan.bases):
+        projs = [
+            global_operator(state.register, label, np.outer(b, np.conj(b)))
+            for b in basis.vectors.T
+        ]
+        rho = sum(p @ rho @ p for p in projs)
+    return rho
+
+
+def dense_undo(premeasured, plan):
+    reg, rho = premeasured.register, premeasured.rho
+    for label, basis in zip(reversed(plan.measured), reversed(plan.bases)):
+        reg = reg.drop_last()
+        w = global_isometry(reg, label, basis)
+        rho = w.conj().T @ rho @ w
+    return rho
 
 
 def computational_plan(register, labels):
@@ -60,12 +119,17 @@ class TestPlan:
 
 class TestIsometry:
     def test_columns_are_b_tensor_e(self):
-        v = measurement_isometry(LocalBasis("A", HADAMARD))
+        basis = LocalBasis("A", HADAMARD)
+        v = measurement_isometry(basis)
         for i in range(2):
             e = np.zeros(2)
             e[i] = 1
             expected = np.kron(HADAMARD[:, i], e)
             assert np.max(np.abs(v @ HADAMARD[:, i] - expected)) <= 1e-14
+            # premeasure maps |b_i><b_i| to |b_i, i><b_i, i|
+            state = LabeledState(Register(("A",), (2,)), np.outer(HADAMARD[:, i], HADAMARD[:, i]))
+            out = premeasure(state, MeasurementPlan(("A",), (basis,)))
+            assert np.max(np.abs(out.rho - np.outer(expected, expected))) <= 1e-14
 
     def test_isometry_property(self):
         rng = make_rng(0)
@@ -87,6 +151,59 @@ class TestIsometry:
         basis = random_basis("B", 3, make_rng(2))
         w = global_isometry(reg, "B", basis)
         assert np.max(np.abs(linalg.dagger(w) @ w - np.eye(12))) <= 1e-12
+
+
+# (dims, measured) shapes for the oracle comparison; the last is a chain
+# link on seven qubits that reaches the total dimension cap of 256
+ORACLE_SHAPES = [
+    ((2, 2), "A"),
+    ((2, 2), "B"),
+    ((3, 3), "AB"),
+    ((3, 3), "BA"),
+    ((2, 3), "BA"),
+    ((2, 2, 2), "AC"),
+    ((2, 2, 2), "CA"),
+    ((2,) * 7, "G"),
+]
+
+
+@pytest.mark.parametrize("dims, measured", ORACLE_SHAPES)
+class TestAgainstDenseOracle:
+    @staticmethod
+    def case(dims, measured):
+        reg = Register(tuple("ABCDEFG"[: len(dims)]), dims)
+        rng = make_rng(sum(dims) + len(measured))
+        state = random_mixed(reg, rank=2, seed=len(dims) * 10 + dims[0])
+        plan = MeasurementPlan(
+            tuple(measured), tuple(random_basis(l, reg.dim(l), rng) for l in measured)
+        )
+        return state, plan
+
+    def test_premeasure(self, dims, measured):
+        state, plan = self.case(dims, measured)
+        out = premeasure(state, plan)
+        assert out.register.labels == state.register.labels + tuple("M:" + l for l in measured)
+        assert np.max(np.abs(out.rho - dense_premeasure(state, plan))) <= 1e-12
+
+    def test_dephase(self, dims, measured):
+        state, plan = self.case(dims, measured)
+        assert np.max(np.abs(dephase(state, plan).rho - dense_dephase(state, plan))) <= 1e-12
+
+    def test_undo(self, dims, measured):
+        state, plan = self.case(dims, measured)
+        pm = premeasure(state, plan)
+        back = undo_interaction(pm, plan)
+        assert back.register == state.register
+        assert np.max(np.abs(back.rho - dense_undo(pm, plan))) <= 1e-12
+        assert np.max(np.abs(back.rho - state.rho)) <= 1e-12
+
+    def test_undo_rejects_decorrelated_apparatus(self, dims, measured):
+        state, plan = self.case(dims, measured)
+        pm = premeasure(state, plan)
+        apparatus_dim = pm.register.total_dim // state.register.total_dim
+        junk = np.kron(state.rho, np.eye(apparatus_dim) / apparatus_dim)
+        with pytest.raises(InvariantError, match="not in the image"):
+            undo_interaction(LabeledState(pm.register, 0.5 * pm.rho + 0.5 * junk), plan)
 
 
 class TestPremeasure:
@@ -204,6 +321,19 @@ class TestUndo:
         tampered = LabeledState(pm.register, 0.5 * pm.rho + 0.5 * junk)
         with pytest.raises(InvariantError):
             undo_interaction(tampered, plan)
+
+    def test_rejects_apparatuses_out_of_plan_order(self):
+        state = random_mixed(default_register(2), rank=2, seed=23)
+        plan = computational_plan(state.register, ["A", "B"])
+        pm = premeasure(state, plan)
+        with pytest.raises(InvariantError, match="last in register"):
+            undo_interaction(pm, computational_plan(state.register, ["B", "A"]))
+
+    def test_rejects_apparatus_dimension_mismatch(self):
+        reg = Register(("A", "B", "M:B"), (2, 2, 3))
+        state = random_mixed(reg, rank=2, seed=24)
+        with pytest.raises(InvariantError, match="apparatus dimensions"):
+            undo_interaction(state, computational_plan(reg, ["B"]))
 
     def test_rejects_missing_apparatus(self):
         state = random_mixed(default_register(2), rank=2, seed=20)

@@ -97,6 +97,15 @@ class TestParameterization:
         with pytest.raises(InvariantError):
             OptimizerConfig(max_iter=0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(InvariantError, match="positive and finite"):
+            OptimizerConfig(tol=tol)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(InvariantError, match="non-negative"):
+            OptimizerConfig(seed=-1)
+
     def test_length_check(self):
         with pytest.raises(InvariantError):
             params_to_unitary(np.zeros(3), 2)
