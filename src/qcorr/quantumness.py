@@ -1,22 +1,30 @@
 """Quantumness measures: minimum apparatus entanglement over local bases.
 
-The search space is parameterized by Hermitian generators, U = exp(iH):
-for each measured subsystem of dimension d, a real vector of length d^2
-fills H (d diagonal entries, then real/imaginary parts of the upper
-triangle).  The parameterization is redundant (global and column phases,
-permutations); redundancy is accepted and invariance is covered by tests.
+A local measurement is a basis, i.e. a unitary U up to column phases:
+U -> UD with D diagonal leaves every projector |b_i><b_i|, and hence both
+objectives, unchanged.  The search therefore runs over bases, not
+unitaries.  Each measured subsystem of dimension d gets a Hermitian
+generator H with zero diagonal, U = exp(iH), filled from d(d-1) reals: the
+real and imaginary parts of the strict upper triangle, row-major.  This
+chart covers every basis.  U(d)/T, T the diagonal phases, is a normal
+homogeneous space whose geodesics from the identity are exp(itX) with X
+off-diagonal, so by Hopf-Rinow every U is exp(iH) D for some such H and
+diagonal D.  The d(d-1) parameters match the dimension of U(d)/T, so no
+direction is flat by construction; column permutations, and several H
+for one basis, remain.
 
 All reported minima are upper bounds: Nelder-Mead with multi-start makes
 no global-optimality guarantee.
 
-The restarts of one optimization run in lockstep.  ``minimize`` is
-scipy's Nelder-Mead applied to every start at once: each step evaluates
-the objective once on a batch holding the reflected point of every restart
-still running, once on the expansion or contraction points of the restarts
-that need one, and once on the shrink vertices, and each restart stops on
-its own tolerances.  The objectives therefore take a (B, param_len) array
-of parameter rows and return B values; exp(iH), the rotation and the block
-spectra are all computed as stacked numpy calls over the batch.
+The restarts of one optimization run in lockstep, ``LOCKSTEP_ROWS`` at a
+time.  ``minimize`` is scipy's Nelder-Mead applied to every start at once:
+each step evaluates the objective once on a batch holding the reflected
+point of every restart still running, once on the expansion or contraction
+points of the restarts that need one, and once on the shrink vertices, and
+each restart stops on its own tolerances.  The objectives therefore take a
+(B, param_len) array of parameter rows and return B values; exp(iH), the
+rotation and the block spectra are all computed as stacked numpy calls
+over the batch.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +43,7 @@ ONE_WAY_DEFICIT = "one_way_deficit"
 TWO_WAY_DEFICIT = "two_way_deficit"
 
 VALUE_CLAMP = 1e-9
+LOCKSTEP_ROWS = 64  # restarts per minimize call
 
 
 @dataclass(frozen=True)
@@ -65,61 +74,41 @@ class QuantumnessReport:
     converged: bool
 
 
-# Closed form for d = 2: H = [[a, b+ic], [b-ic, e]] has
-# exp(iH) = e^{it} (cos r I + i sin(r)/r (H - t I)), t = (a+e)/2, g = (a-e)/2,
-# r = |(g, b, c)|.  _TO_GBCT maps (a, e, b, c) to (g, b, c, t).  _COMBINE
-# maps the products (cos t, sin t) x (s g, s b, s c, cos r), s = sin(r)/r,
-# to the real and imaginary parts of U00, U01, U10, U11.  Every part is a
-# signed sum of two products, so this rounds like the complex arithmetic
-# written out, and no fused multiply-add can change it.
-_TO_GBCT = np.array([[0.5, 0, 0, 0.5], [-0.5, 0, 0, 0.5], [0, 1, 0, 0], [0, 0, 1, 0]])
-_COMBINE = np.array([
-    # Re00 Im00 Re01 Im01 Re10 Im10 Re11 Im11
-    [0, 1, 0, 0, 0, 0, 0, -1],  # cos t * s g
-    [0, 0, 0, 1, 0, 1, 0, 0],  # cos t * s b
-    [0, 0, -1, 0, 1, 0, 0, 0],  # cos t * s c
-    [1, 0, 0, 0, 0, 0, 1, 0],  # cos t * cos r
-    [-1, 0, 0, 0, 0, 0, 1, 0],  # sin t * s g
-    [0, 0, -1, 0, -1, 0, 0, 0],  # sin t * s b
-    [0, 0, 0, -1, 0, 1, 0, 0],  # sin t * s c
-    [0, 1, 0, 0, 0, 0, 0, 1],  # sin t * cos r
-], dtype=float)
-
-
 @lru_cache(maxsize=None)
-def _hermitian_slots(d):
-    return (np.arange(d),) + np.triu_indices(d, 1)
+def _upper_slots(d):
+    return np.triu_indices(d, 1)
 
 
 def _exp_ih(params, d):
-    """exp(iH) for each row of ``params`` (B, d^2): an array (B, d, d)."""
+    """exp(iH) for each row of ``params`` (B, d(d-1)): an array (B, d, d)."""
     if d == 2:
-        gbct = params @ _TO_GBCT
-        gbc = gbct[:, :3]
-        r = np.sqrt(np.add.reduce(gbc * gbc, 1))
-        phase = np.exp(1j * gbct[:, 3]).view(float).reshape(-1, 2, 1)
-        rot = np.exp(1j * r)
-        # sin(r)/r; at r = 0, g = b = c = 0 and any finite s gives exp(iH)
-        s = rot.imag / np.maximum(r, 1e-300)
-        x = gbct * s[:, None]
-        x[:, 3] = rot.real
-        return ((phase * x[:, None, :]).reshape(-1, 8) @ _COMBINE).view(complex).reshape(-1, 2, 2)
-    # eigh reads the lower triangle: the diagonal, then the conjugate of the
-    # strict upper triangle, whose row-major order is the order of the params
-    diag, rows, cols = _hermitian_slots(d)
+        # H = [[0, z], [conj z, 0]] with z = b + ic squares to r^2 I, r = |z|,
+        # so exp(iH) = cos(r) I + i sin(r)/r H
+        z = np.ascontiguousarray(params).view(complex)[:, 0]
+        r = np.abs(z)
+        # at r = 0, z = 0 and any finite sin(r)/r gives exp(iH) = I
+        iz = z * (1j * np.sin(r) / np.maximum(r, 1e-300))
+        u = np.empty((len(params), 2, 2), dtype=complex)
+        u[:, 0, 0] = u[:, 1, 1] = np.cos(r)
+        u[:, 0, 1] = iz
+        u[:, 1, 0] = -iz.conj()
+        return u
+    # eigh reads the lower triangle: the zero diagonal, then the conjugate
+    # of the strict upper triangle, whose row-major order is the params'
+    rows, cols = _upper_slots(d)
     h = np.zeros((len(params), d, d), dtype=complex)
-    h[:, diag, diag] = params[:, :d]
-    h[:, cols, rows] = params[:, d::2] - 1j * params[:, d + 1 :: 2]
+    h[:, cols, rows] = params[:, ::2] - 1j * params[:, 1::2]
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)[:, None, :]) @ np.conj(v).swapaxes(1, 2)
 
 
 def params_to_unitary(params, d):
-    """U = exp(iH) for the Hermitian H encoded by ``params`` (length d^2)."""
+    """U = exp(iH) for the zero-diagonal H encoded by ``params`` (d(d-1) reals)."""
     params = np.asarray(params, dtype=float)
-    if params.size != d * d:
-        raise InvariantError(f"expected {d * d} parameters for dimension {d}, got {params.size}")
-    return _exp_ih(params.reshape(1, d * d), d)[0]
+    n = d * (d - 1)
+    if params.size != n:
+        raise InvariantError(f"expected {n} parameters for dimension {d}, got {params.size}")
+    return _exp_ih(params.reshape(1, -1), d)[0]
 
 
 def decode_basis(params, d, subsystem=""):
@@ -128,13 +117,13 @@ def decode_basis(params, d, subsystem=""):
 
 
 def make_plan(state, measured, params):
-    """MeasurementPlan from a joint parameter vector (one d^2 block per label)."""
+    """MeasurementPlan from a joint parameter vector (one d(d-1) block per label)."""
     bases = []
     k = 0
     for label in measured:
         d = state.register.dim(label)
-        bases.append(decode_basis(params[k : k + d * d], d, label))
-        k += d * d
+        bases.append(decode_basis(params[k : k + d * (d - 1)], d, label))
+        k += d * (d - 1)
     return MeasurementPlan(tuple(measured), tuple(bases))
 
 
@@ -186,7 +175,7 @@ class _Workspace:
         self.n = reg.n
         self.measured_idx = [reg.index(lab) for lab in measured]
         self.meas_dims = [reg.dims[i] for i in self.measured_idx]
-        self.param_len = sum(d * d for d in self.meas_dims)
+        self.param_len = sum(d * (d - 1) for d in self.meas_dims)
 
         big_d = reg.total_dim
         rec = _records(self.dims, self.measured_idx)
@@ -206,11 +195,11 @@ class _Workspace:
         # subsystems (adjacent ones merged).  Parameters follow the
         # measurement order; the unitaries of all measured subsystems of one
         # dimension come from one exp(iH) call over their columns.
-        starts = np.cumsum([0] + [d * d for d in self.meas_dims])
+        starts = np.cumsum([0] + [d * (d - 1) for d in self.meas_dims])
         self._unitary_groups = []
         for d in sorted(set(self.meas_dims)):
             pos = [j for j, dj in enumerate(self.meas_dims) if dj == d]
-            cols = np.concatenate([np.arange(starts[j], starts[j] + d * d) for j in pos])
+            cols = np.concatenate([np.arange(starts[j], starts[j + 1]) for j in pos])
             if len(pos) == len(self.meas_dims):
                 cols = slice(None)
             self._unitary_groups.append((d, pos, cols))
@@ -228,7 +217,7 @@ class _Workspace:
         b = len(params)
         u_dag = [None] * len(self.meas_dims)
         for d, pos, cols in self._unitary_groups:
-            u = _exp_ih(params[:, cols].reshape(-1, d * d), d)
+            u = _exp_ih(params[:, cols].reshape(-1, d * (d - 1)), d)
             u = np.conj(u).swapaxes(1, 2).reshape(b, len(pos), d, d)
             for k, j in enumerate(pos):
                 u_dag[j] = u[:, k]
@@ -382,30 +371,30 @@ def minimize(fun, x0s, max_iter, xatol, fatol, adaptive):
 
 
 def _optimize(objective, param_len, cfg):
-    """Multi-start Nelder-Mead with every restart advancing in lockstep.
+    """Multi-start Nelder-Mead with the restarts advancing in lockstep.
 
     Restart 0 starts at zero parameters, restart r > 0 at a normal draw
-    from ``spawn_rng(cfg.seed, r)``.  All restarts run through one
-    ``minimize`` call, so each step evaluates ``objective`` once on a batch
-    holding one point per restart still running; each restart's path is
-    the one scipy's Nelder-Mead would take from its start alone.  The first
-    strict minimum over restarts wins, and ``converged`` is True when any
-    restart stopped on its tolerances before ``max_iter``.
+    from ``spawn_rng(cfg.seed, r)``.  The restarts run through ``minimize``
+    in chunks of at most ``LOCKSTEP_ROWS``, which bounds the batch memory;
+    each step evaluates ``objective`` once on a batch holding one point per
+    restart of the chunk still running, and each restart's path is the one
+    scipy's Nelder-Mead would take from its start alone.  The first strict
+    minimum over restarts wins, and ``converged`` is True when any restart
+    stopped on its tolerances before ``max_iter``.
     """
     x0s = np.zeros((cfg.restarts, param_len))
     for r in range(1, cfg.restarts):
         x0s[r] = spawn_rng(cfg.seed, r).normal(scale=1.0, size=param_len)
-    res = minimize(
-        objective,
-        x0s,
-        max_iter=cfg.max_iter,
-        xatol=1e-6,
-        fatol=cfg.tol,
-        adaptive=param_len > 6,
-    )
-    best = int(np.argmin(res.fun))
-    restart_values = tuple(float(v) for v in res.fun)
-    return restart_values[best], res.x[best], restart_values, bool(res.success.any())
+    chunks = [
+        minimize(objective, x0s[k : k + LOCKSTEP_ROWS], max_iter=cfg.max_iter, xatol=1e-6,
+                 fatol=cfg.tol, adaptive=param_len > 6)
+        for k in range(0, cfg.restarts, LOCKSTEP_ROWS)
+    ]
+    fun = np.concatenate([c.fun for c in chunks])
+    best = int(np.argmin(fun))
+    restart_values = tuple(float(v) for v in fun)
+    best_x = chunks[best // LOCKSTEP_ROWS].x[best % LOCKSTEP_ROWS]
+    return restart_values[best], best_x, restart_values, any(c.success.any() for c in chunks)
 
 
 def _check_measured(state, measured):

@@ -73,9 +73,17 @@ def state_to_json(state):
     return payload
 
 
+def _labels(obj, key, where):
+    labels = _require(obj, key, list, where)
+    for lab in labels:
+        if not isinstance(lab, str):
+            raise ParseError(f"{where}: {key!r} entry {lab!r} is not a string")
+    return tuple(labels)
+
+
 def state_from_json(obj, where="state"):
-    labels = _require(obj, "labels", list, where)
-    dims = [_integer(d, f"{where}: dims") for d in _require(obj, "dims", list, where)]
+    labels = _labels(obj, "labels", where)
+    dims = [_number(d, f"{where}: dims", int) for d in _require(obj, "dims", list, where)]
     rho = _matrix_from_parts(obj, where)
     total = math.prod(dims)
     if rho.shape != (total, total):
@@ -83,11 +91,9 @@ def state_from_json(obj, where="state"):
             f"{where}: matrix shape {rho.shape} does not match dims {dims} "
             f"(expected {total}x{total})"
         )
-    kinds = tuple(
-        APPARATUS if str(lab).startswith(APPARATUS_PREFIX) else "system" for lab in labels
-    )
+    kinds = tuple(APPARATUS if lab.startswith(APPARATUS_PREFIX) else "system" for lab in labels)
     try:
-        reg = Register(tuple(str(s) for s in labels), tuple(dims), kinds)
+        reg = Register(labels, tuple(dims), kinds)
         return LabeledState(reg, rho)
     except InvariantError:
         raise
@@ -115,31 +121,30 @@ def plan_to_json(plan):
 
 
 def plan_from_json(obj, where="plan"):
-    measured = _require(obj, "measured", list, where)
+    measured = _labels(obj, "measured", where)
     bases_raw = _require(obj, "bases", list, where)
     bases = tuple(basis_from_json(b, f"{where}.bases[{i}]") for i, b in enumerate(bases_raw))
-    return MeasurementPlan(tuple(str(s) for s in measured), bases)
+    return MeasurementPlan(measured, bases)
 
 
-def _integer(val, what):
-    """``val`` as an int; a bool or a number with a fractional part is refused."""
-    if isinstance(val, bool) or (isinstance(val, float) and not val.is_integer()):
-        raise ParseError(f"{what} must be an integer, got {val!r}")
+def _number(val, what, kind=float):
+    """``kind(val)``; a bool is refused, and for int a fractional float too."""
+    fractional = kind is int and isinstance(val, float) and not val.is_integer()
+    if isinstance(val, bool) or fractional:
+        noun = "an integer" if kind is int else "a number"
+        raise ParseError(f"{what} must be {noun}, got {val!r}")
     try:
-        return int(val)
-    except (TypeError, ValueError) as exc:
+        return kind(val)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: not a number ({exc})") from None
 
 
 def optimizer_from_json(obj, seed_default=0):
     obj = _object({} if obj is None else obj, "optimizer")
-    restarts = _integer(obj.get("restarts", 24), "optimizer: 'restarts'")
-    max_iter = _integer(obj.get("max_iter", 300), "optimizer: 'max_iter'")
-    seed = _integer(obj.get("seed", seed_default), "optimizer: 'seed'")
-    try:
-        tol = float(obj.get("tol", 1e-8))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"optimizer: non-numeric setting ({exc})") from None
+    restarts = _number(obj.get("restarts", 24), "optimizer: 'restarts'", int)
+    max_iter = _number(obj.get("max_iter", 300), "optimizer: 'max_iter'", int)
+    seed = _number(obj.get("seed", seed_default), "optimizer: 'seed'", int)
+    tol = _number(obj.get("tol", 1e-8), "optimizer: 'tol'")
     return OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
 
 

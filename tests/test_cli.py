@@ -235,6 +235,44 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "must be an integer" in err
 
+    @pytest.mark.parametrize("tol", [True, False])
+    def test_parse_error_bool_chain_tol(self, capsys, tmp_path, tol):
+        config = tmp_path / "chain.json"
+        config.write_text(json.dumps({
+            "state": serialize.state_to_json(bell_state()),
+            "links": [{"target": "B"}],
+            "optimizer": {"tol": tol},
+        }))
+        code, _, err = run(
+            capsys, "chain", "--config", str(config), "--out-prefix", str(tmp_path / "chain")
+        )
+        assert code == EXIT_PARSE
+        assert "'tol' must be a number" in err
+
+    def test_parse_error_non_string_state_labels(self, capsys, tmp_path):
+        obj = serialize.state_to_json(bell_state())
+        obj["labels"] = [1, [2]]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(
+            capsys, "measure", "--state", str(path), "--measure", "negativity", "--cut", "1:[2]"
+        )
+        assert code == EXIT_PARSE
+        assert "is not a string" in err
+
+    def test_parse_error_non_string_chain_state_labels(self, capsys, tmp_path):
+        # no command reads a plan file; the chain's inline state is the other
+        # label list a command line input can carry
+        state = serialize.state_to_json(bell_state())
+        state["labels"] = ["A", 2]
+        config = tmp_path / "chain.json"
+        config.write_text(json.dumps({"state": state, "links": [{"target": "A"}]}))
+        code, _, err = run(
+            capsys, "chain", "--config", str(config), "--out-prefix", str(tmp_path / "chain")
+        )
+        assert code == EXIT_PARSE
+        assert "is not a string" in err
+
 
 class TestMeasure:
     def test_bell_negativity(self, capsys, bell_file):

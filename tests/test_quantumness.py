@@ -3,11 +3,12 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import minimize as scipy_minimize
 
-from qcorr import linalg
+from qcorr import linalg, quantumness
 from qcorr.entanglement import BipartitionCut, negativity
 from qcorr.errors import InvariantError
-from qcorr.premeasure import dephase
+from qcorr.premeasure import MeasurementPlan, dephase
 from qcorr.quantumness import (
+    LOCKSTEP_ROWS,
     NEGATIVITY_OF_QUANTUMNESS,
     ONE_WAY_DEFICIT,
     TWO_WAY_DEFICIT,
@@ -26,6 +27,7 @@ from qcorr.quantumness import (
 )
 from qcorr.states import (
     LabeledState,
+    LocalBasis,
     Register,
     bell_state,
     classical_quantum_state,
@@ -34,6 +36,7 @@ from qcorr.states import (
     make_rng,
     random_mixed,
     random_pure,
+    random_unitary,
     spawn_rng,
 )
 
@@ -55,32 +58,39 @@ def cc_state(probs=(0.3, 0.7)):
     return LabeledState(default_register(2), rho.astype(complex))
 
 
+def zero_diagonal_generator(params, d):
+    """The Hermitian H of ``params``: zero diagonal, then the real and
+    imaginary parts of the strict upper triangle, row-major."""
+    h = np.zeros((d, d), dtype=complex)
+    k = 0
+    for i in range(d):
+        for j in range(i + 1, d):
+            h[i, j] = params[k] + 1j * params[k + 1]
+            h[j, i] = np.conj(h[i, j])
+            k += 2
+    return h
+
+
 class TestParameterization:
     def test_zero_params_give_identity(self):
-        for d in (2, 3):
-            u = params_to_unitary(np.zeros(d * d), d)
+        for d in (2, 3, 4):
+            u = params_to_unitary(np.zeros(d * (d - 1)), d)
             assert np.max(np.abs(u - np.eye(d))) <= 1e-14
 
     def test_matches_matrix_exponential(self):
         rng = make_rng(0)
         for d in (2, 3, 4):
-            for _ in range(5):
-                params = rng.normal(size=d * d)
-                h = np.zeros((d, d), dtype=complex)
-                h[np.diag_indices(d)] = params[:d]
-                k = d
-                for i in range(d):
-                    for j in range(i + 1, d):
-                        h[i, j] = params[k] + 1j * params[k + 1]
-                        h[j, i] = np.conj(h[i, j])
-                        k += 2
-                u = params_to_unitary(params, d)
-                assert np.max(np.abs(u - expm(1j * h))) <= 1e-12
+            for scale in (1e-9, 1.0, 3.0):
+                for _ in range(5):
+                    params = rng.normal(scale=scale, size=d * (d - 1))
+                    u = params_to_unitary(params, d)
+                    h = zero_diagonal_generator(params, d)
+                    assert np.max(np.abs(u - expm(1j * h))) <= 1e-12
 
     def test_rotation_generator(self):
         # H = alpha * [[0, -i], [i, 0]] exponentiates to a real rotation
         alpha = np.pi / 4
-        u = params_to_unitary([0.0, 0.0, 0.0, -alpha], 2)
+        u = params_to_unitary([0.0, -alpha], 2)
         expected = np.array(
             [[np.cos(alpha), np.sin(alpha)], [-np.sin(alpha), np.cos(alpha)]]
         )
@@ -88,10 +98,42 @@ class TestParameterization:
 
     def test_unitarity(self):
         rng = make_rng(1)
-        for d in (2, 3):
-            params = rng.normal(scale=2.0, size=d * d)
+        for d in (2, 3, 4):
+            params = rng.normal(scale=2.0, size=d * (d - 1))
             u = params_to_unitary(params, d)
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-12
+
+    def test_covers_every_qubit_basis(self):
+        # exp(iH) has first column (cos r, i sin(r)/r conj(z)), z = b + ic and
+        # r = |z|, so the first column of U, phased to a real U00, names (b, c)
+        rng = make_rng(2)
+        for _ in range(20):
+            u = random_unitary(2, rng)
+            phase = np.conj(u[0, 0]) / abs(u[0, 0])
+            r = np.arccos(min(1.0, abs(u[0, 0])))
+            z = np.conj(u[1, 0] * phase / (1j * np.sin(r) / r))
+            d = params_to_unitary([z.real, z.imag], 2).conj().T @ u
+            assert np.max(np.abs(d - np.diag(np.diag(d)))) <= 1e-12
+            assert np.max(np.abs(np.abs(np.diag(d)) - 1)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "dims, measured",
+        [((2, 2), ("A",)), ((2, 3), ("B",)), ((3, 3), ("A", "B")), ((2, 2, 2), ("A", "C"))],
+    )
+    def test_objectives_invariant_under_column_phases(self, dims, measured):
+        # a basis is U up to column phases: U -> UD changes neither measure
+        labels = ("A", "B", "C")[: len(dims)]
+        state = random_mixed(Register(labels, dims), rank=2, seed=3)
+        rng = make_rng(3)
+        bases = [random_unitary(state.register.dim(lab), rng) for lab in measured]
+        phased = [u * np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(u))) for u in bases]
+        plan, plan_phased = (
+            MeasurementPlan(measured, tuple(LocalBasis(lab, u) for lab, u in zip(measured, us)))
+            for us in (bases, phased)
+        )
+        assert abs(plan_negativity(state, plan) - plan_negativity(state, plan_phased)) <= 1e-12
+        entropy = [linalg.von_neumann_entropy(dephase(state, p).rho) for p in (plan, plan_phased)]
+        assert abs(entropy[0] - entropy[1]) <= 1e-12
 
     def test_max_iter_must_be_positive(self):
         with pytest.raises(InvariantError):
@@ -107,21 +149,29 @@ class TestParameterization:
             OptimizerConfig(seed=-1)
 
     def test_length_check(self):
-        with pytest.raises(InvariantError):
-            params_to_unitary(np.zeros(3), 2)
+        for d, n in ((2, 4), (2, 1), (3, 9), (3, 5)):
+            with pytest.raises(InvariantError, match=f"expected {d * (d - 1)} parameters"):
+                params_to_unitary(np.zeros(n), d)
 
     def test_decode_basis(self):
-        b = decode_basis(np.zeros(4), 2, "A")
+        b = decode_basis(np.zeros(2), 2, "A")
         assert b.subsystem == "A"
         assert np.allclose(b.vectors, np.eye(2))
+        params = make_rng(4).normal(size=6)
+        b = decode_basis(params, 3, "B")
+        assert np.array_equal(b.vectors, params_to_unitary(params, 3))
 
     def test_make_plan_splits_blocks(self):
-        state = random_mixed(Register(("A", "B"), (2, 3)), rank=2, seed=2)
-        params = np.zeros(4 + 9)
-        plan = make_plan(state, ("A", "B"), params)
-        assert plan.measured == ("A", "B")
-        assert plan.bases[0].dim == 2
-        assert plan.bases[1].dim == 3
+        state = random_mixed(Register(("A", "B", "C"), (2, 3, 2)), rank=2, seed=2)
+        params = make_rng(5).normal(size=6 + 2 + 2)
+        plan = make_plan(state, ("B", "A", "C"), params)
+        assert plan.measured == ("B", "A", "C")
+        assert [b.dim for b in plan.bases] == [3, 2, 2]
+        blocks = (params[:6], params[6:8], params[8:])
+        for basis, block in zip(plan.bases, blocks):
+            assert np.array_equal(basis.vectors, params_to_unitary(block, basis.dim))
+        ws = _Workspace(state, ("B", "A", "C"))
+        assert ws.param_len == len(params)
 
 
 class TestWorkspaceAgainstReferencePath:
@@ -276,6 +326,56 @@ class TestOptimizeAgainstSerialScipy:
         assert value == refs[best].fun
         assert np.array_equal(best_x, refs[best].x)
         assert converged == any(ref.success for ref in refs)
+
+
+class TestChunkedRestarts:
+    """Restarts beyond LOCKSTEP_ROWS run in further minimize calls, with the
+    outcome of one call over all of them."""
+
+    RESTARTS = 70
+
+    def starts(self, seed, n):
+        x0s = np.zeros((self.RESTARTS, n))
+        for r in range(1, self.RESTARTS):
+            x0s[r] = spawn_rng(seed, r).normal(size=n)
+        return x0s
+
+    def bowl(self, seed):
+        # centred on the start of restart 67, which alone converges by
+        # iteration 40 and wins: the winner and the only success lie in
+        # the second chunk
+        centre = self.starts(seed, 2)[67]
+        return lambda x: ((x - centre) ** 2).sum(axis=1), 2, 40
+
+    def workspace(self, seed):
+        # restart 65 wins; restarts of both chunks converge
+        ws = _Workspace(random_mixed(default_register(2), rank=2, seed=39), ("A",))
+        return ws.neg_objective, ws.param_len, 80
+
+    @pytest.mark.parametrize("case", ["bowl", "workspace"])
+    def test_chunks_match_one_minimize_call(self, case, monkeypatch):
+        seed = 3
+        objective, n, max_iter = getattr(self, case)(seed)
+        cfg = OptimizerConfig(restarts=self.RESTARTS, max_iter=max_iter, seed=seed)
+        whole = minimize(objective, self.starts(seed, n), max_iter, 1e-6, cfg.tol, n > 6)
+
+        rows = []
+
+        def recorded(fun, x0s, **kwargs):
+            rows.append(len(x0s))
+            return minimize(fun, x0s, **kwargs)
+
+        monkeypatch.setattr(quantumness, "minimize", recorded)
+        value, best_x, restart_values, converged = _optimize(objective, n, cfg)
+        assert rows == [LOCKSTEP_ROWS, self.RESTARTS - LOCKSTEP_ROWS]
+        best = int(np.argmin(whole.fun))
+        assert best >= LOCKSTEP_ROWS
+        assert restart_values == tuple(float(v) for v in whole.fun)
+        assert value == whole.fun[best]
+        assert np.array_equal(best_x, whole.x[best])
+        assert converged == bool(whole.success.any())
+        assert whole.success[LOCKSTEP_ROWS:].any()
+        assert whole.success[:LOCKSTEP_ROWS].any() == (case == "workspace")
 
 
 class TestQNegativity:

@@ -48,6 +48,13 @@ class TestStateRoundtrip:
         with pytest.raises(ParseError):
             serialize.state_from_json(obj)
 
+    @pytest.mark.parametrize("labels", [[1, [2]], ["A", None], ["A", {"B": 1}]])
+    def test_non_string_labels(self, labels):
+        obj = serialize.state_to_json(bell_state())
+        obj["labels"] = labels
+        with pytest.raises(ParseError, match="'labels' entry .* is not a string"):
+            serialize.state_from_json(obj)
+
     def test_shape_mismatch(self):
         obj = {"labels": ["A"], "dims": [2], "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]}
         with pytest.raises(ParseError):
@@ -68,6 +75,14 @@ class TestBasisAndPlan:
         )
         back = serialize.plan_from_json(serialize.plan_to_json(plan))
         assert back.measured == ("A", "B")
+
+
+    @pytest.mark.parametrize("measured", [[0], ["A", ["B"]], [True]])
+    def test_plan_non_string_measured(self, measured):
+        obj = serialize.plan_to_json(MeasurementPlan(("A",), (random_basis("A", 2, make_rng(3)),)))
+        obj["measured"] = measured
+        with pytest.raises(ParseError, match="'measured' entry .* is not a string"):
+            serialize.plan_from_json(obj)
 
 
 class TestChainConfig:
@@ -115,7 +130,14 @@ class TestChainConfig:
 
     @pytest.mark.parametrize(
         "optimizer",
-        [{"restarts": "many"}, {"max_iter": "many"}, {"tol": "many"}, {"seed": "many"}, [4]],
+        [
+            {"restarts": "many"},
+            {"max_iter": "many"},
+            {"tol": "many"},
+            {"seed": "many"},
+            [4],
+            {"tol": 10**400},  # float() overflows
+        ],
     )
     def test_malformed_optimizer_block(self, optimizer):
         obj = {
@@ -135,6 +157,11 @@ class TestChainConfig:
         }
         with pytest.raises(ParseError, match="track"):
             serialize.chain_config_from_json(obj)
+
+    @pytest.mark.parametrize("tol", [True, False])
+    def test_bool_tol_refused(self, tol):
+        with pytest.raises(ParseError, match="'tol' must be a number"):
+            serialize.optimizer_from_json({"tol": tol})
 
     def test_integral_float_counts_accepted(self):
         cfg = serialize.optimizer_from_json({"restarts": 4.0, "max_iter": 50, "seed": 2.0})
