@@ -13,8 +13,8 @@ diagonal D.  The d(d-1) parameters match the dimension of U(d)/T, so no
 direction is flat by construction; column permutations, and several H
 for one basis, remain.
 
-All reported minima are upper bounds: Nelder-Mead with multi-start makes
-no global-optimality guarantee.
+All reported minima are upper bounds: Nelder-Mead with multi-start and a
+polish of the winner makes no global-optimality guarantee.
 
 The restarts of one optimization run in lockstep, ``LOCKSTEP_ROWS`` at a
 time.  ``minimize`` is scipy's Nelder-Mead applied to every start at once:
@@ -375,26 +375,32 @@ def _optimize(objective, param_len, cfg):
 
     Restart 0 starts at zero parameters, restart r > 0 at a normal draw
     from ``spawn_rng(cfg.seed, r)``.  The restarts run through ``minimize``
-    in chunks of at most ``LOCKSTEP_ROWS``, which bounds the batch memory;
-    each step evaluates ``objective`` once on a batch holding one point per
-    restart of the chunk still running, and each restart's path is the one
-    scipy's Nelder-Mead would take from its start alone.  The first strict
-    minimum over restarts wins, and ``converged`` is True when any restart
-    stopped on its tolerances before ``max_iter``.
+    in chunks of at most ``LOCKSTEP_ROWS``, which bounds the batch memory,
+    and each restart's path is the one scipy's Nelder-Mead would take from
+    its start alone.  The first strict minimum wins.  ``converged`` is True
+    when any restart stopped on its tolerances before ``max_iter``; then
+    the winner, which may have stalled on a collapsed simplex or been cut
+    at ``max_iter``, gets one more run from its point with a fresh simplex,
+    kept if strictly lower.  With no restart converged, the budget is not
+    extended.
     """
+    def run(x0s):  # Gao-Han coefficients unless one qubit is measured
+        return minimize(objective, x0s, max_iter=cfg.max_iter, xatol=1e-6, fatol=cfg.tol,
+                        adaptive=param_len > 2)
+
     x0s = np.zeros((cfg.restarts, param_len))
     for r in range(1, cfg.restarts):
         x0s[r] = spawn_rng(cfg.seed, r).normal(scale=1.0, size=param_len)
-    chunks = [
-        minimize(objective, x0s[k : k + LOCKSTEP_ROWS], max_iter=cfg.max_iter, xatol=1e-6,
-                 fatol=cfg.tol, adaptive=param_len > 6)
-        for k in range(0, cfg.restarts, LOCKSTEP_ROWS)
-    ]
+    chunks = [run(x0s[k : k + LOCKSTEP_ROWS]) for k in range(0, cfg.restarts, LOCKSTEP_ROWS)]
     fun = np.concatenate([c.fun for c in chunks])
     best = int(np.argmin(fun))
-    restart_values = tuple(float(v) for v in fun)
     best_x = chunks[best // LOCKSTEP_ROWS].x[best % LOCKSTEP_ROWS]
-    return restart_values[best], best_x, restart_values, any(c.success.any() for c in chunks)
+    converged = any(c.success.any() for c in chunks)
+    if converged:
+        polish = run(best_x[None])
+        if polish.fun[0] < fun[best]:
+            fun[best], best_x = polish.fun[0], polish.x[0]
+    return float(fun[best]), best_x, tuple(float(v) for v in fun), converged
 
 
 def _check_measured(state, measured):
