@@ -96,14 +96,13 @@ def run_chain(cfg):
     """Execute the chain and assemble the per-link report."""
     state = cfg.initial
     rows = []
-    states = []
     for j, spec in enumerate(cfg.links, start=1):
-        basis = _resolve_basis(state, spec, cfg.q_cfg)
         d = state.register.dim(spec.target)
         if state.register.total_dim * d > MAX_TOTAL_DIM:
             raise InvariantError(
                 f"chain link {j} would exceed total dimension {MAX_TOTAL_DIM}"
             )
+        basis = _resolve_basis(state, spec, cfg.q_cfg)
         plan = MeasurementPlan((spec.target,), (basis,))
         n_before = state.register.n
         state = premeasure(state, plan)
@@ -114,7 +113,6 @@ def run_chain(cfg):
             app_label = state.register.labels[-1]
             q_val = q_negativity(state, (app_label,), cfg.q_cfg).value
         rows.append((j, spec.target, state.register.labels[-1], e_val, q_val))
-        states.append(state)
 
     final = state
     n0 = cfg.initial.register.n

@@ -19,16 +19,15 @@ from .chain import run_chain
 from .entanglement import (
     ENTROPY_OF_ENTANGLEMENT,
     LOG_NEGATIVITY,
-    MEASURES,
     NEGATIVITY,
     cut_from_labels,
     evaluate,
 )
 from .errors import InvariantError, ParseError, UsageError
-from .quantumness import classify_cc, deficit, q_negativity
+from .quantumness import OptimizerConfig, classify_cc, deficit, q_negativity
 from .states import bell_state, ghz_state, werner_state, classical_quantum_state
 from .states import LocalBasis
-from .suites import SUITE_NAMES, run_suite
+from .suites import run_suite
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -62,6 +61,19 @@ def _parse_measured(measured):
     return tuple(s.strip() for s in measured.split(",") if s.strip())
 
 
+def _optimizer_options(command):
+    """--restarts, --max-iter, --tol and --seed, defaulting to OptimizerConfig's."""
+    options = (
+        click.option("--restarts", default=OptimizerConfig.restarts, show_default=True),
+        click.option("--max-iter", default=OptimizerConfig.max_iter, show_default=True),
+        click.option("--tol", default=OptimizerConfig.tol, show_default=True),
+        click.option("--seed", default=None, type=int),
+    )
+    for option in reversed(options):
+        command = option(command)
+    return command
+
+
 @click.group()
 def cli():
     """Quantify quantum correlations via measurement-apparatus entanglement."""
@@ -72,10 +84,7 @@ def cli():
 @click.option("--measure", "measure", required=True)
 @click.option("--cut", "cut_spec", default=None, help='Bipartition like "A:B" or "A,B:C".')
 @click.option("--measured", default=None, help="Comma-separated measured labels (Q measures).")
-@click.option("--restarts", default=24, show_default=True)
-@click.option("--max-iter", default=300, show_default=True)
-@click.option("--tol", default=1e-8, show_default=True)
-@click.option("--seed", default=None, type=int)
+@_optimizer_options
 @click.option("--out", "out_path", default=None, type=click.Path())
 def measure(state_path, measure, cut_spec, measured, restarts, max_iter, tol, seed, out_path):
     """Evaluate an entanglement or quantumness measure on a state file."""
@@ -128,38 +137,21 @@ def measure(state_path, measure, cut_spec, measured, restarts, max_iter, tol, se
 @click.option("--state", "state_path", required=True, type=click.Path())
 @click.option("--measured", required=True, help="Comma-separated measured labels.")
 @click.option("--measure", "measure", default="q-negativity", show_default=True)
-@click.option("--restarts", default=24, show_default=True)
-@click.option("--max-iter", default=300, show_default=True)
-@click.option("--tol", default=1e-8, show_default=True)
-@click.option("--seed", default=None, type=int)
+@_optimizer_options
 @click.option("--out", "out_path", default=None, type=click.Path())
 @click.pass_context
-def quantumness(ctx, state_path, measured, measure, restarts, max_iter, tol, seed, out_path):
+def quantumness(ctx, measure, **options):
     """Optimized quantumness measures (front-end for the Q measures)."""
     if measure not in Q_MEASURES:
         raise UsageError(f"unknown quantumness measure {measure!r}; choose from {Q_MEASURES}")
-    ctx.invoke(
-        globals()["measure"],
-        state_path=state_path,
-        measure=measure,
-        cut_spec=None,
-        measured=measured,
-        restarts=restarts,
-        max_iter=max_iter,
-        tol=tol,
-        seed=seed,
-        out_path=out_path,
-    )
+    ctx.invoke(globals()["measure"], measure=measure, cut_spec=None, **options)
 
 
 @cli.command()
 @click.option("--state", "state_path", required=True, type=click.Path())
 @click.option("--measured", required=True)
 @click.option("--threshold", default=1e-7, show_default=True)
-@click.option("--restarts", default=24, show_default=True)
-@click.option("--max-iter", default=300, show_default=True)
-@click.option("--tol", default=1e-8, show_default=True)
-@click.option("--seed", default=None, type=int)
+@_optimizer_options
 @click.option("--out", "out_path", default=None, type=click.Path())
 def classify(state_path, measured, threshold, restarts, max_iter, tol, seed, out_path):
     """Classify a state as classically correlated on the measured subsystems."""
@@ -204,23 +196,10 @@ def chain(config_path, seed, out_prefix):
     )
     report = run_chain(cfg)
     header = ("link", "target", "apparatus", "entanglement", "quantumness", "break_negativity")
-    rows = [
-        (r.link, r.target, r.apparatus, r.entanglement, r.quantumness, r.break_negativity)
-        for r in report.rows
-    ]
+    rows = [tuple(getattr(r, field) for field in header) for r in report.rows]
     serialize.write_csv(out_prefix + ".csv", header, rows)
     payload = {
-        "rows": [
-            {
-                "link": r.link,
-                "target": r.target,
-                "apparatus": r.apparatus,
-                "entanglement": r.entanglement,
-                "quantumness": r.quantumness,
-                "break_negativity": r.break_negativity,
-            }
-            for r in report.rows
-        ],
+        "rows": [dict(zip(header, row)) for row in rows],
         "monotone": report.monotone(),
     }
     manifest = serialize.make_manifest("chain", {"config": config_path}, seed)
@@ -307,11 +286,8 @@ def _emit(payload, manifest, started, out_path):
         serialize.write_report(out_path, payload, manifest, started)
         click.echo(f"report written to {out_path}")
     else:
-        manifest = dict(manifest)
-        manifest["wall_time_s"] = time.monotonic() - started
-        payload = dict(payload)
-        payload["manifest"] = manifest
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        report = serialize.with_manifest(payload, manifest, started)
+        click.echo(json.dumps(report, indent=2, sort_keys=True))
 
 
 def main(argv=None):

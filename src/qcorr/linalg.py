@@ -24,10 +24,6 @@ def dagger(a):
     return np.conj(a).T
 
 
-def is_hermitian(a, tol=TOL_PSD):
-    return np.max(np.abs(a - dagger(a))) <= tol
-
-
 def hermitian_eig(h, tol=TOL_PSD):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -123,15 +119,6 @@ def von_neumann_entropy(rho):
     if w.size == 0:
         return 0.0
     return float(-np.sum(w * np.log2(w)))
-
-
-def entropy_of_probs(p):
-    """Shannon entropy in bits of a probability vector."""
-    p = np.asarray(p, dtype=float)
-    p = p[p > EIG_ZERO]
-    if p.size == 0:
-        return 0.0
-    return float(-np.sum(p * np.log2(p)))
 
 
 def trace_distance(rho, sigma):

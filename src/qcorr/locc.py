@@ -102,17 +102,6 @@ def locc_undo(premeasured, plan, label):
     return LoccTranscript(tuple(probs), tuple(corrections), tuple(branches), output)
 
 
-def transfer_to_apparatus(premeasured, plan, labels):
-    """Apply locc_undo sequentially for several (subsystem, apparatus) pairs.
-
-    The pairs act on disjoint subsystems, so the order is irrelevant.
-    """
-    state = premeasured
-    for label in labels:
-        state = locc_undo(state, plan, label).output
-    return state
-
-
 def verify_monotonicity_step(state, plan):
     """Per-basis entanglement monotonicity across one pre-measurement.
 

@@ -30,7 +30,6 @@ from .states import (
     APPARATUS_PREFIX,
     MAX_TOTAL_DIM,
     LabeledState,
-    LocalBasis,
     Register,
 )
 
@@ -72,11 +71,6 @@ class MeasurementPlan:
                     f"basis dimension {basis.dim} != subsystem {label!r} "
                     f"dimension {register.dim(label)}"
                 )
-
-
-def plan_for(label, basis_vectors):
-    """Single-subsystem plan from raw basis columns."""
-    return MeasurementPlan((label,), (LocalBasis(label, basis_vectors),))
 
 
 def _records(dims, measured_idx):

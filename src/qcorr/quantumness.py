@@ -27,16 +27,15 @@ rotation and the block spectra are all computed as stacked numpy calls
 over the batch.
 """
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import linalg
-from .entanglement import BipartitionCut, negativity
 from .errors import InvariantError
-from .premeasure import MeasurementPlan, _records, premeasure
-from .states import SYSTEM, LabeledState, LocalBasis, spawn_rng
+from .premeasure import MeasurementPlan, _records
+from .states import SYSTEM, LocalBasis, spawn_rng
 
 NEGATIVITY_OF_QUANTUMNESS = "negativity_of_quantumness"
 ONE_WAY_DEFICIT = "one_way_deficit"
@@ -127,18 +126,6 @@ def make_plan(state, measured, params):
     return MeasurementPlan(tuple(measured), tuple(bases))
 
 
-def apparatus_cut(premeasured_state, n_original):
-    """Cut separating the original subsystems from the appended apparatuses."""
-    n = premeasured_state.register.n
-    return BipartitionCut(tuple(range(n_original)), tuple(range(n_original, n)))
-
-
-def plan_negativity(state, plan):
-    """Negativity across system : apparatuses of the pre-measurement state."""
-    pm = premeasure(state, plan)
-    return negativity(pm, apparatus_cut(pm, state.register.n))
-
-
 class _Workspace:
     """Precomputed machinery for repeated objective evaluations on one state.
 
@@ -172,7 +159,6 @@ class _Workspace:
         reg = state.register
         self.rho = state.rho
         self.dims = reg.dims
-        self.n = reg.n
         self.measured_idx = [reg.index(lab) for lab in measured]
         self.meas_dims = [reg.dims[i] for i in self.measured_idx]
         self.param_len = sum(d * (d - 1) for d in self.meas_dims)
@@ -414,21 +400,28 @@ def _check_measured(state, measured):
     return measured
 
 
-def q_negativity(state, measured, cfg=OptimizerConfig()):
-    """Upper bound on the minimum system:apparatus negativity over local bases."""
-    measured = _check_measured(state, measured)
+def _minimum_over_bases(state, measured, cfg, objective, measure):
+    """Report of the optimized minimum of ``objective``, a ``_Workspace`` method."""
     ws = _Workspace(state, measured)
     value, best_x, restart_values, converged = _optimize(
-        ws.neg_objective, ws.param_len, cfg
+        partial(objective, ws), ws.param_len, cfg
     )
     plan = make_plan(state, measured, best_x)
     return QuantumnessReport(
         value=max(0.0, value) if value < VALUE_CLAMP else value,
-        measure=NEGATIVITY_OF_QUANTUMNESS,
+        measure=measure,
         measured=measured,
         argmin_bases=plan.bases,
         restart_values=restart_values,
         converged=converged,
+    )
+
+
+def q_negativity(state, measured, cfg=OptimizerConfig()):
+    """Upper bound on the minimum system:apparatus negativity over local bases."""
+    measured = _check_measured(state, measured)
+    return _minimum_over_bases(
+        state, measured, cfg, _Workspace.neg_objective, NEGATIVITY_OF_QUANTUMNESS
     )
 
 
@@ -441,20 +434,11 @@ def deficit(state, measured, cfg=OptimizerConfig()):
     inequality.
     """
     measured = _check_measured(state, measured)
-    ws = _Workspace(state, measured)
-    value, best_x, restart_values, converged = _optimize(
-        ws.deficit_objective, ws.param_len, cfg
-    )
     n_sys = sum(1 for k in state.register.kinds if k == SYSTEM)
     two_way = len(measured) == state.register.n or len(measured) == n_sys > 1
-    plan = make_plan(state, measured, best_x)
-    return QuantumnessReport(
-        value=max(0.0, value) if value < VALUE_CLAMP else value,
-        measure=TWO_WAY_DEFICIT if two_way else ONE_WAY_DEFICIT,
-        measured=measured,
-        argmin_bases=plan.bases,
-        restart_values=restart_values,
-        converged=converged,
+    return _minimum_over_bases(
+        state, measured, cfg, _Workspace.deficit_objective,
+        TWO_WAY_DEFICIT if two_way else ONE_WAY_DEFICIT,
     )
 
 

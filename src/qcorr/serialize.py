@@ -1,4 +1,4 @@
-"""JSON/CSV serialization: states, bases, plans, chain configs, manifests.
+"""JSON/CSV serialization: states, bases, chain configs, manifests.
 
 State matrices are stored row-major as separate real and imaginary parts,
 with subsystem 0 the slowest-varying tensor index.  Floats in CSV output
@@ -22,7 +22,6 @@ from .chain import (
     LinkSpec,
 )
 from .errors import InvariantError, ParseError
-from .premeasure import MeasurementPlan
 from .quantumness import OptimizerConfig
 from .states import APPARATUS, APPARATUS_PREFIX, LabeledState, LocalBasis, Register
 
@@ -113,20 +112,6 @@ def basis_from_json(obj, where="basis"):
     return LocalBasis(subsystem, vectors)
 
 
-def plan_to_json(plan):
-    return {
-        "measured": list(plan.measured),
-        "bases": [basis_to_json(b) for b in plan.bases],
-    }
-
-
-def plan_from_json(obj, where="plan"):
-    measured = _labels(obj, "measured", where)
-    bases_raw = _require(obj, "bases", list, where)
-    bases = tuple(basis_from_json(b, f"{where}.bases[{i}]") for i, b in enumerate(bases_raw))
-    return MeasurementPlan(measured, bases)
-
-
 def _number(val, what, kind=float):
     """``kind(val)``; a bool is refused, and for int a fractional float too."""
     fractional = kind is int and isinstance(val, float) and not val.is_integer()
@@ -141,10 +126,10 @@ def _number(val, what, kind=float):
 
 def optimizer_from_json(obj, seed_default=0):
     obj = _object({} if obj is None else obj, "optimizer")
-    restarts = _number(obj.get("restarts", 24), "optimizer: 'restarts'", int)
-    max_iter = _number(obj.get("max_iter", 300), "optimizer: 'max_iter'", int)
+    restarts = _number(obj.get("restarts", OptimizerConfig.restarts), "optimizer: 'restarts'", int)
+    max_iter = _number(obj.get("max_iter", OptimizerConfig.max_iter), "optimizer: 'max_iter'", int)
     seed = _number(obj.get("seed", seed_default), "optimizer: 'seed'", int)
-    tol = _number(obj.get("tol", 1e-8), "optimizer: 'tol'")
+    tol = _number(obj.get("tol", OptimizerConfig.tol), "optimizer: 'tol'")
     return OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
 
 
@@ -206,13 +191,18 @@ def make_manifest(command, config, seed):
     }
 
 
-def write_report(path, payload, manifest, started_at):
+def with_manifest(payload, manifest, started_at):
+    """A copy of ``payload`` holding ``manifest``, its wall time filled in."""
     manifest = dict(manifest)
     manifest["wall_time_s"] = time.monotonic() - started_at
     payload = dict(payload)
     payload["manifest"] = manifest
+    return payload
+
+
+def write_report(path, payload, manifest, started_at):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(with_manifest(payload, manifest, started_at), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

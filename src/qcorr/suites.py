@@ -13,7 +13,6 @@ import numpy as np
 from . import linalg
 from .chain import (
     ChainConfig,
-    ChainRow,
     FLAG_COPY,
     LinkSpec,
     chain_gme_propagation,
@@ -35,14 +34,12 @@ from .states import (
     Register,
     classical_quantum_state,
     default_register,
-    bell_state,
     ghz_state,
     make_rng,
     pure_state,
     random_basis,
     random_mixed,
     random_pure,
-    spawn_rng,
     w_state,
 )
 

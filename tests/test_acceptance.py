@@ -11,7 +11,6 @@ import pytest
 from qcorr import linalg
 from qcorr.chain import chain_gme_propagation
 from qcorr.entanglement import BipartitionCut, all_cuts, negativity
-from qcorr.premeasure import plan_for
 from qcorr.quantumness import OptimizerConfig, q_negativity
 from qcorr.states import (
     LabeledState,
@@ -203,7 +202,7 @@ def test_criterion_10_grid_oracle_gap():
         w = np.zeros((n, 8, 4), complex)
         w[:, :4, :2] = v
         w[:, 4:, 2:] = v
-        rt = np.einsum("nij,jk,nlk->nil", w, rho, np.conj(w))
+        rt = w @ rho @ np.conj(w).swapaxes(1, 2)
         t = rt.reshape(n, 2, 2, 2, 2, 2, 2).transpose(0, 1, 2, 6, 4, 5, 3).reshape(n, 8, 8)
         ev = np.linalg.eigvalsh(t)
         return -np.minimum(ev, 0.0).sum(axis=1)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qcorr import chain
 from qcorr.chain import (
     ChainConfig,
+    OPTIMIZED,
     LinkSpec,
     TRACK_QUANTUMNESS,
     chain_gme_propagation,
@@ -142,6 +144,18 @@ class TestRunChain:
             initial=state, links=(LinkSpec("C"), LinkSpec("M:C"))
         )
         with pytest.raises(InvariantError):
+            run_chain(cfg)
+
+    def test_dimension_cap_before_optimizing(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("q_negativity called")
+
+        monkeypatch.setattr(chain, "q_negativity", never)
+        state = random_mixed(Register(("A", "B", "C"), (4, 4, 4)), rank=1, seed=2)
+        cfg = ChainConfig(
+            initial=state, links=(LinkSpec("C"), LinkSpec("M:C", OPTIMIZED))
+        )
+        with pytest.raises(InvariantError, match="chain link 2 would exceed"):
             run_chain(cfg)
 
 

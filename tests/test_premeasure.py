@@ -7,7 +7,6 @@ from qcorr.errors import InvariantError
 from qcorr.premeasure import (
     MeasurementPlan,
     dephase,
-    plan_for,
     premeasure,
     undo_interaction,
 )
@@ -91,6 +90,10 @@ def dense_undo(premeasured, plan):
     return rho
 
 
+def single_plan(label, vectors):
+    return MeasurementPlan((label,), (LocalBasis(label, vectors),))
+
+
 def computational_plan(register, labels):
     return MeasurementPlan(
         tuple(labels), tuple(computational_basis(l, register.dim(l)) for l in labels)
@@ -112,7 +115,7 @@ class TestPlan:
             MeasurementPlan(("A",), (computational_basis("B", 2),))
 
     def test_check_register_dimension(self):
-        plan = plan_for("A", np.eye(3))
+        plan = single_plan("A", np.eye(3))
         with pytest.raises(InvariantError):
             plan.check_register(default_register(2))
 
@@ -223,7 +226,7 @@ class TestPremeasure:
         # label deterministically, output |+>|0>
         reg = default_register(1)
         state = LabeledState(reg, np.full((2, 2), 0.5, dtype=complex))
-        out = premeasure(state, plan_for("A", HADAMARD))
+        out = premeasure(state, single_plan("A", HADAMARD))
         expected = np.kron(np.full((2, 2), 0.5), np.diag([1.0, 0.0]))
         assert np.max(np.abs(out.rho - expected)) <= 1e-14
 

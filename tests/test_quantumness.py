@@ -6,7 +6,7 @@ from scipy.optimize import minimize as scipy_minimize
 from qcorr import linalg, quantumness
 from qcorr.entanglement import BipartitionCut, negativity
 from qcorr.errors import InvariantError
-from qcorr.premeasure import MeasurementPlan, dephase
+from qcorr.premeasure import MeasurementPlan, dephase, premeasure
 from qcorr.quantumness import (
     LOCKSTEP_ROWS,
     NEGATIVITY_OF_QUANTUMNESS,
@@ -22,7 +22,6 @@ from qcorr.quantumness import (
     make_plan,
     minimize,
     params_to_unitary,
-    plan_negativity,
     q_negativity,
 )
 from qcorr.states import (
@@ -41,6 +40,18 @@ from qcorr.states import (
 )
 
 FAST = OptimizerConfig(restarts=6, max_iter=300, seed=0)
+
+
+def apparatus_cut(premeasured_state, n_original):
+    """Cut separating the original subsystems from the appended apparatuses."""
+    n = premeasured_state.register.n
+    return BipartitionCut(tuple(range(n_original)), tuple(range(n_original, n)))
+
+
+def plan_negativity(state, plan):
+    """Negativity across system : apparatuses of the pre-measurement state."""
+    pm = premeasure(state, plan)
+    return negativity(pm, apparatus_cut(pm, state.register.n))
 
 
 def discordant_state():
