@@ -50,7 +50,7 @@ class ChainConfig:
     initial: LabeledState
     links: tuple
     track: frozenset = frozenset({TRACK_NEGATIVITY})
-    q_cfg: OptimizerConfig = OptimizerConfig(restarts=8)
+    q_cfg: OptimizerConfig = OptimizerConfig()
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,13 @@ def run_chain(cfg):
     return ChainReport(tuple(out_rows), final)
 
 
+def _off_diagonal_mass(rho, basis):
+    """Sum of |entries| of U^dag rho U off its diagonal, U the basis vectors."""
+    u = basis.vectors
+    rotated = linalg.dagger(u) @ rho @ u
+    return float(np.sum(np.abs(rotated - np.diag(np.diag(rotated)))))
+
+
 def eigenbasis_criterion(state, basis, tol=1e-9):
     """Whether measuring a single-subsystem state in ``basis`` creates entanglement.
 
@@ -150,13 +157,10 @@ def eigenbasis_criterion(state, basis, tol=1e-9):
     plan = MeasurementPlan((state.register.labels[0],), (basis,))
     pm = premeasure(state, plan)
     e_val = negativity(pm, BipartitionCut((0,), (1,)))
-    u = basis.vectors
-    rotated = linalg.dagger(u) @ state.rho @ u
-    off_diag = float(np.sum(np.abs(rotated - np.diag(np.diag(rotated)))))
     return {
         "entangling": e_val > tol,
         "entanglement": e_val,
-        "off_diagonal_mass": off_diag,
+        "off_diagonal_mass": _off_diagonal_mass(state.rho, basis),
     }
 
 
@@ -173,10 +177,7 @@ def generic_basis(state, target, rng, proximity=1e-3, max_attempts=20):
     basis = None
     for _ in range(max_attempts):
         basis = random_basis(target, d, rng)
-        u = basis.vectors
-        rotated = linalg.dagger(u) @ reduced @ u
-        off_diag = float(np.sum(np.abs(rotated - np.diag(np.diag(rotated)))))
-        if off_diag >= proximity:
+        if _off_diagonal_mass(reduced, basis) >= proximity:
             break
     return basis
 

@@ -102,9 +102,7 @@ def measure(state_path, measure, cut_spec, measured, restarts, max_iter, tol, se
         if not measured:
             raise UsageError(f"measure {measure!r} requires --measured")
         labels = _parse_measured(measured)
-        cfg = serialize.optimizer_from_json(
-            {"restarts": restarts, "max_iter": max_iter, "tol": tol, "seed": seed}
-        )
+        cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
         if measure == "q-negativity":
             report = q_negativity(state, labels, cfg)
         else:
@@ -159,9 +157,7 @@ def classify(state_path, measured, threshold, restarts, max_iter, tol, seed, out
     seed = _seed_option(seed)
     state = serialize.load_state(state_path)
     labels = _parse_measured(measured)
-    cfg = serialize.optimizer_from_json(
-        {"restarts": restarts, "max_iter": max_iter, "tol": tol, "seed": seed}
-    )
+    cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
     verdict = classify_cc(state, labels, threshold=threshold, cfg=cfg)
     payload = {
         "cc": verdict["cc"],

@@ -17,8 +17,6 @@ NEGATIVITY = "negativity"
 LOG_NEGATIVITY = "log_negativity"
 ENTROPY_OF_ENTANGLEMENT = "entropy_of_entanglement"
 
-MEASURES = (NEGATIVITY, LOG_NEGATIVITY, ENTROPY_OF_ENTANGLEMENT)
-
 CLAMP = 1e-10
 
 

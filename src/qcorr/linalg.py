@@ -24,26 +24,6 @@ def dagger(a):
     return np.conj(a).T
 
 
-def hermitian_eig(h, tol=TOL_PSD):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns).  Raises
-    InvariantError if ``h`` deviates from Hermiticity by more than ``tol``.
-    """
-    h = np.asarray(h, dtype=complex)
-    dev = np.max(np.abs(h - dagger(h))) if h.size else 0.0
-    if dev > tol:
-        raise InvariantError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
-def trace_norm(a, tol=TOL_PSD):
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    w, _ = hermitian_eig(a, tol=tol)
-    return float(np.sum(np.abs(w)))
-
-
 def check_density(rho, dims=None):
     """Validate density-operator invariants; returns ``rho`` as a complex array.
 
@@ -122,12 +102,22 @@ def von_neumann_entropy(rho):
 
 
 def trace_distance(rho, sigma):
-    """Half the trace norm of the difference of two Hermitian operators."""
+    """Half the trace norm of the difference of two Hermitian operators.
+
+    Raises InvariantError if the difference deviates from Hermiticity by
+    more than ``TOL_PSD``.
+    """
     rho = np.asarray(rho)
     sigma = np.asarray(sigma)
     if rho.shape != sigma.shape:
         raise InvariantError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    return 0.5 * trace_norm(rho - sigma)
+    h = np.asarray(rho - sigma, dtype=complex)
+    dev = np.max(np.abs(h - dagger(h))) if h.size else 0.0
+    if dev > TOL_PSD:
+        raise InvariantError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    # eigh, not eigvalsh: eigvalsh would move the last bits of reported distances
+    w, _ = np.linalg.eigh(h)
+    return 0.5 * float(np.sum(np.abs(w)))
 
 
 def purity(rho):

@@ -22,7 +22,6 @@ from .states import APPARATUS_PREFIX, LabeledState
 @dataclass(frozen=True)
 class LoccTranscript:
     outcome_probabilities: tuple
-    corrections: tuple        # human-readable description per outcome
     branch_outputs: tuple     # per-outcome conditional output states
     output: LabeledState
 
@@ -78,7 +77,6 @@ def locc_undo(premeasured, plan, label):
     big = out_reg.total_dim
     after = int(np.prod(out_reg.dims[out_reg.index(app_label) + 1 :], dtype=int))
     probs = []
-    corrections = []
     branches = []
     for k in range(d):
         # outcome k: the (k, k) slice on the measured subsystem is the
@@ -91,7 +89,6 @@ def locc_undo(premeasured, plan, label):
         # the correction U_k is diagonal: a phase on the apparatus index of
         # the ket and its conjugate on the bra
         ck = np.diag(correction_unitary(k, d))[:, None]
-        corrections.append(f"diag phase U_{k} on {app_label}")
         branch = (branch.reshape(-1, d, after * big) * ck).reshape(-1, d, after) * np.conj(ck)
         branches.append(LabeledState(out_reg, branch.reshape(big, big) / p))
 
@@ -99,7 +96,7 @@ def locc_undo(premeasured, plan, label):
     for p, b in zip(probs, branches):
         avg += p * b.rho
     output = LabeledState(out_reg, avg)
-    return LoccTranscript(tuple(probs), tuple(corrections), tuple(branches), output)
+    return LoccTranscript(tuple(probs), tuple(branches), output)
 
 
 def verify_monotonicity_step(state, plan):

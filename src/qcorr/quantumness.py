@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantError
-from .premeasure import MeasurementPlan, _records
+from .premeasure import _records
 from .states import SYSTEM, LocalBasis, spawn_rng
 
 NEGATIVITY_OF_QUANTUMNESS = "negativity_of_quantumness"
@@ -101,31 +101,6 @@ def _exp_ih(params, d):
     return (v * np.exp(1j * w)[:, None, :]) @ np.conj(v).swapaxes(1, 2)
 
 
-def params_to_unitary(params, d):
-    """U = exp(iH) for the zero-diagonal H encoded by ``params`` (d(d-1) reals)."""
-    params = np.asarray(params, dtype=float)
-    n = d * (d - 1)
-    if params.size != n:
-        raise InvariantError(f"expected {n} parameters for dimension {d}, got {params.size}")
-    return _exp_ih(params.reshape(1, -1), d)[0]
-
-
-def decode_basis(params, d, subsystem=""):
-    """Measurement basis whose columns are the columns of exp(iH(params))."""
-    return LocalBasis(subsystem, params_to_unitary(params, d))
-
-
-def make_plan(state, measured, params):
-    """MeasurementPlan from a joint parameter vector (one d(d-1) block per label)."""
-    bases = []
-    k = 0
-    for label in measured:
-        d = state.register.dim(label)
-        bases.append(decode_basis(params[k : k + d * (d - 1)], d, label))
-        k += d * (d - 1)
-    return MeasurementPlan(tuple(measured), tuple(bases))
-
-
 class _Workspace:
     """Precomputed machinery for repeated objective evaluations on one state.
 
@@ -152,13 +127,15 @@ class _Workspace:
     Construction builds the flat gather indices of the stacked off-diagonal
     blocks (a < b) and of the stacked diagonal blocks.  Both objectives take
     a batch of parameter rows (B, param_len), form G for every row, and
-    return one value per row.
+    return one value per row; ``bases`` decodes one row through the same
+    exp(iH) call.
     """
 
     def __init__(self, state, measured):
         reg = state.register
         self.rho = state.rho
         self.dims = reg.dims
+        self.measured = measured
         self.measured_idx = [reg.index(lab) for lab in measured]
         self.meas_dims = [reg.dims[i] for i in self.measured_idx]
         self.param_len = sum(d * (d - 1) for d in self.meas_dims)
@@ -198,8 +175,8 @@ class _Workspace:
             else:
                 self._factors.append(np.eye(d, dtype=complex)[None])
 
-    def _rotate(self, params):
-        """sigma = G rho G^dag for each row of ``params``: (B, D, D)."""
+    def _unitaries_dag(self, params):
+        """exp(iH)^dag of each measured subsystem, in measurement order: (B, d, d) each."""
         b = len(params)
         u_dag = [None] * len(self.meas_dims)
         for d, pos, cols in self._unitary_groups:
@@ -207,6 +184,18 @@ class _Workspace:
             u = np.conj(u).swapaxes(1, 2).reshape(b, len(pos), d, d)
             for k, j in enumerate(pos):
                 u_dag[j] = u[:, k]
+        return u_dag
+
+    def bases(self, x):
+        """The measurement basis of each measured subsystem at parameter row ``x``."""
+        u_dag = self._unitaries_dag(x[None])
+        return tuple(
+            LocalBasis(label, linalg.dagger(u[0])) for label, u in zip(self.measured, u_dag)
+        )
+
+    def _rotate(self, params):
+        """sigma = G rho G^dag for each row of ``params``: (B, D, D)."""
+        u_dag = self._unitaries_dag(params)
         g = None
         for f in self._factors:
             m = u_dag[f] if isinstance(f, int) else f
@@ -361,23 +350,27 @@ def _optimize(objective, param_len, cfg):
 
     Restart 0 starts at zero parameters, restart r > 0 at a normal draw
     from ``spawn_rng(cfg.seed, r)``.  The restarts run through ``minimize``
-    in chunks of at most ``LOCKSTEP_ROWS``, which bounds the batch memory,
-    and each restart's path is the one scipy's Nelder-Mead would take from
-    its start alone.  The first strict minimum wins.  ``converged`` is True
-    when any restart stopped on its tolerances before ``max_iter``; then
-    the winner, which may have stalled on a collapsed simplex or been cut
-    at ``max_iter``, gets one more run from its point with a fresh simplex,
-    kept if strictly lower.  With no restart converged, the budget is not
+    in chunks of at most ``LOCKSTEP_ROWS``, each chunk's starts drawn when it
+    runs, which bounds the batch memory, and each restart's path is the one
+    scipy's Nelder-Mead would take from its start alone.  The first strict
+    minimum wins.  ``converged`` is True when any restart stopped on its
+    tolerances before ``max_iter``; then the winner, which may have stalled
+    on a collapsed simplex or been cut at ``max_iter``, gets one more run
+    from its point with a fresh simplex, kept if strictly lower.  With no
+    restart converged, the budget is not
     extended.
     """
     def run(x0s):  # Gao-Han coefficients unless one qubit is measured
         return minimize(objective, x0s, max_iter=cfg.max_iter, xatol=1e-6, fatol=cfg.tol,
                         adaptive=param_len > 2)
 
-    x0s = np.zeros((cfg.restarts, param_len))
-    for r in range(1, cfg.restarts):
-        x0s[r] = spawn_rng(cfg.seed, r).normal(scale=1.0, size=param_len)
-    chunks = [run(x0s[k : k + LOCKSTEP_ROWS]) for k in range(0, cfg.restarts, LOCKSTEP_ROWS)]
+    def starts(k):  # the chunk of restarts from k on
+        x0s = np.zeros((min(LOCKSTEP_ROWS, cfg.restarts - k), param_len))
+        for r in range(max(k, 1), k + len(x0s)):
+            x0s[r - k] = spawn_rng(cfg.seed, r).normal(scale=1.0, size=param_len)
+        return x0s
+
+    chunks = [run(starts(k)) for k in range(0, cfg.restarts, LOCKSTEP_ROWS)]
     fun = np.concatenate([c.fun for c in chunks])
     best = int(np.argmin(fun))
     best_x = chunks[best // LOCKSTEP_ROWS].x[best % LOCKSTEP_ROWS]
@@ -406,12 +399,11 @@ def _minimum_over_bases(state, measured, cfg, objective, measure):
     value, best_x, restart_values, converged = _optimize(
         partial(objective, ws), ws.param_len, cfg
     )
-    plan = make_plan(state, measured, best_x)
     return QuantumnessReport(
         value=max(0.0, value) if value < VALUE_CLAMP else value,
         measure=measure,
         measured=measured,
-        argmin_bases=plan.bases,
+        argmin_bases=ws.bases(best_x),
         restart_values=restart_values,
         converged=converged,
     )

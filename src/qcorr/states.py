@@ -68,9 +68,6 @@ class Register:
             self.labels + (new_label,), self.dims + (d,), self.kinds + (APPARATUS,)
         )
 
-    def drop_last(self):
-        return Register(self.labels[:-1], self.dims[:-1], self.kinds[:-1])
-
     def drop(self, label):
         i = self.index(label)
         return Register(

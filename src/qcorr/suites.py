@@ -30,6 +30,7 @@ from .quantumness import (
     q_negativity,
 )
 from .states import (
+    APPARATUS_PREFIX,
     LabeledState,
     Register,
     classical_quantum_state,
@@ -268,7 +269,7 @@ def run_locc_undo(samples=100, seed=5):
 def _chain_labels(n_links):
     labels = ["S"]
     for _ in range(n_links - 1):
-        labels.append("M:" + labels[-1])
+        labels.append(APPARATUS_PREFIX + labels[-1])
     return labels
 
 
@@ -363,15 +364,6 @@ _SUITES = {
     "locc-undo": run_locc_undo,
     "chain-monotone": run_chain_monotone,
     "pure-saturation": run_pure_saturation,
-}
-
-_DEFAULT_SAMPLES = {
-    "theorem1": 50,
-    "theorem2": 200,
-    "theorem3": 5,
-    "locc-undo": 100,
-    "chain-monotone": 50,
-    "pure-saturation": 100,
 }
 
 

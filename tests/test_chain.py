@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcorr import chain
+from qcorr import chain, serialize
 from qcorr.chain import (
     ChainConfig,
     OPTIMIZED,
@@ -157,6 +157,16 @@ class TestRunChain:
         )
         with pytest.raises(InvariantError, match="chain link 2 would exceed"):
             run_chain(cfg)
+
+    def test_default_optimizer_matches_chain_json(self):
+        # a config with no "optimizer" block optimizes links alike from the
+        # library and from the command line
+        links = (LinkSpec("B", OPTIMIZED),)
+        parsed = serialize.chain_config_from_json(
+            {"state": serialize.state_to_json(bell_state()),
+             "links": [{"target": "B", "basis": OPTIMIZED}]}
+        )
+        assert ChainConfig(bell_state(), links).q_cfg == parsed.q_cfg
 
 
 class TestGenericBasis:

@@ -9,11 +9,6 @@ from qcorr.errors import InvariantError
 I2 = np.eye(2)
 
 
-def random_hermitian(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return a + a.conj().T
-
-
 def random_density(rng, d, rank=None):
     rank = rank or d
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
@@ -96,45 +91,21 @@ class TestPartialTranspose:
         assert np.max(np.abs(pt - pt.conj().T)) <= 1e-14
 
 
-class TestHermitianEig:
-    def test_diagonal(self):
-        w, _ = linalg.hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1, 2, 3])
-
-    def test_pauli_x(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        w, v = linalg.hermitian_eig(x)
-        assert np.allclose(w, [-1, 1])
-        # eigenvectors (|0> -+ |1>)/sqrt(2) up to phase
-        for col, ref in zip(v.T, [np.array([1, -1]), np.array([1, 1])]):
-            ref = ref / np.sqrt(2)
-            overlap = abs(np.vdot(ref, col))
-            assert overlap == pytest.approx(1.0, abs=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(4)
-        h = random_hermitian(rng, 8)
-        w, v = linalg.hermitian_eig(h)
-        assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-9
-        assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) <= 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InvariantError):
-            linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestTraceNorm:
+    """The trace norm of X, read as twice the trace distance from X to zero."""
+
     def test_density_operator(self):
         rng = np.random.default_rng(6)
-        assert linalg.trace_norm(random_density(rng, 5)) == pytest.approx(1.0, abs=1e-10)
+        rho = random_density(rng, 5)
+        assert linalg.trace_distance(rho, np.zeros_like(rho)) == pytest.approx(0.5, abs=1e-10)
 
     def test_bell_partial_transpose(self):
         psi = np.array([1, 0, 0, 1]) / np.sqrt(2)
         pt = linalg.partial_transpose(np.outer(psi, psi), [2, 2], [1])
-        assert linalg.trace_norm(pt) == pytest.approx(2.0, abs=1e-12)
+        assert linalg.trace_distance(pt, np.zeros_like(pt)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero(self):
-        assert linalg.trace_norm(np.zeros((3, 3))) == 0.0
+        assert linalg.trace_distance(np.zeros((3, 3)), np.zeros((3, 3))) == 0.0
 
 
 class TestEntropy:
@@ -175,6 +146,10 @@ class TestTraceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(InvariantError):
             linalg.trace_distance(np.eye(2) / 2, np.eye(3) / 3)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(InvariantError, match="not Hermitian"):
+            linalg.trace_distance(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
 
 @settings(max_examples=25, deadline=None)

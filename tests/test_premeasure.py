@@ -84,7 +84,7 @@ def dense_dephase(state, plan):
 def dense_undo(premeasured, plan):
     reg, rho = premeasured.register, premeasured.rho
     for label, basis in zip(reversed(plan.measured), reversed(plan.bases)):
-        reg = reg.drop_last()
+        reg = reg.drop(reg.labels[-1])
         w = global_isometry(reg, label, basis)
         rho = w.conj().T @ rho @ w
     return rho

@@ -14,14 +14,12 @@ from qcorr.quantumness import (
     TWO_WAY_DEFICIT,
     OptimizerConfig,
     _Workspace,
+    _exp_ih,
     _optimize,
     cc_commutation_oracle,
     classify_cc,
-    decode_basis,
     deficit,
-    make_plan,
     minimize,
-    params_to_unitary,
     q_negativity,
 )
 from qcorr.states import (
@@ -85,7 +83,7 @@ def zero_diagonal_generator(params, d):
 class TestParameterization:
     def test_zero_params_give_identity(self):
         for d in (2, 3, 4):
-            u = params_to_unitary(np.zeros(d * (d - 1)), d)
+            u = _exp_ih(np.zeros((1, d * (d - 1))), d)[0]
             assert np.max(np.abs(u - np.eye(d))) <= 1e-14
 
     def test_matches_matrix_exponential(self):
@@ -94,14 +92,14 @@ class TestParameterization:
             for scale in (1e-9, 1.0, 3.0):
                 for _ in range(5):
                     params = rng.normal(scale=scale, size=d * (d - 1))
-                    u = params_to_unitary(params, d)
+                    u = _exp_ih(params[None], d)[0]
                     h = zero_diagonal_generator(params, d)
                     assert np.max(np.abs(u - expm(1j * h))) <= 1e-12
 
     def test_rotation_generator(self):
         # H = alpha * [[0, -i], [i, 0]] exponentiates to a real rotation
         alpha = np.pi / 4
-        u = params_to_unitary([0.0, -alpha], 2)
+        u = _exp_ih(np.array([[0.0, -alpha]]), 2)[0]
         expected = np.array(
             [[np.cos(alpha), np.sin(alpha)], [-np.sin(alpha), np.cos(alpha)]]
         )
@@ -111,7 +109,7 @@ class TestParameterization:
         rng = make_rng(1)
         for d in (2, 3, 4):
             params = rng.normal(scale=2.0, size=d * (d - 1))
-            u = params_to_unitary(params, d)
+            u = _exp_ih(params[None], d)[0]
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-12
 
     def test_covers_every_qubit_basis(self):
@@ -123,7 +121,7 @@ class TestParameterization:
             phase = np.conj(u[0, 0]) / abs(u[0, 0])
             r = np.arccos(min(1.0, abs(u[0, 0])))
             z = np.conj(u[1, 0] * phase / (1j * np.sin(r) / r))
-            d = params_to_unitary([z.real, z.imag], 2).conj().T @ u
+            d = _exp_ih(np.array([[z.real, z.imag]]), 2)[0].conj().T @ u
             assert np.max(np.abs(d - np.diag(np.diag(d)))) <= 1e-12
             assert np.max(np.abs(np.abs(np.diag(d)) - 1)) <= 1e-12
 
@@ -159,30 +157,19 @@ class TestParameterization:
         with pytest.raises(InvariantError, match="non-negative"):
             OptimizerConfig(seed=-1)
 
-    def test_length_check(self):
-        for d, n in ((2, 4), (2, 1), (3, 9), (3, 5)):
-            with pytest.raises(InvariantError, match=f"expected {d * (d - 1)} parameters"):
-                params_to_unitary(np.zeros(n), d)
-
-    def test_decode_basis(self):
-        b = decode_basis(np.zeros(2), 2, "A")
-        assert b.subsystem == "A"
-        assert np.allclose(b.vectors, np.eye(2))
-        params = make_rng(4).normal(size=6)
-        b = decode_basis(params, 3, "B")
-        assert np.array_equal(b.vectors, params_to_unitary(params, 3))
-
-    def test_make_plan_splits_blocks(self):
+    def test_workspace_bases_split_blocks(self):
+        # parameters follow the measurement order, one d(d-1) block per
+        # label; the grouped exp(iH) of the two qubits decodes each block
+        # as it would alone
         state = random_mixed(Register(("A", "B", "C"), (2, 3, 2)), rank=2, seed=2)
-        params = make_rng(5).normal(size=6 + 2 + 2)
-        plan = make_plan(state, ("B", "A", "C"), params)
-        assert plan.measured == ("B", "A", "C")
-        assert [b.dim for b in plan.bases] == [3, 2, 2]
-        blocks = (params[:6], params[6:8], params[8:])
-        for basis, block in zip(plan.bases, blocks):
-            assert np.array_equal(basis.vectors, params_to_unitary(block, basis.dim))
         ws = _Workspace(state, ("B", "A", "C"))
+        params = make_rng(5).normal(size=6 + 2 + 2)
         assert ws.param_len == len(params)
+        bases = ws.bases(params)
+        assert [b.subsystem for b in bases] == ["B", "A", "C"]
+        blocks = (params[:6], params[6:8], params[8:])
+        for basis, block, d in zip(bases, blocks, (3, 2, 2)):
+            assert np.array_equal(basis.vectors, _exp_ih(block[None], d)[0])
 
 
 class TestWorkspaceAgainstReferencePath:
@@ -212,7 +199,7 @@ class TestWorkspaceAgainstReferencePath:
             ws = _Workspace(state, measured)
             for _ in range(2):
                 params = rng.normal(size=(3, ws.param_len))
-                plans = [make_plan(state, measured, row) for row in params]
+                plans = [MeasurementPlan(measured, ws.bases(row)) for row in params]
                 yield state, measured, ws, params, plans
 
     def test_scalar_blocks_iff_all_measured(self):
@@ -426,6 +413,23 @@ class TestChunkedRestarts:
         assert converged == bool(whole.success.any())
         assert whole.success[LOCKSTEP_ROWS:].any()
         assert whole.success[:LOCKSTEP_ROWS].any() == (case == "workspace")
+
+    def test_starts_drawn_per_chunk(self, monkeypatch):
+        # a restart count whose starts could not all be held at once
+        # reaches the first minimize call with one chunk of starts
+        class Reached(Exception):
+            pass
+
+        rows = []
+
+        def first_call(fun, x0s, **kwargs):
+            rows.append(len(x0s))
+            raise Reached
+
+        monkeypatch.setattr(quantumness, "minimize", first_call)
+        with pytest.raises(Reached):
+            q_negativity(bell_state(), ("A",), OptimizerConfig(restarts=10**12))
+        assert rows == [LOCKSTEP_ROWS]
 
 
 class TestQNegativity:
