@@ -36,6 +36,9 @@ OPTIMIZED = "optimized"
 TRACK_NEGATIVITY = "negativity"
 TRACK_QUANTUMNESS = "quantumness"
 
+GENERIC_PROXIMITY = 1e-3
+GENERIC_ATTEMPTS = 20
+
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -164,20 +167,22 @@ def eigenbasis_criterion(state, basis, tol=1e-9):
     }
 
 
-def generic_basis(state, target, rng, proximity=1e-3, max_attempts=20):
+def generic_basis(state, target, rng):
     """Seeded random basis, resampled while it nearly diagonalizes the target.
 
-    If the target's reduced state is (close to) maximally mixed every basis
-    diagonalizes it; after ``max_attempts`` the last draw is accepted, which
-    is harmless for multipartite-entanglement propagation.
+    A draw is generic when it leaves at least GENERIC_PROXIMITY of
+    off-diagonal mass in the target's reduced state.  If that state is
+    (close to) maximally mixed every basis diagonalizes it; after
+    GENERIC_ATTEMPTS draws the last is accepted, which is harmless for
+    multipartite-entanglement propagation.
     """
     idx = state.register.index(target)
     reduced = linalg.partial_trace(state.rho, state.dims, [idx])
     d = state.register.dim(target)
     basis = None
-    for _ in range(max_attempts):
+    for _ in range(GENERIC_ATTEMPTS):
         basis = random_basis(target, d, rng)
-        if _off_diagonal_mass(reduced, basis) >= proximity:
+        if _off_diagonal_mass(reduced, basis) >= GENERIC_PROXIMITY:
             break
     return basis
 

@@ -17,11 +17,10 @@ import numpy as np
 from . import serialize
 from .chain import run_chain
 from .entanglement import (
-    ENTROPY_OF_ENTANGLEMENT,
-    LOG_NEGATIVITY,
-    NEGATIVITY,
     cut_from_labels,
-    evaluate,
+    entropy_of_entanglement,
+    log_negativity,
+    negativity,
 )
 from .errors import InvariantError, ParseError, UsageError
 from .quantumness import OptimizerConfig, classify_cc, deficit, q_negativity
@@ -36,9 +35,9 @@ EXIT_USAGE = 64
 
 Q_MEASURES = ("q-negativity", "one-way-deficit", "two-way-deficit")
 E_MEASURES = {
-    "negativity": NEGATIVITY,
-    "log-negativity": LOG_NEGATIVITY,
-    "entropy-of-entanglement": ENTROPY_OF_ENTANGLEMENT,
+    "negativity": negativity,
+    "log-negativity": log_negativity,
+    "entropy-of-entanglement": entropy_of_entanglement,
 }
 
 
@@ -96,7 +95,7 @@ def measure(state_path, measure, cut_spec, measured, restarts, max_iter, tol, se
         if not cut_spec:
             raise UsageError(f"measure {measure!r} requires --cut")
         cut = cut_from_labels(state.register, cut_spec)
-        value = evaluate(state, cut, E_MEASURES[measure])
+        value = E_MEASURES[measure](state, cut)
         payload = {"measure": measure, "cut": cut_spec, "value": value}
     elif measure in Q_MEASURES:
         if not measured:

@@ -13,10 +13,6 @@ import numpy as np
 from . import linalg
 from .errors import InvariantError
 
-NEGATIVITY = "negativity"
-LOG_NEGATIVITY = "log_negativity"
-ENTROPY_OF_ENTANGLEMENT = "entropy_of_entanglement"
-
 CLAMP = 1e-10
 
 
@@ -65,8 +61,8 @@ def cut_from_labels(register, spec_str):
 
 def all_cuts(n):
     """All 2^(n-1) - 1 nontrivial bipartitions, canonical (0 in p0), sorted."""
-    if n > 8:
-        raise InvariantError(f"cut enumeration capped at 8 subsystems, got {n}")
+    if not 2 <= n <= 8:
+        raise InvariantError(f"cut enumeration needs 2 to 8 subsystems, got {n}")
     cuts = []
     for mask in range(1, 2 ** (n - 1)):
         # mask selects p1 among subsystems 1..n-1; subsystem 0 stays in p0
@@ -102,29 +98,14 @@ def entropy_of_entanglement(state, cut):
     return linalg.von_neumann_entropy(reduced)
 
 
-_MEASURE_FUNCS = {
-    NEGATIVITY: negativity,
-    LOG_NEGATIVITY: log_negativity,
-    ENTROPY_OF_ENTANGLEMENT: entropy_of_entanglement,
-}
-
-
-def evaluate(state, cut, measure):
-    try:
-        func = _MEASURE_FUNCS[measure]
-    except KeyError:
-        raise InvariantError(f"unknown entanglement measure {measure!r}") from None
-    return func(state, cut)
-
-
-def e_min_max(state, measure=NEGATIVITY):
-    """Min and max of a bipartite measure over all nontrivial cuts.
+def e_min_max(state):
+    """Min and max of the negativity over all nontrivial cuts.
 
     Returns (emin, emax, argmin cut, argmax cut); ties break on the
     canonical cut encoding.
     """
     cuts = all_cuts(state.register.n)
-    values = [(evaluate(state, cut, measure), cut) for cut in cuts]
+    values = [(negativity(state, cut), cut) for cut in cuts]
     emin, cmin = values[0]
     emax, cmax = values[0]
     for v, c in values[1:]:

@@ -16,7 +16,7 @@ from . import linalg
 from .entanglement import BipartitionCut, negativity
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, _local, _pull_back, premeasure
-from .states import APPARATUS_PREFIX, LabeledState
+from .states import LabeledState, apparatus_label
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def correction_unitary(k, d):
 def _check_premeasured(premeasured, plan, label):
     """The input must lie in the image of the pre-measurement isometry; returns the basis."""
     reg = premeasured.register
-    m = reg.index(APPARATUS_PREFIX + label)
+    m = reg.index(apparatus_label(label))
     basis = plan.basis_for(label)
     # move the apparatus to the end so the isometry check applies directly
     order = [i for i in range(reg.n) if i != m] + [m]
@@ -72,7 +72,7 @@ def locc_undo(premeasured, plan, label):
     f_plan = fourier_unitary(d) @ linalg.dagger(basis.vectors)
     rho1 = _local(premeasured.rho, reg.dims, a, f_plan).reshape(reg.dims * 2)
 
-    app_label = APPARATUS_PREFIX + label
+    app_label = apparatus_label(label)
     out_reg = reg.drop(label)
     big = out_reg.total_dim
     after = int(np.prod(out_reg.dims[out_reg.index(app_label) + 1 :], dtype=int))

@@ -26,12 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantError
-from .states import (
-    APPARATUS_PREFIX,
-    MAX_TOTAL_DIM,
-    LabeledState,
-    Register,
-)
+from .states import MAX_TOTAL_DIM, LabeledState, apparatus_label
 
 # Residual weight outside the isometry image above which undo refuses.
 IMAGE_TOL = 1e-8
@@ -150,12 +145,12 @@ def _pull_back(premeasured, plan):
     """
     reg = premeasured.register
     n = reg.n - len(plan.measured)
-    apparatuses = tuple(APPARATUS_PREFIX + label for label in plan.measured)
+    apparatuses = tuple(apparatus_label(label) for label in plan.measured)
     if reg.labels[n:] != apparatuses:
         raise InvariantError(
             f"expected apparatuses {apparatuses} last in register, found {reg.labels[n:]}"
         )
-    base = Register(reg.labels[:n], reg.dims[:n], reg.kinds[:n])
+    base = reg.select(range(n))
     idx, us = _plan_axes(base, plan)
     if reg.dims[n:] != tuple(base.dims[k] for k in idx):
         raise InvariantError(

@@ -426,7 +426,7 @@ def deficit(state, measured, cfg=OptimizerConfig()):
     inequality.
     """
     measured = _check_measured(state, measured)
-    n_sys = sum(1 for k in state.register.kinds if k == SYSTEM)
+    n_sys = state.register.kinds.count(SYSTEM)
     two_way = len(measured) == state.register.n or len(measured) == n_sys > 1
     return _minimum_over_bases(
         state, measured, cfg, _Workspace.deficit_objective,

@@ -23,7 +23,7 @@ from .chain import (
 )
 from .errors import InvariantError, ParseError
 from .quantumness import OptimizerConfig
-from .states import APPARATUS, APPARATUS_PREFIX, LabeledState, LocalBasis, Register
+from .states import LabeledState, LocalBasis, Register
 
 try:
     VERSION = metadata.version("qcorr")
@@ -90,9 +90,8 @@ def state_from_json(obj, where="state"):
             f"{where}: matrix shape {rho.shape} does not match dims {dims} "
             f"(expected {total}x{total})"
         )
-    kinds = tuple(APPARATUS if lab.startswith(APPARATUS_PREFIX) else "system" for lab in labels)
     try:
-        reg = Register(labels, tuple(dims), kinds)
+        reg = Register(labels, tuple(dims))
         return LabeledState(reg, rho)
     except InvariantError:
         raise

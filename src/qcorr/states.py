@@ -17,31 +17,40 @@ APPARATUS_PREFIX = "M:"
 MAX_TOTAL_DIM = 256
 
 
+def apparatus_label(label):
+    """Label of the apparatus that records a measurement of ``label``."""
+    return APPARATUS_PREFIX + label
+
+
 @dataclass(frozen=True)
 class Register:
     """Ordered list of subsystem labels and dimensions.
 
-    ``kinds`` tracks which entries are original systems and which are
-    measurement apparatuses appended by pre-measurement interactions.
+    A label that starts with ``APPARATUS_PREFIX`` names a measurement
+    apparatus appended by a pre-measurement interaction; every other label
+    names an original system.
     """
 
     labels: tuple
     dims: tuple
-    kinds: tuple = ()
 
     def __post_init__(self):
         labels = tuple(self.labels)
         dims = tuple(int(d) for d in self.dims)
-        kinds = tuple(self.kinds) if self.kinds else tuple(SYSTEM for _ in labels)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "kinds", kinds)
-        if len(labels) != len(dims) or len(kinds) != len(labels):
-            raise InvariantError("register labels/dims/kinds length mismatch")
+        if len(labels) != len(dims):
+            raise InvariantError("register labels/dims length mismatch")
         if len(set(labels)) != len(labels):
             raise InvariantError(f"duplicate labels in register: {labels}")
         if any(d < 2 for d in dims):
             raise InvariantError(f"all subsystem dimensions must be >= 2, got {dims}")
+
+    @property
+    def kinds(self):
+        return tuple(
+            APPARATUS if lab.startswith(APPARATUS_PREFIX) else SYSTEM for lab in self.labels
+        )
 
     @property
     def n(self):
@@ -60,21 +69,22 @@ class Register:
     def dim(self, label):
         return self.dims[self.index(label)]
 
+    def select(self, indices):
+        """Register of the entries at ``indices``, in the order given."""
+        return Register(
+            tuple(self.labels[i] for i in indices), tuple(self.dims[i] for i in indices)
+        )
+
     def with_apparatus(self, measured_label):
         """New register with an apparatus for ``measured_label`` appended."""
-        d = self.dim(measured_label)
-        new_label = APPARATUS_PREFIX + measured_label
         return Register(
-            self.labels + (new_label,), self.dims + (d,), self.kinds + (APPARATUS,)
+            self.labels + (apparatus_label(measured_label),),
+            self.dims + (self.dim(measured_label),),
         )
 
     def drop(self, label):
         i = self.index(label)
-        return Register(
-            self.labels[:i] + self.labels[i + 1 :],
-            self.dims[:i] + self.dims[i + 1 :],
-            self.kinds[:i] + self.kinds[i + 1 :],
-        )
+        return self.select([k for k in range(self.n) if k != i])
 
 
 @dataclass(frozen=True)
@@ -127,12 +137,7 @@ class LabeledState:
         """Reduced LabeledState on the kept subsystem indices."""
         keep = sorted(set(keep_indices))
         rho = linalg.partial_trace(self.rho, self.dims, keep)
-        reg = Register(
-            tuple(self.register.labels[i] for i in keep),
-            tuple(self.register.dims[i] for i in keep),
-            tuple(self.register.kinds[i] for i in keep),
-        )
-        return LabeledState(reg, rho)
+        return LabeledState(self.register.select(keep), rho)
 
     def permuted(self, order):
         """LabeledState with subsystems reordered according to ``order``."""
@@ -142,18 +147,13 @@ class LabeledState:
         axes = list(order) + [i + n for i in order]
         d = self.register.total_dim
         rho = np.transpose(t, axes).reshape(d, d)
-        reg = Register(
-            tuple(self.register.labels[i] for i in order),
-            tuple(self.register.dims[i] for i in order),
-            tuple(self.register.kinds[i] for i in order),
-        )
-        return LabeledState(reg, rho)
+        return LabeledState(self.register.select(order), rho)
 
 
-def default_register(n, d=2, kind=SYSTEM):
+def default_register(n, d=2):
     """Register with labels A, B, C, ... and uniform dimension ``d``."""
     labels = tuple(chr(ord("A") + i) for i in range(n))
-    return Register(labels, (d,) * n, (kind,) * n)
+    return Register(labels, (d,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +196,21 @@ def pure_state(amplitudes, register):
     return LabeledState(register, np.outer(psi, np.conj(psi)))
 
 
-def classical_quantum_state(probs, basis, conditionals, other_label="B"):
+def classical_quantum_state(probs, basis, conditionals):
     """State classical on the measured subsystem: sum_i p_i |b_i><b_i| (x) rho_i.
 
     The measured subsystem (carrying ``basis``) comes first in the register,
-    followed by a single subsystem holding the conditionals.
+    followed by a single subsystem ``B`` holding the conditionals.
     """
     probs = np.asarray(probs, dtype=float)
     if np.any(probs < -1e-15):
         raise InvariantError("probabilities must be nonnegative")
     if abs(np.sum(probs) - 1.0) > 1e-12:
         raise InvariantError(f"probabilities sum to {np.sum(probs)}, expected 1")
-    if len(conditionals) != basis.dim:
+    if probs.shape != (basis.dim,) or len(conditionals) != basis.dim:
         raise InvariantError(
-            f"need one conditional per basis vector: {len(conditionals)} vs {basis.dim}"
+            "need one probability and one conditional per basis vector: "
+            f"{probs.size} and {len(conditionals)} vs {basis.dim}"
         )
     conds = [linalg.check_density(c) for c in conditionals]
     db = conds[0].shape[0]
@@ -220,7 +221,7 @@ def classical_quantum_state(probs, basis, conditionals, other_label="B"):
     for i, (p, c) in enumerate(zip(probs, conds)):
         b = basis.vectors[:, i]
         rho += p * np.kron(np.outer(b, np.conj(b)), c)
-    reg = Register((basis.subsystem, other_label), (d, db))
+    reg = Register((basis.subsystem, "B"), (d, db))
     return LabeledState(reg, rho)
 
 

@@ -30,9 +30,9 @@ from .quantumness import (
     q_negativity,
 )
 from .states import (
-    APPARATUS_PREFIX,
     LabeledState,
     Register,
+    apparatus_label,
     classical_quantum_state,
     default_register,
     ghz_state,
@@ -42,15 +42,6 @@ from .states import (
     random_mixed,
     random_pure,
     w_state,
-)
-
-SUITE_NAMES = (
-    "theorem1",
-    "theorem2",
-    "theorem3",
-    "locc-undo",
-    "chain-monotone",
-    "pure-saturation",
 )
 
 
@@ -118,6 +109,9 @@ def run_theorem2(samples=200, seed=7, restarts=24):
 # states do not, and the algebraic commutation oracle agrees throughout.
 # ---------------------------------------------------------------------------
 
+# A sampled state counts as entangled above this A:B negativity.
+MIN_ENTANGLED_NEGATIVITY = 0.05
+
 def _random_cc_state(seed, t):
     rng = make_rng(derive_seed(seed, t, 10))
     basis = random_basis("A", 2, rng)
@@ -130,13 +124,13 @@ def _random_cc_state(seed, t):
     return classical_quantum_state(probs, basis, conds)
 
 
-def _random_entangled_state(seed, t, min_negativity=0.05):
+def _random_entangled_state(seed, t):
     ab_cut = BipartitionCut((0,), (1,))
     for attempt in range(200):
         state = random_mixed(
             default_register(2), 1 + (t + attempt) % 2, derive_seed(seed, t, 20 + attempt)
         )
-        if negativity(state, ab_cut) > min_negativity:
+        if negativity(state, ab_cut) > MIN_ENTANGLED_NEGATIVITY:
             return state
     raise RuntimeError("failed to sample an entangled state")
 
@@ -269,7 +263,7 @@ def run_locc_undo(samples=100, seed=5):
 def _chain_labels(n_links):
     labels = ["S"]
     for _ in range(n_links - 1):
-        labels.append(APPARATUS_PREFIX + labels[-1])
+        labels.append(apparatus_label(labels[-1]))
     return labels
 
 
@@ -323,13 +317,15 @@ def run_chain_monotone(samples=50, seed=13, n_links=4):
 # GME inputs and never appears for biseparable ones (pure states only).
 # ---------------------------------------------------------------------------
 
+THEOREM3_LINKS = 2
+
 def _biseparable_state():
     psi = np.zeros(8, dtype=complex)
     psi[0] = psi[6] = 1 / np.sqrt(2)  # (|00> + |11>)_AB (x) |0>_C
     return pure_state(psi, default_register(3))
 
 
-def run_theorem3(samples=5, seed=17, links=2):
+def run_theorem3(samples=5, seed=17):
     cases = [
         ("ghz3", ghz_state(3), True),
         ("w3", w_state(3), True),
@@ -338,7 +334,7 @@ def run_theorem3(samples=5, seed=17, links=2):
 
     def trial(t):
         name, state, expect = cases[t % len(cases)]
-        result = chain_gme_propagation(state, links, seed=derive_seed(seed, t))
+        result = chain_gme_propagation(state, THEOREM3_LINKS, seed=derive_seed(seed, t))
         flags = [step["gme"] for step in result["per_step"]]
         witnesses_ok = all(
             step["gme"] or step["witness"] is not None for step in result["per_step"]
@@ -365,6 +361,7 @@ _SUITES = {
     "chain-monotone": run_chain_monotone,
     "pure-saturation": run_pure_saturation,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name, samples=None, seed=None):

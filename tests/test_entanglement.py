@@ -8,7 +8,6 @@ from qcorr.entanglement import (
     cut_from_labels,
     e_min_max,
     entropy_of_entanglement,
-    evaluate,
     log_negativity,
     negativity,
     pure_gme_test,
@@ -54,8 +53,9 @@ class TestCuts:
         assert len(all_cuts(2)) == 1
         assert len(all_cuts(3)) == 3
         assert len(all_cuts(4)) == 7
-        with pytest.raises(InvariantError):
-            all_cuts(9)
+        for n in (0, 1, 9):
+            with pytest.raises(InvariantError):
+                all_cuts(n)
 
     def test_cut_from_labels(self):
         reg = Register(("A", "B", "C"), (2, 2, 2))
@@ -131,11 +131,6 @@ class TestEntropyOfEntanglement:
         with pytest.raises(InvariantError):
             entropy_of_entanglement(werner_state(0.5), AB)
 
-    def test_evaluate_dispatch(self):
-        assert evaluate(bell_state(), AB, "negativity") == pytest.approx(0.5)
-        with pytest.raises(InvariantError):
-            evaluate(bell_state(), AB, "nope")
-
 
 class TestMinMax:
     def test_ghz(self):
@@ -158,6 +153,10 @@ class TestMinMax:
         assert cmin == cuts[0]
         assert cmax == cuts[0]
 
+    def test_rejects_one_subsystem(self):
+        with pytest.raises(InvariantError):
+            e_min_max(random_mixed(default_register(1), rank=1, seed=2))
+
 
 class TestGme:
     def test_ghz_and_w_are_gme(self):
@@ -174,6 +173,11 @@ class TestGme:
     def test_rejects_mixed(self):
         with pytest.raises(InvariantError):
             pure_gme_test(random_mixed(default_register(3), rank=2, seed=6))
+
+    def test_rejects_one_subsystem(self):
+        # a single subsystem has no bipartition, so GME is undefined
+        with pytest.raises(InvariantError):
+            pure_gme_test(random_pure(default_register(1), seed=3))
 
 
 def test_negativity_zero_for_all_separable_cq_states():

@@ -7,6 +7,7 @@ from qcorr import serialize
 from qcorr.chain import FLAG_COPY, OPTIMIZED
 from qcorr.errors import ParseError
 from qcorr.premeasure import MeasurementPlan
+from qcorr.quantumness import TWO_WAY_DEFICIT, OptimizerConfig, deficit
 from qcorr.states import (
     LocalBasis,
     Register,
@@ -38,6 +39,16 @@ class TestStateRoundtrip:
         pm = premeasure(bell_state(), MeasurementPlan(("B",), (LocalBasis("B", np.eye(2)),)))
         back = serialize.state_from_json(serialize.state_to_json(pm))
         assert back.register.kinds == ("system", "system", "apparatus")
+
+    def test_python_built_apparatus_matches_round_trip(self):
+        # an M: label marks an apparatus whether the state was built in
+        # Python or read from JSON, so A,B is all the systems: two-way
+        state = random_mixed(Register(("A", "B", "M:A"), (2, 2, 2)), 2, seed=1)
+        back = serialize.state_from_json(serialize.state_to_json(state))
+        assert back.register == state.register
+        cfg = OptimizerConfig(restarts=1, max_iter=10)
+        measures = [deficit(s, ("A", "B"), cfg).measure for s in (state, back)]
+        assert measures == [TWO_WAY_DEFICIT, TWO_WAY_DEFICIT]
 
     def test_missing_field(self):
         with pytest.raises(ParseError, match="missing field"):

@@ -47,6 +47,13 @@ class TestRegister:
         assert reg.dims == (2, 3, 3)
         assert reg.kinds[-1] == APPARATUS
 
+    def test_kinds_follow_labels(self):
+        assert Register(("A", "M:A"), (2, 2)).kinds == (SYSTEM, APPARATUS)
+
+    def test_select_keeps_given_order(self):
+        reg = Register(("A", "B", "C"), (2, 3, 4)).select([2, 0])
+        assert reg == Register(("C", "A"), (4, 2))
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InvariantError):
             Register(("A", "A"), (2, 2))
@@ -173,6 +180,9 @@ class TestConstructors:
             classical_quantum_state([0.7, 0.7], computational_basis("A", 2), [zero, zero])
         with pytest.raises(InvariantError):
             classical_quantum_state([1.0], computational_basis("A", 2), [zero])
+        # one probability for two conditionals would drop the second
+        with pytest.raises(InvariantError):
+            classical_quantum_state([1.0], computational_basis("A", 2), [np.eye(2) / 2, zero])
 
 
 class TestRandom:
