@@ -34,7 +34,6 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantError
-from .premeasure import _records
 from .states import SYSTEM, LocalBasis, spawn_rng
 
 NEGATIVITY_OF_QUANTUMNESS = "negativity_of_quantumness"
@@ -101,6 +100,33 @@ def _exp_ih(params, d):
     return (v * np.exp(1j * w)[:, None, :]) @ np.conj(v).swapaxes(1, 2)
 
 
+def _trace_norm_2x2(x):
+    """||X||_1 of each 2x2 matrix in ``x`` (..., 2, 2).
+
+    With singular values s, t: s^2 + t^2 = ||X||_F^2 and s t = |det X|, so
+    s + t = sqrt(||X||_F^2 + 2 |det X|).
+    """
+    v = np.ascontiguousarray(x).reshape(x.shape[:-2] + (4,))
+    det = v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2]
+    w = v.view(float)  # the real and imaginary parts of the four entries
+    return np.sqrt((w * w).sum(axis=-1) + 2 * np.abs(det))
+
+
+_MINUS_PLUS = np.array([-1.0, 1.0])
+
+
+def _eigvalsh_2x2(x):
+    """Eigenvalues of each Hermitian 2x2 matrix in ``x`` (..., 2, 2), ascending.
+
+    Like ``eigvalsh``, reads the real diagonal and the lower triangle:
+    [[p, q*], [q, r]] has eigenvalues (p + r -+ hypot(p - r, 2|q|)) / 2.
+    """
+    v = x.reshape(x.shape[:-2] + (4,))
+    p, r = v[..., 0].real, v[..., 3].real
+    width = np.hypot(p - r, 2 * np.abs(v[..., 2]))
+    return ((p + r)[..., None] + width[..., None] * _MINUS_PLUS) * 0.5
+
+
 class _Workspace:
     """Precomputed machinery for repeated objective evaluations on one state.
 
@@ -120,44 +146,68 @@ class _Workspace:
     and the dephased state is the direct sum of the sigma_aa, so its
     entropy is that of the diagonal-block eigenvalues (Nakano, Piani &
     Adesso, PRA 88, 012117, 2013).  Each block is m x m, with m the product
-    of the unmeasured dimensions.  When every subsystem is measured, m = 1:
-    each record names one index, the negativity is the sum of |sigma_ss'|
-    over s < s', and the dephased spectrum is the diagonal of sigma.
+    of the unmeasured dimensions.
 
-    Construction builds the flat gather indices of the stacked off-diagonal
-    blocks (a < b) and of the stacked diagonal blocks.  Both objectives take
-    a batch of parameter rows (B, param_len), form G for every row, and
-    return one value per row; ``bases`` decodes one row through the same
-    exp(iH) call.
+    Construction permutes the tensor axes of rho once, measured subsystems
+    first in measurement order, then the unmeasured ones in register order,
+    so that an index is (kappa, nu): the record kappa < D_M, D_M the
+    product of the measured dimensions, and the unmeasured index nu < m.
+    Only the measured factor G_M = (x) U_k^dag of G then varies, and
+
+        sigma_ab[nu, nu'] = sum_{kappa, kappa'} G_M[a, kappa]
+                            rho[(kappa, nu), (kappa', nu')] conj(G_M[b, kappa']).
+
+    rho is stored as R, a (D_M^2, m^2) matrix with rows (kappa, kappa') and
+    columns (nu, nu'); the coefficient row of a pair (a, b) is G_M[a, :]
+    (x) conj(G_M[b, :]), and one stacked product per call gives every block
+    of every parameter row.  It stays a stack of one (P, D_M^2) x
+    (D_M^2, m^2) product per row, so a row's blocks do not depend on the
+    batch it is in.  2x2 blocks have closed-form trace norms and spectra;
+    larger ones go to ``svd`` and ``eigvalsh``.
+
+    When every subsystem is measured (m = 1), sigma = G_M rho G_M^dag is
+    formed and its entries gathered: P coefficient rows would cost P D_M^2
+    products per parameter row.  The same route, with sigma = (G_M (x) I_m)
+    rho (G_M (x) I_m)^dag, guards memory when the P coefficient rows of
+    length D_M^2 would hold more than 4 D^2 entries, four times sigma
+    (P > 4 m^2: many measured subsystems, few unmeasured).  Construction
+    keeps only the layouts of rho that the two routes read.
+
+    Both objectives take a batch of parameter rows (B, param_len) and return
+    one value per row; ``bases`` decodes one row through the same exp(iH)
+    call.
     """
 
     def __init__(self, state, measured):
         reg = state.register
-        self.rho = state.rho
-        self.dims = reg.dims
         self.measured = measured
-        self.measured_idx = [reg.index(lab) for lab in measured]
-        self.meas_dims = [reg.dims[i] for i in self.measured_idx]
+        measured_idx = [reg.index(lab) for lab in measured]
+        self.meas_dims = [reg.dims[i] for i in measured_idx]
         self.param_len = sum(d * (d - 1) for d in self.meas_dims)
+        self.base_entropy = linalg.von_neumann_entropy(state.rho)
 
-        big_d = reg.total_dim
-        rec = _records(self.dims, self.measured_idx)
-        # members[a] = the m indices with record a, ascending
-        members = np.argsort(rec, kind="stable").reshape(int(np.prod(self.meas_dims)), -1)
-        a, b = np.triu_indices(members.shape[0], 1)
-        off = members[a][:, :, None] * big_d + members[b][:, None, :]
-        diag = members[:, :, None] * big_d + members[:, None, :]
-        self.scalar_blocks = members.shape[1] == 1
-        if self.scalar_blocks:
-            off, diag = off.ravel(), diag.ravel()
-        self.off_idx = off
-        self.diag_idx = diag
+        d_m = int(np.prod(self.meas_dims))
+        self.block_dim = m = reg.total_dim // d_m
 
-        self.base_entropy = linalg.von_neumann_entropy(self.rho)
-        # G = (x) U_k^dag over the register, with identities on unmeasured
-        # subsystems (adjacent ones merged).  Parameters follow the
-        # measurement order; the unitaries of all measured subsystems of one
-        # dimension come from one exp(iH) call over their columns.
+        def pairs(a, b):
+            # the records (a, b) of the blocks an objective reads, and
+            # whether to read them off sigma rather than coefficient rows
+            return a, b, m == 1 or len(a) > 4 * m * m
+
+        self._off_pairs = pairs(*np.triu_indices(d_m, 1))
+        self._diag_pairs = pairs(np.arange(d_m), np.arange(d_m))
+        dense = {self._off_pairs[2], self._diag_pairs[2]}
+
+        order = measured_idx + [i for i in range(reg.n) if i not in measured_idx]
+        rho = state.rho.reshape(reg.dims * 2).transpose(order + [reg.n + i for i in order])
+        if True in dense:
+            self._rho_dense = rho.reshape(reg.total_dim, reg.total_dim)
+        if False in dense:
+            self._rho = rho.reshape(d_m, m, d_m, m).transpose(0, 2, 1, 3).reshape(d_m**2, m * m)
+
+        # Parameters follow the measurement order; the unitaries of all
+        # measured subsystems of one dimension come from one exp(iH) call
+        # over their columns.
         starts = np.cumsum([0] + [d * (d - 1) for d in self.meas_dims])
         self._unitary_groups = []
         for d in sorted(set(self.meas_dims)):
@@ -166,14 +216,6 @@ class _Workspace:
             if len(pos) == len(self.meas_dims):
                 cols = slice(None)
             self._unitary_groups.append((d, pos, cols))
-        self._factors = []  # position in measurement order, or an identity
-        for i, d in enumerate(self.dims):
-            if i in self.measured_idx:
-                self._factors.append(self.measured_idx.index(i))
-            elif self._factors and not isinstance(self._factors[-1], int):
-                self._factors[-1] = np.eye(self._factors[-1].shape[-1] * d, dtype=complex)[None]
-            else:
-                self._factors.append(np.eye(d, dtype=complex)[None])
 
     def _unitaries_dag(self, params):
         """exp(iH)^dag of each measured subsystem, in measurement order: (B, d, d) each."""
@@ -193,33 +235,39 @@ class _Workspace:
             LocalBasis(label, linalg.dagger(u[0])) for label, u in zip(self.measured, u_dag)
         )
 
-    def _rotate(self, params):
-        """sigma = G rho G^dag for each row of ``params``: (B, D, D)."""
-        u_dag = self._unitaries_dag(params)
-        g = None
-        for f in self._factors:
-            m = u_dag[f] if isinstance(f, int) else f
-            if g is None:
-                g = m
-            else:
-                (_, ra, ca), (_, rb, cb) = g.shape, m.shape
-                g = (g[:, :, None, :, None] * m[:, None, :, None, :]).reshape(-1, ra * rb, ca * cb)
-        return g @ self.rho @ np.conj(g).swapaxes(1, 2)
+    def _blocks(self, params, pairs):
+        """sigma_ab for each (a, b) in ``pairs`` and each row of ``params``: (B, P, m, m)."""
+        g, *rest = self._unitaries_dag(params)
+        for u in rest:  # G_M, the Kronecker product over the measured subsystems
+            (n, ra, ca), (_, rb, cb) = g.shape, u.shape
+            g = (g[:, :, None, :, None] * u[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
+        a, b, dense = pairs
+        n, d_m, m = len(g), g.shape[1], self.block_dim
+        if dense:  # sigma = (G_M (x) I_m) rho (G_M (x) I_m)^dag
+            if m > 1:
+                g = (g[:, :, None, :, None] * np.eye(m)[:, None, :]).reshape(n, d_m * m, -1)
+            sigma = g @ self._rho_dense @ np.conj(g).swapaxes(1, 2)
+            sigma = sigma.reshape(n, d_m, m, d_m, m).transpose(0, 1, 3, 2, 4)
+            return sigma.reshape(n, d_m**2, m, m).take(a * d_m + b, axis=1)
+        coeffs = g.take(a, axis=1)[:, :, :, None] * np.conj(g.take(b, axis=1))[:, :, None, :]
+        return (coeffs.reshape(n, len(a), -1) @ self._rho).reshape(n, len(a), m, m)
 
     def neg_objective(self, params):
         """Negativity objective for each row of ``params`` (B, param_len)."""
-        sigma = self._rotate(params).reshape(len(params), -1)
-        blocks = sigma.take(self.off_idx, axis=1)
-        if self.scalar_blocks:
-            return np.abs(blocks).sum(axis=1)
+        blocks = self._blocks(params, self._off_pairs)
+        if self.block_dim == 1:
+            return np.abs(blocks).reshape(len(params), -1).sum(axis=1)
+        if self.block_dim == 2:
+            return _trace_norm_2x2(blocks).sum(axis=1)
         return np.linalg.svd(blocks, compute_uv=False).sum(axis=(1, 2))
 
     def deficit_objective(self, params):
         """Deficit objective for each row of ``params`` (B, param_len)."""
-        sigma = self._rotate(params).reshape(len(params), -1)
-        blocks = sigma.take(self.diag_idx, axis=1)
-        if self.scalar_blocks:
-            probs = blocks.real
+        blocks = self._blocks(params, self._diag_pairs)
+        if self.block_dim == 1:
+            probs = blocks.real.reshape(len(params), -1)
+        elif self.block_dim == 2:
+            probs = _eigvalsh_2x2(blocks).reshape(len(params), -1)
         else:
             probs = np.linalg.eigvalsh(blocks).reshape(len(params), -1)
         # entropy in bits with eigenvalues at or below EIG_ZERO dropped
@@ -421,13 +469,14 @@ def deficit(state, measured, cfg=OptimizerConfig()):
     """Minimum entropy increase under local dephasing on the measured subsystems.
 
     With one measured subsystem this is the one-way information deficit;
-    with all subsystems measured it is the (two-way) relative entropy of
-    quantumness.  Product-basis dephasing only; nonnegative by the pinching
-    inequality.
+    with every label measured, or every system label of a register with two
+    or more systems, it is the (two-way) relative entropy of quantumness.
+    Product-basis dephasing only; nonnegative by the pinching inequality.
     """
     measured = _check_measured(state, measured)
-    n_sys = state.register.kinds.count(SYSTEM)
-    two_way = len(measured) == state.register.n or len(measured) == n_sys > 1
+    reg = state.register
+    systems = {lab for lab, kind in zip(reg.labels, reg.kinds) if kind == SYSTEM}
+    two_way = set(measured) == set(reg.labels) or (len(systems) > 1 and systems <= set(measured))
     return _minimum_over_bases(
         state, measured, cfg, _Workspace.deficit_objective,
         TWO_WAY_DEFICIT if two_way else ONE_WAY_DEFICIT,

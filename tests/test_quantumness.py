@@ -187,6 +187,12 @@ class TestWorkspaceAgainstReferencePath:
         (("A", "B", "C"), (2, 2, 2), ("A",)),
         (("A", "B", "C"), (2, 2, 2), ("A", "C")),
         (("A", "B"), (2, 3), ("B",)),
+        (("A", "B"), (2, 3), ("A",)),
+        (("A", "B", "C"), (2, 2, 2), ("B",)),
+        (("A", "B", "C"), (2, 3, 2), ("C", "A")),
+        # 28 off-diagonal 2x2 blocks: the negativity forms sigma instead of
+        # coefficient rows, the deficit does not (test_block_routes)
+        (("A", "B", "C", "D"), (2, 2, 2, 2), ("A", "B", "C")),
     ]
 
     def cases(self, seed):
@@ -206,11 +212,25 @@ class TestWorkspaceAgainstReferencePath:
         for labels, dims, measured in self.SHAPES:
             state = random_mixed(Register(labels, dims), rank=2, seed=0)
             ws = _Workspace(state, measured)
-            assert ws.scalar_blocks == (len(measured) == len(dims))
+            assert (ws.block_dim == 1) == (len(measured) == len(dims))
+
+    def test_block_routes(self):
+        # sigma is formed when m = 1, or when the coefficient rows would
+        # hold more than 4 D^2 entries (P > 4 m^2); the last shape keeps
+        # both routes covered at m = 2
+        for labels, dims, measured in self.SHAPES:
+            state = random_mixed(Register(labels, dims), rank=2, seed=0)
+            ws = _Workspace(state, measured)
+            m = ws.block_dim
+            for a, _, dense in (ws._off_pairs, ws._diag_pairs):
+                assert dense == (m == 1 or len(a) > 4 * m * m)
+        ws = _Workspace(random_mixed(Register(*self.SHAPES[-1][:2]), rank=2, seed=0),
+                        self.SHAPES[-1][2])
+        assert ws.block_dim == 2 and ws._off_pairs[2] and not ws._diag_pairs[2]
 
     def test_negativity_objective(self):
         for state, measured, ws, params, plans in self.cases(100):
-            if ws.scalar_blocks:
+            if ws.block_dim == 1:
                 continue
             fast = ws.neg_objective(params)
             assert fast.shape == (len(plans),)
@@ -220,7 +240,7 @@ class TestWorkspaceAgainstReferencePath:
 
     def test_negativity_objective_both_measured(self):
         for state, measured, ws, params, plans in self.cases(200):
-            if not ws.scalar_blocks:
+            if ws.block_dim != 1:
                 continue
             fast = ws.neg_objective(params)
             assert fast.shape == (len(plans),)
@@ -237,6 +257,60 @@ class TestWorkspaceAgainstReferencePath:
                     dephase(state, plan).rho
                 ) - linalg.von_neumann_entropy(state.rho)
                 assert abs(value - slow) <= 1e-10, (state.register.dims, measured)
+
+    @pytest.mark.parametrize("objective", ["neg_objective", "deficit_objective"])
+    def test_rows_independent_of_batch(self, objective):
+        # the lockstep optimizer follows each restart's serial path only if
+        # a row's value does not depend on the batch that carries it
+        rng = make_rng(7)
+        for k, (labels, dims, measured) in enumerate(self.SHAPES):
+            ws = _Workspace(random_mixed(Register(labels, dims), rank=2, seed=k), measured)
+            fun = getattr(ws, objective)
+            for rows in (2, 7, 64, 150):
+                params = rng.normal(size=(rows, ws.param_len))
+                batch = fun(params)
+                alone = np.array([fun(row[None])[0] for row in params])
+                assert np.array_equal(batch, alone), (dims, measured, rows)
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestTwoByTwoBlockKernels:
+    """The closed-form 2x2 trace norm and spectrum against LAPACK.
+
+    Both agree with OpenBLAS's reference LAPACK to about 5 ulp; the 1e-14
+    bound leaves room for other LAPACK builds to round differently.
+    """
+
+    def blocks(self):
+        rng = make_rng(8)
+        u, v = complex_normal(rng, 100, 2), complex_normal(rng, 100, 2)
+        diagonal = np.zeros((100, 2, 2), dtype=complex)
+        diagonal[:, [0, 1], [0, 1]] = complex_normal(rng, 100, 2)
+        return {
+            "random": complex_normal(rng, 100, 2, 2) * 10.0 ** rng.uniform(-6, 3, (100, 1, 1)),
+            "rank-1": u[:, :, None] * np.conj(v[:, None, :]),
+            "zero": np.zeros((3, 2, 2), dtype=complex),
+            "diagonal": diagonal,
+        }
+
+    def test_trace_norm_matches_svd(self):
+        for kind, x in self.blocks().items():
+            ref = np.linalg.svd(x, compute_uv=False).sum(axis=-1)
+            assert np.all(np.abs(quantumness._trace_norm_2x2(x) - ref) <= 1e-14 * ref), kind
+
+    def test_eigenvalues_match_eigvalsh(self):
+        # X X^dag keeps each kind (rank, zero, diagonal) as a Hermitian
+        # block.  The error is relative to the block's Frobenius norm, the
+        # scale of its spectrum: a near-zero eigenvalue has no relative
+        # accuracy in either method.
+        for kind, x in self.blocks().items():
+            h = x @ np.conj(x).swapaxes(1, 2)
+            ref = np.linalg.eigvalsh(h)
+            scale = np.linalg.norm(h, axis=(1, 2))[:, None]
+            assert np.all(np.abs(quantumness._eigvalsh_2x2(h) - ref) <= 1e-14 * scale), kind
 
 
 def rippled_rosenbrock(x):
@@ -516,6 +590,66 @@ class TestDeficit:
     def test_nonnegative(self):
         state = random_mixed(default_register(2), 3, seed=11)
         assert deficit(state, ("A",), FAST).value >= 0.0
+
+    @pytest.mark.parametrize(
+        "labels, measured, two_way",
+        [
+            (("A", "B", "M:A"), ("A", "M:A"), False),
+            (("A", "B", "M:A"), ("B", "M:A"), False),
+            (("A", "B", "M:A"), ("A",), False),
+            (("A", "B", "M:A"), ("B", "A"), True),
+            (("A", "B", "M:A"), ("A", "B", "M:A"), True),
+            (("A", "M:A"), ("A",), False),
+            (("A", "M:A"), ("M:A", "A"), True),
+        ],
+    )
+    def test_two_way_iff_every_system_measured(self, labels, measured, two_way):
+        # two-way means every label measured, or every system label when
+        # there are two or more systems; counting the labels is not enough
+        state = random_mixed(Register(labels, (2,) * len(labels)), 2, seed=1)
+        report = deficit(state, measured, OptimizerConfig(restarts=1, max_iter=5))
+        assert report.measure == (TWO_WAY_DEFICIT if two_way else ONE_WAY_DEFICIT)
+
+
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+class TestBellDiagonalClosedForm:
+    """Bell-diagonal states (I + sum_i c_i sigma_i (x) sigma_i)/4, seen in
+    random local frames, at the default optimizer settings.  Q_N^A is the
+    middle |c_i|/2 and D^A = 1 + h((1 + max|c_i|)/2) - S(rho) (Nakano, Piani
+    & Adesso, PRA 88, 012117, 2013)."""
+
+    def states(self):
+        # c of |Phi+>, |Phi->, |Psi+>, |Psi->; the mixture with weights p has
+        # c = p @ bell_c and spectrum p
+        bell_c = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+        rng = make_rng(9)
+        for _ in range(4):
+            p = rng.dirichlet(np.ones(4))
+            c = p @ bell_c
+            rho = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULI))) / 4
+            u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+            yield np.abs(c), p, LabeledState(default_register(2), u @ rho @ u.conj().T)
+
+    def test_q_negativity_is_middle_correlation(self):
+        for c, _, state in self.states():
+            report = q_negativity(state, ("A",))
+            assert report.value == pytest.approx(np.sort(c)[1] / 2, abs=1e-6)
+
+    def test_one_way_deficit(self):
+        def entropy(probs):
+            probs = probs[probs > 0]
+            return float(-(probs * np.log2(probs)).sum())
+
+        for c, p, state in self.states():
+            half = (1 + c.max()) / 2
+            expected = 1 + entropy(np.array([half, 1 - half])) - entropy(p)
+            assert deficit(state, ("A",)).value == pytest.approx(expected, abs=1e-6)
 
 
 class TestClassify:
