@@ -98,7 +98,7 @@ def _resolve_basis(state, spec, q_cfg):
 def run_chain(cfg):
     """Execute the chain and assemble the per-link report."""
     state = cfg.initial
-    rows = []
+    links = []  # (link, target, apparatus, entanglement, quantumness)
     for j, spec in enumerate(cfg.links, start=1):
         d = state.register.dim(spec.target)
         if state.register.total_dim * d > MAX_TOTAL_DIM:
@@ -109,36 +109,22 @@ def run_chain(cfg):
         plan = MeasurementPlan((spec.target,), (basis,))
         n_before = state.register.n
         state = premeasure(state, plan)
-        cut = BipartitionCut(tuple(range(n_before)), (n_before,))
-        e_val = negativity(state, cut)
+        app_label = state.register.labels[-1]
+        e_val = negativity(state, BipartitionCut(tuple(range(n_before)), (n_before,)))
         q_val = None
         if TRACK_QUANTUMNESS in cfg.track:
-            app_label = state.register.labels[-1]
             q_val = q_negativity(state, (app_label,), cfg.q_cfg).value
-        rows.append((j, spec.target, state.register.labels[-1], e_val, q_val))
+        links.append((j, spec.target, app_label, e_val, q_val))
 
-    final = state
-    n0 = cfg.initial.register.n
-    out_rows = []
-    for j, target, app, e_val, q_val in rows:
-        if j < len(rows):
-            # break at level j: systems plus first j apparatuses vs the rest
-            left = tuple(range(n0 + j))
-            right = tuple(range(n0 + j, final.register.n))
-            brk = negativity(final, BipartitionCut(left, right))
-        else:
-            brk = None
-        out_rows.append(
-            ChainRow(
-                link=j,
-                target=target,
-                apparatus=app,
-                entanglement=e_val,
-                quantumness=q_val,
-                break_negativity=brk,
-            )
-        )
-    return ChainReport(tuple(out_rows), final)
+    # break at level j before the last link: systems plus the first j
+    # apparatuses vs the rest, on the final state
+    n0, n = cfg.initial.register.n, state.register.n
+    breaks = [
+        negativity(state, BipartitionCut(tuple(range(n0 + j)), tuple(range(n0 + j, n))))
+        for j in range(1, len(links))
+    ]
+    rows = tuple(ChainRow(*link, brk) for link, brk in zip(links, breaks + [None]))
+    return ChainReport(rows, state)
 
 
 def _off_diagonal_mass(rho, basis):

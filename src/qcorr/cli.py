@@ -6,16 +6,16 @@ Reports embed a run manifest; identical command and seed reproduce
 identical payloads except for the wall-time field.
 """
 
-import json
 import os
 import sys
 import time
+from dataclasses import astuple, fields
 
 import click
 import numpy as np
 
 from . import serialize
-from .chain import run_chain
+from .chain import ChainRow, run_chain
 from .entanglement import (
     cut_from_labels,
     entropy_of_entanglement,
@@ -121,13 +121,9 @@ def measure(state_path, measure, cut_spec, measured, restarts, max_iter, tol, se
             f"{', '.join(sorted(E_MEASURES) + list(Q_MEASURES))}"
         )
 
-    manifest = serialize.make_manifest(
-        "measure",
-        {"state": state_path, "measure": measure, "cut": cut_spec, "measured": measured,
-         "restarts": restarts, "max_iter": max_iter, "tol": tol},
-        seed,
-    )
-    _emit(payload, manifest, started, out_path)
+    config = {"state": state_path, "measure": measure, "cut": cut_spec, "measured": measured,
+              "restarts": restarts, "max_iter": max_iter, "tol": tol}
+    _emit(serialize.report(payload, "measure", config, seed, started), out_path)
 
 
 @cli.command()
@@ -169,13 +165,9 @@ def classify(state_path, measured, threshold, restarts, max_iter, tol, seed, out
             else None
         ),
     }
-    manifest = serialize.make_manifest(
-        "classify",
-        {"state": state_path, "measured": measured, "threshold": threshold,
-         "restarts": restarts, "max_iter": max_iter, "tol": tol},
-        seed,
-    )
-    _emit(payload, manifest, started, out_path)
+    config = {"state": state_path, "measured": measured, "threshold": threshold,
+              "restarts": restarts, "max_iter": max_iter, "tol": tol}
+    _emit(serialize.report(payload, "classify", config, seed, started), out_path)
 
 
 @cli.command()
@@ -189,18 +181,18 @@ def chain(config_path, seed, out_prefix):
     cfg = serialize.chain_config_from_json(
         serialize.load_json(config_path), where=str(config_path), seed=seed
     )
-    report = run_chain(cfg)
-    header = ("link", "target", "apparatus", "entanglement", "quantumness", "break_negativity")
-    rows = [tuple(getattr(r, field) for field in header) for r in report.rows]
+    result = run_chain(cfg)
+    header = tuple(f.name for f in fields(ChainRow))
+    rows = [astuple(r) for r in result.rows]
     serialize.write_csv(out_prefix + ".csv", header, rows)
     payload = {
         "rows": [dict(zip(header, row)) for row in rows],
-        "monotone": report.monotone(),
+        "monotone": result.monotone(),
     }
-    manifest = serialize.make_manifest("chain", {"config": config_path}, seed)
-    serialize.write_report(out_prefix + ".json", payload, manifest, started)
+    report = serialize.report(payload, "chain", {"config": config_path}, seed, started)
+    serialize.write_json(out_prefix + ".json", report)
     click.echo(f"chain report written to {out_prefix}.csv / {out_prefix}.json")
-    if not report.monotone():
+    if not result.monotone():
         sys.exit(EXIT_INVARIANT)
 
 
@@ -224,10 +216,9 @@ def verify(suite, samples, seed, out_prefix):
         "worst_margin": result.worst_margin,
     }
     payload.update(result.summary)
-    manifest = serialize.make_manifest(
-        "verify", {"suite": suite, "samples": samples}, seed
-    )
-    serialize.write_report(prefix + ".json", payload, manifest, started)
+    config = {"suite": suite, "samples": samples}
+    report = serialize.report(payload, "verify", config, seed, started)
+    serialize.write_json(prefix + ".json", report)
     status = "ok" if result.ok else "FAILED"
     click.echo(
         f"suite {suite}: {len(result.trials)} trials, {result.failures} failures, "
@@ -241,7 +232,10 @@ def verify(suite, samples, seed, out_prefix):
 @click.option("--out-dir", default=".", show_default=True, type=click.Path())
 def gen(out_dir):
     """Write the shipped example states and a demo chain config."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create directory {out_dir}: {exc.strerror or exc}") from None
     fixtures = {
         "bell.json": bell_state(),
         "werner-p0.5.json": werner_state(0.5),
@@ -249,10 +243,7 @@ def gen(out_dir):
         "cc.json": _canonical_discordant_state(),
     }
     for name, state in fixtures.items():
-        path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
-            json.dump(serialize.state_to_json(state), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        serialize.write_json(os.path.join(out_dir, name), serialize.state_to_json(state))
     chain_cfg = {
         "state": serialize.state_to_json(bell_state()),
         "links": [
@@ -262,9 +253,7 @@ def gen(out_dir):
         ],
         "track": ["negativity"],
     }
-    with open(os.path.join(out_dir, "bell-chain.json"), "w") as fh:
-        json.dump(chain_cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    serialize.write_json(os.path.join(out_dir, "bell-chain.json"), chain_cfg)
     click.echo(f"fixtures written to {out_dir}")
 
 
@@ -276,13 +265,12 @@ def _canonical_discordant_state():
     return classical_quantum_state([0.5, 0.5], basis, [zero, plus])
 
 
-def _emit(payload, manifest, started, out_path):
+def _emit(report, out_path):
     if out_path:
-        serialize.write_report(out_path, payload, manifest, started)
+        serialize.write_json(out_path, report)
         click.echo(f"report written to {out_path}")
     else:
-        report = serialize.with_manifest(payload, manifest, started)
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        click.echo(serialize.json_text(report), nl=False)
 
 
 def main(argv=None):

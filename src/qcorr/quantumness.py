@@ -40,7 +40,6 @@ NEGATIVITY_OF_QUANTUMNESS = "negativity_of_quantumness"
 ONE_WAY_DEFICIT = "one_way_deficit"
 TWO_WAY_DEFICIT = "two_way_deficit"
 
-VALUE_CLAMP = 1e-9
 LOCKSTEP_ROWS = 64  # restarts per minimize call
 
 
@@ -167,11 +166,15 @@ class _Workspace:
 
     When every subsystem is measured (m = 1), sigma = G_M rho G_M^dag is
     formed and its entries gathered: P coefficient rows would cost P D_M^2
-    products per parameter row.  The same route, with sigma = (G_M (x) I_m)
-    rho (G_M (x) I_m)^dag, guards memory when the P coefficient rows of
-    length D_M^2 would hold more than 4 D^2 entries, four times sigma
-    (P > 4 m^2: many measured subsystems, few unmeasured).  Construction
-    keeps only the layouts of rho that the two routes read.
+    products per parameter row.  The same route guards memory when the P
+    coefficient rows of length D_M^2 would hold more than 4 D^2 entries,
+    four times sigma (P > 4 m^2: many measured subsystems, few unmeasured).
+    It never forms G_M (x) I_m: rho is stored as a (D_M, m^2 D_M) matrix
+    with rows kappa and columns (nu, nu', kappa'), and two stacked
+    products, G_M times that matrix and then the result, with rows
+    (a, nu, nu'), times G_M^dag, put sigma_ab[nu, nu'] at row (a, nu, nu')
+    and column b.  Construction keeps only the layouts of rho that the two
+    routes read.
 
     Both objectives take a batch of parameter rows (B, param_len) and return
     one value per row; ``bases`` decodes one row through the same exp(iH)
@@ -196,14 +199,15 @@ class _Workspace:
 
         self._off_pairs = pairs(*np.triu_indices(d_m, 1))
         self._diag_pairs = pairs(np.arange(d_m), np.arange(d_m))
-        dense = {self._off_pairs[2], self._diag_pairs[2]}
+        routes = {self._off_pairs[2], self._diag_pairs[2]}
 
         order = measured_idx + [i for i in range(reg.n) if i not in measured_idx]
         rho = state.rho.reshape(reg.dims * 2).transpose(order + [reg.n + i for i in order])
-        if True in dense:
-            self._rho_dense = rho.reshape(reg.total_dim, reg.total_dim)
-        if False in dense:
-            self._rho = rho.reshape(d_m, m, d_m, m).transpose(0, 2, 1, 3).reshape(d_m**2, m * m)
+        rho = rho.reshape(d_m, m, d_m, m)
+        if True in routes:  # rows kappa, columns (nu, nu', kappa')
+            self._rho_sigma = rho.transpose(0, 1, 3, 2).reshape(d_m, m * m * d_m)
+        if False in routes:  # rows (kappa, kappa'), columns (nu, nu')
+            self._rho = rho.transpose(0, 2, 1, 3).reshape(d_m**2, m * m)
 
         # Parameters follow the measurement order; the unitaries of all
         # measured subsystems of one dimension come from one exp(iH) call
@@ -241,14 +245,12 @@ class _Workspace:
         for u in rest:  # G_M, the Kronecker product over the measured subsystems
             (n, ra, ca), (_, rb, cb) = g.shape, u.shape
             g = (g[:, :, None, :, None] * u[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
-        a, b, dense = pairs
+        a, b, via_sigma = pairs
         n, d_m, m = len(g), g.shape[1], self.block_dim
-        if dense:  # sigma = (G_M (x) I_m) rho (G_M (x) I_m)^dag
-            if m > 1:
-                g = (g[:, :, None, :, None] * np.eye(m)[:, None, :]).reshape(n, d_m * m, -1)
-            sigma = g @ self._rho_dense @ np.conj(g).swapaxes(1, 2)
-            sigma = sigma.reshape(n, d_m, m, d_m, m).transpose(0, 1, 3, 2, 4)
-            return sigma.reshape(n, d_m**2, m, m).take(a * d_m + b, axis=1)
+        if via_sigma:  # sigma_ab[nu, nu'] at rows (a, nu, nu') and column b
+            sigma = (g @ self._rho_sigma).reshape(n, d_m * m * m, d_m) @ np.conj(g).swapaxes(1, 2)
+            sigma = sigma.reshape(n, d_m, m * m, d_m).swapaxes(2, 3).reshape(n, d_m**2, m, m)
+            return sigma.take(a * d_m + b, axis=1)
         coeffs = g.take(a, axis=1)[:, :, :, None] * np.conj(g.take(b, axis=1))[:, :, None, :]
         return (coeffs.reshape(n, len(a), -1) @ self._rho).reshape(n, len(a), m, m)
 
@@ -448,7 +450,7 @@ def _minimum_over_bases(state, measured, cfg, objective, measure):
         partial(objective, ws), ws.param_len, cfg
     )
     return QuantumnessReport(
-        value=max(0.0, value) if value < VALUE_CLAMP else value,
+        value=0.0 if value <= 0 else value,  # -0.0 and below zero report +0.0; NaN passes
         measure=measure,
         measured=measured,
         argmin_bases=ws.bases(best_x),

@@ -1,4 +1,4 @@
-"""JSON/CSV serialization: states, bases, chain configs, manifests.
+"""JSON/CSV serialization: states, bases, chain configs, reports.
 
 State matrices are stored row-major as separate real and imaginary parts,
 with subsystem 0 the slowest-varying tensor index.  Floats in CSV output
@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import time
+from contextlib import contextmanager
 from importlib import metadata
 
 import numpy as np
@@ -21,7 +22,7 @@ from .chain import (
     ChainConfig,
     LinkSpec,
 )
-from .errors import InvariantError, ParseError
+from .errors import InvariantError, ParseError, UsageError
 from .quantumness import OptimizerConfig
 from .states import LabeledState, LocalBasis, Register
 
@@ -180,29 +181,40 @@ def load_state(path):
     return state_from_json(load_json(path), where=str(path))
 
 
-def make_manifest(command, config, seed):
-    return {
+def report(payload, command, config, seed, started):
+    """A copy of ``payload`` holding its run manifest, timed from ``started``.
+
+    ``started`` is a ``time.monotonic()`` reading; the wall time is the only
+    field that differs between identical runs.
+    """
+    manifest = {
         "command": command,
         "config": config,
         "seed": seed,
         "version": VERSION,
-        "wall_time_s": None,  # filled at write time
+        "wall_time_s": time.monotonic() - started,
     }
+    return {**payload, "manifest": manifest}
 
 
-def with_manifest(payload, manifest, started_at):
-    """A copy of ``payload`` holding ``manifest``, its wall time filled in."""
-    manifest = dict(manifest)
-    manifest["wall_time_s"] = time.monotonic() - started_at
-    payload = dict(payload)
-    payload["manifest"] = manifest
-    return payload
+def json_text(obj):
+    """The one JSON output format: indent 2, sorted keys, trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def write_report(path, payload, manifest, started_at):
-    with open(path, "w") as fh:
-        json.dump(with_manifest(payload, manifest, started_at), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+@contextmanager
+def _output(path, **open_kwargs):
+    """``path`` opened for writing; an OS failure is a usage error naming it."""
+    try:
+        with open(path, "w", **open_kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def write_json(path, obj):
+    with _output(path) as fh:
+        fh.write(json_text(obj))
 
 
 def fmt_float(x):
@@ -217,7 +229,7 @@ def fmt_float(x):
 
 def write_csv(path, header, rows):
     """Fixed column order; floats at 17 significant digits."""
-    with open(path, "w", newline="") as fh:
+    with _output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

@@ -59,6 +59,13 @@ class SuiteResult:
         return self.failures == 0
 
 
+def _result(name, columns, rows, worst, **summary):
+    """The suite's result; a trial fails wherever its ``ok`` column is false."""
+    ok = columns.index("ok")
+    failures = sum(1 for r in rows if not r[ok])
+    return SuiteResult(name, rows, failures, worst, columns, summary)
+
+
 def derive_seed(seed, *key):
     """Deterministic 64-bit child seed for a numbered sub-task."""
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
@@ -92,16 +99,10 @@ def run_theorem2(samples=200, seed=7, restarts=24):
         return (t, n_ab, qa, qb, qab, m_a, m_ab, m_order, ok)
 
     rows = [trial(t) for t in range(samples)]
-    failures = sum(1 for r in rows if not r[-1])
     worst = min(min(r[5], r[6], r[7]) for r in rows)
-    return SuiteResult(
-        "theorem2",
-        rows,
-        failures,
-        worst,
-        columns=("trial", "negativity", "q_a", "q_b", "q_ab",
-                 "margin_a", "margin_ab", "margin_order", "ok"),
-    )
+    columns = ("trial", "negativity", "q_a", "q_b", "q_ab",
+               "margin_a", "margin_ab", "margin_order", "ok")
+    return _result("theorem2", columns, rows, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +152,12 @@ def run_theorem1(samples=50, seed=11, threshold=1e-7, restarts=24):
         return (t, expect_cc, verdict["cc"], oracle, verdict["residual"], ok)
 
     rows = [trial(t) for t in range(2 * samples)]
-    failures = sum(1 for r in rows if not r[-1])
     # margin: distance of the residual from the decision threshold
     worst = min(
         (threshold - r[4]) if r[1] else (r[4] - threshold) for r in rows
     )
-    return SuiteResult(
-        "theorem1",
-        rows,
-        failures,
-        worst,
-        columns=("trial", "expected_cc", "classified_cc", "oracle_cc", "residual", "ok"),
-    )
+    columns = ("trial", "expected_cc", "classified_cc", "oracle_cc", "residual", "ok")
+    return _result("theorem1", columns, rows, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +181,10 @@ def run_pure_saturation(samples=100, seed=3, restarts=24, tol=1e-5):
         return (t, n_ab, qa, e_ent, da, gap_q, gap_d, ok)
 
     rows = [trial(t) for t in range(samples)]
-    failures = sum(1 for r in rows if not r[-1])
     worst = min(tol - max(r[5], r[6]) for r in rows)
-    return SuiteResult(
-        "pure-saturation",
-        rows,
-        failures,
-        worst,
-        columns=("trial", "negativity", "q_a", "entropy_ent", "deficit_a",
-                 "gap_negativity", "gap_deficit", "ok"),
-    )
+    columns = ("trial", "negativity", "q_a", "entropy_ent", "deficit_a",
+               "gap_negativity", "gap_deficit", "ok")
+    return _result("pure-saturation", columns, rows, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +226,18 @@ def run_locc_undo(samples=100, seed=5):
 
     undo_rows = [undo_trial(t) for t in range(samples)]
     mono_rows = [mono_trial(t) for t in range(5 * samples)]
-    failures = sum(1 for r in undo_rows if not r[-1]) + sum(
-        1 for r in mono_rows if not r[-1]
-    )
     worst_undo = max(max(r[2], r[3]) for r in undo_rows)
     worst_mono = min(r[3] for r in mono_rows)
     rows = [("undo",) + r for r in undo_rows] + [
         ("monotonicity", r[0], None, r[1], r[2], r[3], r[4]) for r in mono_rows
     ]
-    return SuiteResult(
+    return _result(
         "locc-undo",
+        ("kind", "trial", "dim", "a", "b", "c", "ok"),
         rows,
-        failures,
         min(1e-11 - worst_undo, worst_mono + 1e-9),
-        columns=("kind", "trial", "dim", "a", "b", "c", "ok"),
-        summary={"max_trace_distance": worst_undo, "worst_monotonicity_margin": worst_mono},
+        max_trace_distance=worst_undo,
+        worst_monotonicity_margin=worst_mono,
     )
 
 
@@ -304,12 +290,11 @@ def run_chain_monotone(samples=50, seed=13, n_links=4):
         return (t, mono_margin, flag_drift, break_drift, ok) + tuple(e_seq)
 
     rows = [trial(t) for t in range(samples)]
-    failures = sum(1 for r in rows if not r[4])
     worst = min(min(r[1], 1e-10 - r[2], 1e-10 - r[3]) for r in rows)
     columns = ("trial", "monotone_margin", "flag_drift", "break_drift", "ok") + tuple(
         f"e_link{j + 1}" for j in range(n_links)
     )
-    return SuiteResult("chain-monotone", rows, failures, worst, columns=columns)
+    return _result("chain-monotone", columns, rows, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +328,9 @@ def run_theorem3(samples=5, seed=17):
         return (t, name, expect, str(flags), ok)
 
     rows = [trial(t) for t in range(samples * len(cases))]
-    failures = sum(1 for r in rows if not r[-1])
-    return SuiteResult(
-        "theorem3",
-        rows,
-        failures,
-        0.0 if failures == 0 else -1.0,
-        columns=("trial", "case", "expect_gme", "per_step_gme", "ok"),
-    )
+    worst = min(0.0 if ok else -1.0 for *_, ok in rows)
+    columns = ("trial", "case", "expect_gme", "per_step_gme", "ok")
+    return _result("theorem3", columns, rows, worst)
 
 
 _SUITES = {

@@ -274,6 +274,46 @@ class TestExitCodes:
         assert "is not a string" in err
 
 
+def _demo_chain_config(path):
+    path.write_text(json.dumps({
+        "state": serialize.state_to_json(bell_state()),
+        "links": [{"target": "B", "basis": "optimized"}, {"target": "M:B"}],
+        "track": ["negativity", "quantumness"],
+        "optimizer": {"restarts": 2, "max_iter": 50},
+    }))
+    return str(path)
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a usage error naming it."""
+
+    def check(self, capsys, path, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: ") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_measure(self, capsys, bell_file, tmp_path):
+        out = tmp_path / "nodir" / "x.json"
+        self.check(capsys, out, "measure", "--state", bell_file, "--measure", "negativity",
+                   "--cut", "A:B", "--out", str(out))
+
+    def test_verify(self, capsys, tmp_path):
+        prefix = tmp_path / "nodir" / "v"
+        self.check(capsys, prefix, "verify", "--suite", "theorem3", "--samples", "1",
+                   "--out-prefix", str(prefix))
+
+    def test_chain(self, capsys, tmp_path):
+        prefix = tmp_path / "nodir" / "c"
+        config = _demo_chain_config(tmp_path / "chain.json")
+        self.check(capsys, prefix, "chain", "--config", config, "--out-prefix", str(prefix))
+
+    def test_gen(self, capsys, tmp_path):
+        out_dir = tmp_path / "file"
+        out_dir.write_text("")
+        self.check(capsys, out_dir, "gen", "--out-dir", str(out_dir))
+
+
 class TestMeasure:
     def test_bell_negativity(self, capsys, bell_file):
         code, out, _ = run(
@@ -327,7 +367,43 @@ class TestMeasure:
         assert json.loads(out)["measure"] == "q-negativity"
 
 
+MANIFEST_KEYS = {"command", "config", "seed", "version", "wall_time_s"}
+
+# argv and the files it writes; stdout is compared too, and is the report
+# when no file is written
+RERUNS = {
+    "measure": (["measure", "--state", "{bell}", "--measure", "q-negativity",
+                 "--measured", "A", "--restarts", "3", "--seed", "4"], ()),
+    "classify": (["classify", "--state", "{bell}", "--measured", "A", "--restarts", "3"], ()),
+    "chain": (["chain", "--config", "{chain}", "--out-prefix", "out", "--seed", "2"],
+              ("out.json", "out.csv")),
+    "verify": (["verify", "--suite", "locc-undo", "--samples", "2", "--out-prefix", "out"],
+               ("out.json", "out.csv")),
+}
+
+
+def _without_wall_time(text):
+    return "".join(line for line in text.splitlines(True) if '"wall_time_s": ' not in line)
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("case", list(RERUNS))
+    def test_rerun_same_bytes(self, capsys, bell_file, tmp_path, monkeypatch, case):
+        argv, files = RERUNS[case]
+        chain = _demo_chain_config(tmp_path / "chain.json")
+        argv = [a.format(bell=bell_file, chain=chain) for a in argv]
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            outputs = {"stdout": out, **{f: (tmp_path / f).read_text() for f in files}}
+            reports = [t for f, t in outputs.items() if f.endswith(".json")] or [out]
+            for text in reports:
+                assert set(json.loads(text)["manifest"]) == MANIFEST_KEYS
+            runs.append({f: _without_wall_time(t) for f, t in outputs.items()})
+        assert runs[0] == runs[1]
+
     def test_same_seed_same_report(self, capsys, bell_file, tmp_path):
         args = [
             "measure", "--state", bell_file, "--measure", "q-negativity",

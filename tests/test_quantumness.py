@@ -551,6 +551,17 @@ class TestQNegativity:
             assert report.value == pytest.approx(n, abs=1e-5)
             assert report.value >= n - 1e-9  # upper bound side is one-sided
 
+    @pytest.mark.parametrize("raw, reported", [(-1e-12, 0.0), (-0.0, 0.0), (5e-10, 5e-10)])
+    def test_reported_value_is_raised_to_zero_only_below_zero(self, monkeypatch, raw, reported):
+        def optimize(objective, param_len, cfg):
+            return raw, np.zeros(param_len), (raw,), True
+
+        monkeypatch.setattr(quantumness, "_optimize", optimize)
+        for fn in (q_negativity, deficit):
+            value = fn(bell_state(), ("A",), FAST).value
+            assert value == reported
+            assert np.copysign(1.0, value) == 1.0  # +0.0, not -0.0
+
     def test_invalid_measured(self):
         with pytest.raises(InvariantError):
             q_negativity(bell_state(), (), FAST)

@@ -178,12 +178,16 @@ class TestFiles:
         import time
 
         path = tmp_path / "r.json"
-        manifest = serialize.make_manifest("measure", {"x": 1}, seed=5)
-        serialize.write_report(path, {"value": 1.0}, manifest, time.monotonic())
-        obj = json.loads(path.read_text())
-        assert obj["value"] == 1.0
-        assert obj["manifest"]["seed"] == 5
-        assert obj["manifest"]["wall_time_s"] >= 0.0
+        payload = {"value": 1.0, "b": [1, 2]}
+        obj = serialize.report(payload, "measure", {"x": 1}, 5, time.monotonic())
+        serialize.write_json(path, obj)
+        assert payload == {"value": 1.0, "b": [1, 2]}
+        back = json.loads(path.read_text())
+        assert back["manifest"]["wall_time_s"] >= 0.0
+        assert (back["manifest"]["seed"], back["manifest"]["command"]) == (5, "measure")
+        assert {k: v for k, v in back.items() if k != "manifest"} == payload
+        assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert list(back) == ["b", "manifest", "value"]  # keys sorted
 
     def test_write_csv_formats_floats(self, tmp_path):
         path = tmp_path / "t.csv"
