@@ -20,7 +20,7 @@ from . import linalg
 from .entanglement import BipartitionCut, negativity, pure_gme_test
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, premeasure
-from .quantumness import OptimizerConfig, q_negativity
+from .quantumness import OptimizerConfig, apparatus_negativity, q_negativity
 from .states import (
     MAX_TOTAL_DIM,
     LabeledState,
@@ -107,10 +107,9 @@ def run_chain(cfg):
             )
         basis = _resolve_basis(state, spec, cfg.q_cfg)
         plan = MeasurementPlan((spec.target,), (basis,))
-        n_before = state.register.n
+        e_val = apparatus_negativity(state, plan)
         state = premeasure(state, plan)
         app_label = state.register.labels[-1]
-        e_val = negativity(state, BipartitionCut(tuple(range(n_before)), (n_before,)))
         q_val = None
         if TRACK_QUANTUMNESS in cfg.track:
             q_val = q_negativity(state, (app_label,), cfg.q_cfg).value
@@ -143,9 +142,7 @@ def eigenbasis_criterion(state, basis, tol=1e-9):
     """
     if state.register.n != 1:
         raise InvariantError("eigenbasis_criterion requires a single-subsystem state")
-    plan = MeasurementPlan((state.register.labels[0],), (basis,))
-    pm = premeasure(state, plan)
-    e_val = negativity(pm, BipartitionCut((0,), (1,)))
+    e_val = apparatus_negativity(state, MeasurementPlan(state.register.labels, (basis,)))
     return {
         "entangling": e_val > tol,
         "entanglement": e_val,

@@ -89,6 +89,7 @@ def measure(state_path, measure, cut_spec, measured, restarts, max_iter, tol, se
     """Evaluate an entanglement or quantumness measure on a state file."""
     started = time.monotonic()
     seed = _seed_option(seed)
+    serialize.check_outputs(out_path)
     state = serialize.load_state(state_path)
 
     if measure in E_MEASURES:
@@ -150,6 +151,7 @@ def classify(state_path, measured, threshold, restarts, max_iter, tol, seed, out
     """Classify a state as classically correlated on the measured subsystems."""
     started = time.monotonic()
     seed = _seed_option(seed)
+    serialize.check_outputs(out_path)
     state = serialize.load_state(state_path)
     labels = _parse_measured(measured)
     cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
@@ -178,6 +180,7 @@ def chain(config_path, seed, out_prefix):
     """Run a von Neumann chain config; emits CSV and JSON reports."""
     started = time.monotonic()
     seed = _seed_option(seed)
+    serialize.check_outputs(out_prefix + ".csv", out_prefix + ".json")
     cfg = serialize.chain_config_from_json(
         serialize.load_json(config_path), where=str(config_path), seed=seed
     )
@@ -205,8 +208,9 @@ def verify(suite, samples, seed, out_prefix):
     """Run a named property suite; exit 0 iff zero failures."""
     started = time.monotonic()
     seed = _seed_option(seed)
-    result = run_suite(suite, samples=samples, seed=seed)
     prefix = out_prefix or f"verify-{suite}"
+    serialize.check_outputs(prefix + ".csv", prefix + ".json")
+    result = run_suite(suite, samples=samples, seed=seed)
     if result.columns:
         serialize.write_csv(prefix + ".csv", result.columns, result.trials)
     payload = {

@@ -104,15 +104,9 @@ def e_min_max(state):
     Returns (emin, emax, argmin cut, argmax cut); ties break on the
     canonical cut encoding.
     """
-    cuts = all_cuts(state.register.n)
-    values = [(negativity(state, cut), cut) for cut in cuts]
-    emin, cmin = values[0]
-    emax, cmax = values[0]
-    for v, c in values[1:]:
-        if v < emin:
-            emin, cmin = v, c
-        if v > emax:
-            emax, cmax = v, c
+    values = [(negativity(state, cut), cut) for cut in all_cuts(state.register.n)]
+    emin, cmin = min(values, key=lambda vc: vc[0])
+    emax, cmax = max(values, key=lambda vc: vc[0])
     return emin, emax, cmin, cmax
 
 

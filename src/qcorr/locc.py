@@ -16,6 +16,7 @@ from . import linalg
 from .entanglement import BipartitionCut, negativity
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, _local, _pull_back, premeasure
+from .quantumness import apparatus_negativity
 from .states import LabeledState, apparatus_label
 
 
@@ -108,12 +109,8 @@ def verify_monotonicity_step(state, plan):
     """
     if len(plan.measured) != 1:
         raise InvariantError("verify_monotonicity_step expects a single measured subsystem")
-    label = plan.measured[0]
-    n0 = state.register.n
-    pm = premeasure(state, plan)
-    cut = BipartitionCut(tuple(range(n0)), (n0,))
-    lhs = negativity(pm, cut)
-    out = locc_undo(pm, plan, label).output
+    lhs = apparatus_negativity(state, plan)
+    out = locc_undo(premeasure(state, plan), plan, plan.measured[0]).output
     # cut: transferred apparatus (last) vs everything else
     rhs_cut = BipartitionCut(tuple(range(out.register.n - 1)), (out.register.n - 1,))
     rhs = negativity(out, rhs_cut)

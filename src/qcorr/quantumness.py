@@ -27,12 +27,14 @@ rotation and the block spectra are all computed as stacked numpy calls
 over the batch.
 """
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from . import linalg
+from .entanglement import CLAMP
 from .errors import InvariantError
 from .states import SYSTEM, LocalBasis, spawn_rng
 
@@ -174,30 +176,31 @@ class _Workspace:
     products, G_M times that matrix and then the result, with rows
     (a, nu, nu'), times G_M^dag, put sigma_ab[nu, nu'] at row (a, nu, nu')
     and column b.  Construction keeps only the layouts of rho that the two
-    routes read.
+    routes read; S(rho) and the grouping of the chart are built on first use.
 
-    Both objectives take a batch of parameter rows (B, param_len) and return
-    one value per row; ``bases`` decodes one row through the same exp(iH)
-    call.
+    ``negativity_at`` reads the negativity at given U_k^dag, as
+    ``apparatus_negativity`` does for fixed bases.  Both objectives decode a
+    batch of parameter rows (B, param_len) into U_k^dag, then read one value
+    per row; ``bases`` decodes one row through the same exp(iH) call.
     """
 
     def __init__(self, state, measured):
         reg = state.register
+        self._state = state
         self.measured = measured
         measured_idx = [reg.index(lab) for lab in measured]
         self.meas_dims = [reg.dims[i] for i in measured_idx]
         self.param_len = sum(d * (d - 1) for d in self.meas_dims)
-        self.base_entropy = linalg.von_neumann_entropy(state.rho)
 
-        d_m = int(np.prod(self.meas_dims))
-        self.block_dim = m = reg.total_dim // d_m
+        d_m = math.prod(self.meas_dims)
+        self.block_dim = m = len(state.rho) // d_m
 
         def pairs(a, b):
             # the records (a, b) of the blocks an objective reads, and
             # whether to read them off sigma rather than coefficient rows
             return a, b, m == 1 or len(a) > 4 * m * m
 
-        self._off_pairs = pairs(*np.triu_indices(d_m, 1))
+        self._off_pairs = pairs(*_upper_slots(d_m))
         self._diag_pairs = pairs(np.arange(d_m), np.arange(d_m))
         routes = {self._off_pairs[2], self._diag_pairs[2]}
 
@@ -209,17 +212,24 @@ class _Workspace:
         if False in routes:  # rows (kappa, kappa'), columns (nu, nu')
             self._rho = rho.transpose(0, 2, 1, 3).reshape(d_m**2, m * m)
 
+    @cached_property
+    def base_entropy(self):
+        return linalg.von_neumann_entropy(self._state.rho)
+
+    @cached_property
+    def _unitary_groups(self):
         # Parameters follow the measurement order; the unitaries of all
         # measured subsystems of one dimension come from one exp(iH) call
         # over their columns.
         starts = np.cumsum([0] + [d * (d - 1) for d in self.meas_dims])
-        self._unitary_groups = []
+        groups = []
         for d in sorted(set(self.meas_dims)):
             pos = [j for j, dj in enumerate(self.meas_dims) if dj == d]
             cols = np.concatenate([np.arange(starts[j], starts[j + 1]) for j in pos])
             if len(pos) == len(self.meas_dims):
                 cols = slice(None)
-            self._unitary_groups.append((d, pos, cols))
+            groups.append((d, pos, cols))
+        return groups
 
     def _unitaries_dag(self, params):
         """exp(iH)^dag of each measured subsystem, in measurement order: (B, d, d) each."""
@@ -239,9 +249,9 @@ class _Workspace:
             LocalBasis(label, linalg.dagger(u[0])) for label, u in zip(self.measured, u_dag)
         )
 
-    def _blocks(self, params, pairs):
-        """sigma_ab for each (a, b) in ``pairs`` and each row of ``params``: (B, P, m, m)."""
-        g, *rest = self._unitaries_dag(params)
+    def _blocks(self, u_dag, pairs):
+        """sigma_ab for each (a, b) in ``pairs`` at each row of the U_k^dag stacks: (B, P, m, m)."""
+        g, *rest = u_dag
         for u in rest:  # G_M, the Kronecker product over the measured subsystems
             (n, ra, ca), (_, rb, cb) = g.shape, u.shape
             g = (g[:, :, None, :, None] * u[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
@@ -254,18 +264,22 @@ class _Workspace:
         coeffs = g.take(a, axis=1)[:, :, :, None] * np.conj(g.take(b, axis=1))[:, :, None, :]
         return (coeffs.reshape(n, len(a), -1) @ self._rho).reshape(n, len(a), m, m)
 
-    def neg_objective(self, params):
-        """Negativity objective for each row of ``params`` (B, param_len)."""
-        blocks = self._blocks(params, self._off_pairs)
+    def negativity_at(self, u_dag):
+        """sum_{a<b} ||sigma_ab||_1 at each row of ``u_dag``, one (B, d, d) stack per U_k^dag."""
+        blocks = self._blocks(u_dag, self._off_pairs)
         if self.block_dim == 1:
-            return np.abs(blocks).reshape(len(params), -1).sum(axis=1)
+            return np.abs(blocks).reshape(len(blocks), -1).sum(axis=1)
         if self.block_dim == 2:
             return _trace_norm_2x2(blocks).sum(axis=1)
         return np.linalg.svd(blocks, compute_uv=False).sum(axis=(1, 2))
 
+    def neg_objective(self, params):
+        """Negativity objective for each row of ``params`` (B, param_len)."""
+        return self.negativity_at(self._unitaries_dag(params))
+
     def deficit_objective(self, params):
         """Deficit objective for each row of ``params`` (B, param_len)."""
-        blocks = self._blocks(params, self._diag_pairs)
+        blocks = self._blocks(self._unitaries_dag(params), self._diag_pairs)
         if self.block_dim == 1:
             probs = blocks.real.reshape(len(params), -1)
         elif self.block_dim == 2:
@@ -275,6 +289,18 @@ class _Workspace:
         # entropy in bits with eigenvalues at or below EIG_ZERO dropped
         probs = np.where(probs > linalg.EIG_ZERO, probs, 1.0)
         return -(probs * np.log2(probs)).sum(axis=1) - self.base_entropy
+
+
+def apparatus_negativity(state, plan):
+    """System:apparatus negativity of ``premeasure(state, plan)``, read off the blocks.
+
+    The optimizer's read at the plan bases; no pre-measurement state is
+    formed.  Below ``entanglement.CLAMP`` it reads 0.0, as ``negativity`` does.
+    """
+    plan.check_register(state.register)
+    u_dag = [linalg.dagger(b.vectors)[None] for b in plan.bases]
+    value = float(_Workspace(state, plan.measured).negativity_at(u_dag)[0])
+    return 0.0 if value < CLAMP else value
 
 
 @dataclass(frozen=True)
@@ -504,49 +530,21 @@ def classify_cc(state, measured, threshold=1e-7, cfg=OptimizerConfig()):
     }
 
 
-def _hermitian_basis(d):
-    """Standard orthogonal Hermitian operator basis of a d-dim space."""
-    ops = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[i, i] = 1.0
-        ops.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1.0 / np.sqrt(2)
-            ops.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = -1j / np.sqrt(2)
-            m[j, i] = 1j / np.sqrt(2)
-            ops.append(m)
-    return ops
-
-
 def cc_commutation_oracle(state, measured_label, tol=1e-9):
     """Algebraic classicality check for the bipartite case (test oracle).
 
     The state is classical on the measured subsystem iff the conditional
-    operators Tr_other[(I (x) X_m) rho], over a Hermitian operator basis
-    {X_m} of the other subsystem, pairwise commute.
+    operators Tr_other[(I (x) X) rho], X Hermitian on the other subsystem,
+    pairwise commute.  They span the same space as the slices
+    <k|_other rho |l>_other, so the slices are tested pairwise instead.
     """
     reg = state.register
     if reg.n != 2:
         raise InvariantError("cc_commutation_oracle requires a bipartite register")
-    a = reg.index(measured_label)
-    b = 1 - a
-    da, db = reg.dims[a], reg.dims[b]
     t = state.rho.reshape(reg.dims + reg.dims)
-    conditionals = []
-    for x in _hermitian_basis(db):
-        if a == 0:
-            cond = np.einsum("ibjc,cb->ij", t, x)
-        else:
-            cond = np.einsum("bicj,cb->ij", t, x)
-        conditionals.append(cond)
-    for i in range(len(conditionals)):
-        for j in range(i + 1, len(conditionals)):
-            comm = conditionals[i] @ conditionals[j] - conditionals[j] @ conditionals[i]
-            if np.max(np.abs(comm)) > tol:
-                return False
-    return True
+    if reg.index(measured_label) == 1:  # the measured subsystem's axes first
+        t = t.transpose(1, 0, 3, 2)
+    slices = [t[:, k, :, l] for k in range(t.shape[1]) for l in range(t.shape[1])]
+    return all(
+        np.max(np.abs(x @ y - y @ x)) <= tol for i, x in enumerate(slices) for y in slices[i + 1 :]
+    )

@@ -8,6 +8,7 @@ are printed with 17 significant digits so reruns diff cleanly.
 import csv
 import json
 import math
+import os
 import time
 from contextlib import contextmanager
 from importlib import metadata
@@ -200,6 +201,13 @@ def report(payload, command, config, seed, started):
 def json_text(obj):
     """The one JSON output format: indent 2, sorted keys, trailing newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def check_outputs(*paths):
+    """Refuse, before any work, a path that is a directory or lies in a missing one."""
+    for path in filter(None, paths):  # None is stdout
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"cannot write {path}: not a file in an existing directory")
 
 
 @contextmanager

@@ -347,9 +347,9 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name, samples=None, seed=None):
     if name not in _SUITES:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    kwargs = {}
-    if samples is not None:
-        kwargs["samples"] = samples
-    if seed is not None:
-        kwargs["seed"] = seed
+    kwargs = {key: v for key, v in (("samples", samples), ("seed", seed)) if v is not None}
+    if kwargs.get("samples", 1) < 1:
+        raise UsageError(f"samples must be at least 1, got {samples}")
+    if kwargs.get("seed", 0) < 0:
+        raise UsageError(f"the seed must be non-negative, got {seed}")
     return _SUITES[name](**kwargs)

@@ -12,17 +12,21 @@ from qcorr.chain import (
     generic_basis,
     run_chain,
 )
+from qcorr.entanglement import BipartitionCut, negativity
 from qcorr.errors import InvariantError
+from qcorr.premeasure import MeasurementPlan, premeasure
 from qcorr.quantumness import OptimizerConfig
 from qcorr.states import (
     LabeledState,
     LocalBasis,
     Register,
     bell_state,
+    computational_basis,
     default_register,
     ghz_state,
     make_rng,
     pure_state,
+    random_basis,
     random_mixed,
     w_state,
 )
@@ -72,8 +76,56 @@ class TestEigenbasisCriterion:
         with pytest.raises(InvariantError):
             eigenbasis_criterion(bell_state(), LocalBasis("A", np.eye(2)))
 
+    def test_builds_no_premeasurement_state(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eigenbasis_criterion built the pre-measurement state")
+
+        monkeypatch.setattr(chain, "premeasure", refuse)
+        out = eigenbasis_criterion(single_qubit_state(0.75), LocalBasis("S", HADAMARD))
+        assert out["entanglement"] == pytest.approx(0.25, abs=1e-12)
+
+
+def chain_labels(n):
+    labels = ["S"]
+    for _ in range(n - 1):
+        labels.append("M:" + labels[-1])
+    return labels
+
+
+def dense_link_values(initial, links):
+    """Each link's system:apparatus negativity off the dense pre-measurement state."""
+    state, values = initial, []
+    for spec in links:
+        basis = spec.basis
+        if not isinstance(basis, LocalBasis):  # flag-copy
+            basis = computational_basis(spec.target, state.register.dim(spec.target))
+        n = state.register.n
+        state = premeasure(state, MeasurementPlan((spec.target,), (basis,)))
+        values.append(negativity(state, BipartitionCut(tuple(range(n)), (n,))))
+    return values
+
 
 class TestRunChain:
+    @pytest.mark.parametrize("flag_copy", [False, True])
+    def test_link_values_match_dense_oracle(self, flag_copy):
+        # 7 links from one qubit reach the 256 dimension cap
+        targets = chain_labels(7)
+        for seed in range(3):
+            rng = make_rng(seed)
+            state = random_mixed(Register(("S",), (2,)), rank=1 + seed % 2, seed=seed)
+            links = [LinkSpec(lab, random_basis(lab, 2, rng)) for lab in targets]
+            if flag_copy:
+                links[1:] = [LinkSpec(lab) for lab in targets[1:]]
+            report = run_chain(ChainConfig(state, tuple(links)))
+            dense = dense_link_values(state, links)
+            assert np.max(np.abs(np.subtract(report.entanglement_sequence(), dense))) <= 1e-12
+
+    def test_classical_links_read_exactly_zero(self):
+        links = tuple(LinkSpec(lab) for lab in chain_labels(4))
+        report = run_chain(ChainConfig(single_qubit_state(0.3), links))
+        assert report.entanglement_sequence() == [0.0] * 4
+        assert dense_link_values(single_qubit_state(0.3), links) == [0.0] * 4
+
     def test_bell_flag_copy_chain(self):
         cfg = ChainConfig(
             initial=bell_state(),

@@ -308,6 +308,37 @@ class TestUnwritableOutput:
         config = _demo_chain_config(tmp_path / "chain.json")
         self.check(capsys, prefix, "chain", "--config", config, "--out-prefix", str(prefix))
 
+    # (argv, the command's worker): the worker may not run before the output
+    # path is refused
+    BEFORE_WORK = {
+        "measure": (["measure", "--state", "{bell}", "--measure", "q-negativity",
+                     "--measured", "A", "--out", "{out}.json"], "q_negativity"),
+        "classify": (["classify", "--state", "{bell}", "--measured", "A",
+                      "--out", "{out}.json"], "classify_cc"),
+        "chain": (["chain", "--config", "{chain}", "--out-prefix", "{out}"], "run_chain"),
+        "verify": (["verify", "--suite", "theorem2", "--out-prefix", "{out}"], "run_suite"),
+    }
+
+    def refuse(self, monkeypatch, worker):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{worker} ran before the output path was checked")
+
+        monkeypatch.setattr(cli, worker, refuse)
+
+    @pytest.mark.parametrize("command", list(BEFORE_WORK))
+    def test_refused_before_work(self, capsys, bell_file, tmp_path, monkeypatch, command):
+        argv, worker = self.BEFORE_WORK[command]
+        self.refuse(monkeypatch, worker)
+        out = tmp_path / "nodir" / "x"
+        chain = _demo_chain_config(tmp_path / "chain.json")
+        argv = [a.format(bell=bell_file, chain=chain, out=out) for a in argv]
+        self.check(capsys, out, *argv)
+
+    def test_directory_refused_before_work(self, capsys, bell_file, tmp_path, monkeypatch):
+        self.refuse(monkeypatch, "q_negativity")
+        self.check(capsys, tmp_path, "measure", "--state", bell_file, "--measure",
+                   "q-negativity", "--measured", "A", "--out", str(tmp_path))
+
     def test_gen(self, capsys, tmp_path):
         out_dir = tmp_path / "file"
         out_dir.write_text("")

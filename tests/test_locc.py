@@ -146,6 +146,15 @@ class TestMonotonicity:
             assert out["holds"]
             assert out["lhs"] >= out["rhs"] - 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lhs_matches_dense_premeasurement(self, d):
+        rng = make_rng(95 + d)
+        for trial in range(4):
+            state = random_mixed(Register(("A", "B"), (d, d)), rank=1 + trial, seed=trial)
+            plan = single_plan("A", d, rng)
+            dense = negativity(premeasure(state, plan), BipartitionCut((0, 1), (2,)))
+            assert abs(verify_monotonicity_step(state, plan)["lhs"] - dense) <= 1e-12
+
     def test_rhs_equals_prior_entanglement(self):
         # the transferred state carries exactly the original A:B negativity
         state = random_pure(default_register(2), seed=91)

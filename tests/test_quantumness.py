@@ -4,7 +4,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize as scipy_minimize
 
 from qcorr import linalg, quantumness
-from qcorr.entanglement import BipartitionCut, negativity
+from qcorr.entanglement import CLAMP, BipartitionCut, negativity
 from qcorr.errors import InvariantError
 from qcorr.premeasure import MeasurementPlan, dephase, premeasure
 from qcorr.quantumness import (
@@ -16,6 +16,7 @@ from qcorr.quantumness import (
     _Workspace,
     _exp_ih,
     _optimize,
+    apparatus_negativity,
     cc_commutation_oracle,
     classify_cc,
     deficit,
@@ -271,6 +272,59 @@ class TestWorkspaceAgainstReferencePath:
                 batch = fun(params)
                 alone = np.array([fun(row[None])[0] for row in params])
                 assert np.array_equal(batch, alone), (dims, measured, rows)
+
+
+class TestApparatusNegativity:
+    """The block read at given bases against the dense pre-measurement state."""
+
+    SHAPES = [
+        (("S",), (2,), ("S",)),
+        (("S",), (3,), ("S",)),
+        (("A", "B"), (2, 2), ("A",)),
+        (("A", "B"), (2, 3), ("B",)),
+        (("A", "B"), (3, 3), ("A", "B")),
+        (("A", "B"), (3, 3), ("B", "A")),
+        (("A", "B", "C"), (2, 2, 2), ("A", "C")),
+        # the memory guard: sigma is formed at m = 2 (test_block_routes)
+        (("A", "B", "C", "D"), (2, 2, 2, 2), ("A", "B", "C")),
+        # a 7-qubit chain state measured on its last apparatus
+        (("S", "M:S", "M:M:S", "M:M:M:S", "M:M:M:M:S", "M:M:M:M:M:S", "M:M:M:M:M:M:S"),
+         (2,) * 7, ("M:M:M:M:M:M:S",)),
+    ]
+
+    @pytest.mark.parametrize("labels, dims, measured", SHAPES)
+    def test_matches_dense_premeasurement(self, labels, dims, measured):
+        rng = make_rng(len(labels) * 10 + len(measured))
+        for rank in (1, 2):
+            state = random_mixed(Register(labels, dims), rank=rank, seed=rank + sum(dims))
+            bases = [LocalBasis(lab, random_unitary(state.register.dim(lab), rng))
+                     for lab in measured]
+            plan = MeasurementPlan(measured, bases)
+            value = apparatus_negativity(state, plan)
+            assert abs(value - plan_negativity(state, plan)) <= 1e-12, (dims, measured, rank)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_eigenbasis_reads_exactly_zero(self, d):
+        # the eigenvectors of a random state leave off-diagonal blocks of
+        # rounding size, which the clamp maps to 0.0 as negativity() does
+        state = random_mixed(Register(("S",), (d,)), rank=d, seed=d)
+        plan = MeasurementPlan(("S",), (LocalBasis("S", np.linalg.eigh(state.rho)[1]),))
+        raw = _Workspace(state, ("S",)).negativity_at([np.conj(plan.bases[0].vectors).T[None]])
+        assert 0.0 < raw[0] < CLAMP
+        assert apparatus_negativity(state, plan) == 0.0
+        assert plan_negativity(state, plan) == 0.0
+
+    def test_classical_side_reads_exactly_zero(self):
+        assert apparatus_negativity(cc_state(), MeasurementPlan(
+            ("A", "B"), (computational_basis("A", 2), computational_basis("B", 2))
+        )) == 0.0
+
+    def test_checks_plan_against_register(self):
+        state = random_mixed(Register(("A", "B"), (2, 3)), rank=2, seed=0)
+        with pytest.raises(InvariantError, match="dimension"):
+            apparatus_negativity(state, MeasurementPlan(("B",), (computational_basis("B", 2),)))
+        with pytest.raises(InvariantError, match="not in register"):
+            apparatus_negativity(state, MeasurementPlan(("C",), (computational_basis("C", 2),)))
 
 
 def complex_normal(rng, *shape):

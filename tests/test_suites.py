@@ -61,6 +61,14 @@ def test_theorem3_smoke():
     assert len(result.trials) == 3
 
 
+@pytest.mark.parametrize("name", ["theorem3", "locc-undo", "chain-monotone"])
+@pytest.mark.parametrize("kwargs, word", [({"samples": 0}, "samples"), ({"samples": -2}, "samples"),
+                                          ({"seed": -1}, "seed")])
+def test_run_suite_refuses_bad_inputs(name, kwargs, word):
+    with pytest.raises(UsageError, match=word):
+        run_suite(name, **kwargs)
+
+
 def test_run_suite_dispatch():
     for name in SUITE_NAMES:
         assert name in ("theorem1", "theorem2", "theorem3", "locc-undo",
