@@ -5,6 +5,8 @@ the slowest-varying tensor index (standard Kronecker ordering).  Entropies
 are in bits (base-2 logarithms).
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvariantError
@@ -34,7 +36,7 @@ def check_density(rho, dims=None):
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvariantError(f"density operator must be square, got shape {rho.shape}")
     if dims is not None:
-        d = int(np.prod(dims))
+        d = math.prod(dims)
         if rho.shape[0] != d:
             raise InvariantError(
                 f"matrix dimension {rho.shape[0]} != product of subsystem dims {d}"
@@ -65,7 +67,7 @@ def partial_trace(rho, dims, keep):
     for ax in sorted(traced, reverse=True):
         half = t.ndim // 2
         t = np.trace(t, axis1=ax, axis2=ax + half)
-    d = int(np.prod([dims[i] for i in keep]))
+    d = math.prod(dims[i] for i in keep)
     return t.reshape(d, d)
 
 
@@ -84,7 +86,7 @@ def partial_transpose(rho, dims, subset):
     axes = list(range(2 * n))
     for i in subset:
         axes[i], axes[i + n] = axes[i + n], axes[i]
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return np.transpose(t, axes).reshape(d, d)
 
 
@@ -121,6 +123,5 @@ def trace_distance(rho, sigma):
 
 
 def purity(rho):
-    """Tr(rho^2) as a real number."""
-    rho = np.asarray(rho)
-    return float(np.real(np.trace(rho @ rho)))
+    """Tr(rho^2) as a real number: the sum of |rho_ij|^2 of a Hermitian rho."""
+    return float(np.vdot(rho, rho).real)

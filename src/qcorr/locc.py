@@ -10,6 +10,8 @@ sampled.
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
 from . import linalg
@@ -76,7 +78,7 @@ def locc_undo(premeasured, plan, label):
     app_label = apparatus_label(label)
     out_reg = reg.drop(label)
     big = out_reg.total_dim
-    after = int(np.prod(out_reg.dims[out_reg.index(app_label) + 1 :], dtype=int))
+    after = math.prod(out_reg.dims[out_reg.index(app_label) + 1 :])
     probs = []
     branches = []
     for k in range(d):

@@ -22,6 +22,8 @@ register is formed.
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
 from . import linalg
@@ -74,10 +76,10 @@ def _records(dims, measured_idx):
     The record is the tuple of the index's sub-indices on the subsystems
     ``measured_idx``, flattened in that order (the first one slowest).
     """
-    full = np.arange(int(np.prod(dims, dtype=int)))
+    full = np.arange(math.prod(dims))
     rec = np.zeros_like(full)
     for k in measured_idx:
-        stride = int(np.prod(dims[k + 1 :], dtype=int))
+        stride = math.prod(dims[k + 1 :])
         rec = rec * dims[k] + (full // stride) % dims[k]
     return rec
 
@@ -85,7 +87,7 @@ def _records(dims, measured_idx):
 def _local(rho, dims, k, op):
     """(1 (x) op (x) 1) rho (1 (x) op (x) 1)^dag, with ``op`` on subsystem ``k``."""
     big = rho.shape[0]
-    d, after = dims[k], int(np.prod(dims[k + 1 :], dtype=int))
+    d, after = dims[k], math.prod(dims[k + 1 :])
     rho = op @ rho.reshape(-1, d, after * big)
     return (np.conj(op) @ rho.reshape(-1, d, after)).reshape(big, big)
 
@@ -112,7 +114,7 @@ def premeasure(state, plan):
     reg = state.register
     idx, us = _plan_axes(reg, plan)
     big = reg.total_dim
-    records = int(np.prod([reg.dims[k] for k in idx], dtype=int))
+    records = math.prod(reg.dims[k] for k in idx)
     if big * records > MAX_TOTAL_DIM:
         raise InvariantError(f"pre-measurement would exceed total dimension {MAX_TOTAL_DIM}")
     sigma = _rotate(state.rho, reg.dims, idx, [linalg.dagger(u) for u in us])

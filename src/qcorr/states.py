@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass, field
 
+import math
+
 import numpy as np
 
 from . import linalg
@@ -58,7 +60,7 @@ class Register:
 
     @property
     def total_dim(self):
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def index(self, label):
         try:

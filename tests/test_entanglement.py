@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from qcorr import linalg
+from qcorr import entanglement, linalg
+from qcorr.chain import ChainConfig, LinkSpec, chain_gme_propagation, run_chain
 from qcorr.entanglement import (
+    CLAMP,
     BipartitionCut,
     all_cuts,
     cut_from_labels,
@@ -22,11 +24,13 @@ from qcorr.states import (
     make_rng,
     pure_state,
     random_mixed,
+    random_basis,
     random_pure,
     random_unitary,
     w_state,
     werner_state,
 )
+from qcorr.suites import run_theorem3
 
 AB = BipartitionCut((0,), (1,))
 
@@ -195,3 +199,134 @@ def test_negativity_zero_for_all_separable_cq_states():
             conds.append(c / np.trace(c))
         state = classical_quantum_state(probs, basis, conds)
         assert negativity(state, AB) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Pure inputs are read off their Schmidt coefficients; the dense partial
+# transpose and partial trace of rho are the oracle.
+# ---------------------------------------------------------------------------
+
+def dense_negativity(state, cut):
+    w = np.linalg.eigvalsh(linalg.partial_transpose(state.rho, state.dims, cut.p1))
+    value = float(np.sum(np.abs(w[w < 0])))
+    return 0.0 if value < CLAMP else value
+
+
+def dense_reduced(state, cut):
+    return linalg.partial_trace(state.rho, state.dims, cut.p0)
+
+
+def force_dense(monkeypatch):
+    """Send every state down the dense path, as if none passed the purity guard."""
+    monkeypatch.setattr(entanglement, "_pure_vector", lambda rho: None)
+
+
+def pure_chain_final_state(links=7, seed=0):
+    """Final state of a one-qubit pure chain whose links measure the previous apparatus."""
+    rng = make_rng(seed)
+    target, specs = "A", []
+    for _ in range(links):
+        specs.append(LinkSpec(target, random_basis(target, 2, rng)))
+        target = "M:" + target
+    initial = random_pure(Register(("A",), (2,)), seed + 1)
+    return run_chain(ChainConfig(initial, tuple(specs))).final_state
+
+
+PURE_PANEL = {
+    **{f"random-{n}q": (lambda n=n: random_pure(default_register(n), 40 + n)) for n in range(2, 9)},
+    "random-333": lambda: random_pure(Register(("A", "B", "C"), (3, 3, 3)), 51),
+    "random-234": lambda: random_pure(Register(("A", "B", "C"), (2, 3, 4)), 52),
+    "ghz-5": lambda: ghz_state(5),
+    "ghz-3-qutrits": lambda: ghz_state(3, 3),
+    "w-6": lambda: w_state(6),
+    "chain-7-links": pure_chain_final_state,
+}
+
+
+class TestPureVectorPath:
+    @pytest.mark.parametrize("name", sorted(PURE_PANEL))
+    def test_every_cut_matches_dense_oracle(self, name):
+        state = PURE_PANEL[name]()
+        psi = entanglement._pure_vector(state.rho)
+        assert psi is not None
+        for cut in all_cuts(state.register.n):
+            reduced = dense_reduced(state, cut)
+            assert abs(negativity(state, cut) - dense_negativity(state, cut)) <= 1e-12
+            assert abs(entropy_of_entanglement(state, cut)
+                       - linalg.von_neumann_entropy(reduced)) <= 1e-12
+            assert abs(entanglement._reduced_purity(state, psi, cut)
+                       - linalg.purity(reduced)) <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_mixed(default_register(3), rank=2, seed=8),
+        lambda: random_mixed(Register(("A", "B"), (2, 3)), rank=3, seed=9),
+        lambda: werner_state(0.9),
+    ])
+    def test_mixed_states_take_dense_path(self, make):
+        state = make()
+        assert entanglement._pure_vector(state.rho) is None
+        for cut in all_cuts(state.register.n):
+            assert negativity(state, cut) == dense_negativity(state, cut)
+
+    def test_nearly_pure_state_takes_dense_path(self):
+        # (1 - eps) psi psi^dag + eps I/D passes is_pure but not the 1e-13 guard
+        eps, pure = 1e-10, random_pure(default_register(4), 61)
+        rho = (1 - eps) * pure.rho + eps * np.eye(16) / 16
+        state = LabeledState(pure.register, rho)
+        assert state.is_pure()
+        assert entanglement._pure_vector(state.rho) is None
+        for cut in all_cuts(4):
+            assert negativity(state, cut) == dense_negativity(state, cut)
+            assert entropy_of_entanglement(state, cut) == linalg.von_neumann_entropy(
+                dense_reduced(state, cut))
+        assert pure_gme_test(state)["gme"] is True
+
+    def test_pure_seven_qubits_take_no_dense_spectrum(self, monkeypatch):
+        state = random_pure(default_register(7), 71)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigvalsh on a pure input")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        emin, emax, _, _ = e_min_max(state)
+        assert 0.0 < emin <= emax
+        assert pure_gme_test(state)["gme"] is True
+
+    @pytest.mark.parametrize("make", [
+        lambda: ghz_state(3),
+        lambda: w_state(5),
+        lambda: pure_state(np.kron(np.array([1, 0, 0, 1]) / np.sqrt(2), [1.0, 0.0]),
+                           default_register(3)),
+        lambda: chain_gme_propagation(w_state(3), 4, seed=3)["final_state"],
+        lambda: chain_gme_propagation(ghz_state(3), 3, seed=4)["final_state"],
+        lambda: random_pure(default_register(5), 81),
+    ])
+    def test_gme_verdicts_match_dense_path(self, make, monkeypatch):
+        state = make()
+        fast = pure_gme_test(state)
+        force_dense(monkeypatch)
+        assert pure_gme_test(state) == fast
+
+    def test_theorem3_verdicts_match_dense_path(self, monkeypatch):
+        fast = run_theorem3(samples=1, seed=17)
+        force_dense(monkeypatch)
+        assert run_theorem3(samples=1, seed=17).trials == fast.trials
+        assert fast.ok
+
+
+@pytest.mark.parametrize("path", ["vector", "dense"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_min_max_ties_go_to_first_canonical_cut(n, path, monkeypatch):
+    if path == "dense":
+        force_dense(monkeypatch)
+    cuts = all_cuts(n)
+    # GHZ_n: every cut reads 1/2.  W_n across k : n - k subsystems reads
+    # sqrt(k (n - k))/n, so the exact ties are the cuts with equal min(k, n - k).
+    emin, emax, cmin, cmax = e_min_max(ghz_state(n))
+    assert (cmin, cmax) == (cuts[0], cuts[0])
+    sizes = [min(len(c.p0), len(c.p1)) for c in cuts]
+    emin, emax, cmin, cmax = e_min_max(w_state(n))
+    assert cmin == cuts[sizes.index(min(sizes))]
+    assert cmax == cuts[sizes.index(max(sizes))]
+    assert emin == pytest.approx(np.sqrt(n - 1) / n, abs=1e-12)
+    assert emax == pytest.approx(np.sqrt(max(sizes) * (n - max(sizes))) / n, abs=1e-12)
