@@ -3,9 +3,15 @@
 Each link couples a fresh apparatus to a target subsystem (the observed
 system for the first link, typically the previous apparatus afterwards).
 Per link the simulator records the entanglement across
-(everything else):(new apparatus) and, optionally, a quantumness upper
-bound for the new apparatus; break-point entanglement rows are evaluated
-on the final state.
+(everything else):(new apparatus), read off the measured blocks of the
+pre-link state, and, optionally, a quantumness upper bound for the new
+apparatus.  The break-point row at level j is the negativity of the final
+state across (systems, apparatuses 1..j):(apparatuses j+1..).  When every
+link after j + 1 measures an apparatus on the right of that cut, those links
+are isometries local to the right block and leave the negativity unchanged,
+so the row is link j + 1's value; otherwise it is computed on the final
+state.  Chains whose links each measure the previous apparatus therefore
+take no dense break-point spectrum.
 
 Basis policies per link: an explicit basis, "optimized" (argmin of the
 negativity-of-quantumness optimizer on the current state), or "flag-copy"
@@ -14,10 +20,12 @@ negativity-of-quantumness optimizer on the current state), or "flag-copy"
 
 from dataclasses import dataclass, field
 
+import math
+
 import numpy as np
 
 from . import linalg
-from .entanglement import BipartitionCut, negativity, pure_gme_test
+from .entanglement import BipartitionCut, _gme_test, _negativity, _pure_vector
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, premeasure
 from .quantumness import OptimizerConfig, apparatus_negativity, q_negativity
@@ -54,6 +62,10 @@ class ChainConfig:
     links: tuple
     track: frozenset = frozenset({TRACK_NEGATIVITY})
     q_cfg: OptimizerConfig = OptimizerConfig()
+
+    def __post_init__(self):
+        if not self.links:
+            raise InvariantError("a chain needs at least one link")
 
 
 @dataclass(frozen=True)
@@ -116,12 +128,24 @@ def run_chain(cfg):
         links.append((j, spec.target, app_label, e_val, q_val))
 
     # break at level j before the last link: systems plus the first j
-    # apparatuses vs the rest, on the final state
+    # apparatuses vs the rest, on the final state.  When every link after
+    # j + 1 measures an apparatus right of the cut, those links are isometries
+    # local to the right block, so the row is link j + 1's value.
     n0, n = cfg.initial.register.n, state.register.n
-    breaks = [
-        negativity(state, BipartitionCut(tuple(range(n0 + j)), tuple(range(n0 + j, n))))
+    apparatuses = [link[2] for link in links]
+    from_link = [
+        all(spec.target in apparatuses[j:] for spec in cfg.links[j + 1 :])
         for j in range(1, len(links))
     ]
+    psi = None if all(from_link) else _pure_vector(state.rho)
+    breaks = []
+    for j, local in enumerate(from_link, start=1):
+        if local:
+            breaks.append(links[j][3])
+            continue
+        cut = BipartitionCut(tuple(range(n0 + j)), tuple(range(n0 + j, n)))
+        cut.validate(n)
+        breaks.append(_negativity(state, psi, cut))
     rows = tuple(ChainRow(*link, brk) for link, brk in zip(links, breaks + [None]))
     return ChainReport(rows, state)
 
@@ -160,34 +184,77 @@ def generic_basis(state, target, rng):
     multipartite-entanglement propagation.
     """
     idx = state.register.index(target)
-    reduced = linalg.partial_trace(state.rho, state.dims, [idx])
-    d = state.register.dim(target)
+    return _generic_draw(linalg.partial_trace(state.rho, state.dims, [idx]), target, rng)
+
+
+def _generic_draw(reduced, target, rng):
+    """``generic_basis`` given the target's reduced operator."""
     basis = None
     for _ in range(GENERIC_ATTEMPTS):
-        basis = random_basis(target, d, rng)
+        basis = random_basis(target, reduced.shape[0], rng)
         if _off_diagonal_mass(reduced, basis) >= GENERIC_PROXIMITY:
             break
     return basis
+
+
+def _factor(rho):
+    """A (D, r) matrix f with rho = f f^dag.
+
+    f is the vector psi when the purity guard accepts it, else the
+    eigenvectors of rho's positive eigenvalues w, scaled by sqrt(w).
+    """
+    psi = _pure_vector(rho)
+    if psi is not None:
+        return psi[:, None]
+    w, v = np.linalg.eigh(rho)
+    keep = w > 0
+    return v[:, keep] * np.sqrt(w[keep])
+
+
+def _premeasure_factor(f, dims, k, u):
+    """V f, for V the isometry that measures subsystem ``k`` in basis ``u``.
+
+    ``f`` is a (D, r) factor of rho = f f^dag, and the (D d, r) result is a
+    factor of ``premeasure``'s output, with the apparatus last: U^dag on axis
+    k, the index copied into a new trailing axis, then U on axis k.
+    """
+    d, after = dims[k], math.prod(dims[k + 1 :])
+    r = f.shape[1]
+    t = (linalg.dagger(u) @ f.reshape(-1, d, after * r)).reshape(-1, d, after, 1, r)
+    t = t * np.eye(d).reshape(1, d, 1, d, 1)
+    return (u @ t.reshape(-1, d, after * d * r)).reshape(-1, r)
 
 
 def chain_gme_propagation(initial, links, seed=0):
     """GME flags after each of ``links`` generic-basis chain links.
 
     The first link measures the last system subsystem; subsequent links
-    measure the previous apparatus.  Pure initial states only.
+    measure the previous apparatus.  Pure initial states only.  The state is
+    carried as a factor f of rho = f f^dag: each link applies its isometry to
+    f's columns, and each GME test reads the singular values of f across
+    every cut.
     """
     if not initial.is_pure():
         raise InvariantError("chain_gme_propagation requires a pure initial state")
+    if links < 1:
+        raise InvariantError(f"chain_gme_propagation needs at least one link, got {links}")
     if initial.register.n + links > 8:
         raise InvariantError("at most 8 total subsystems after all links")
     rng = spawn_rng(seed, 0)
-    state = initial
-    target = initial.register.labels[-1]
+    reg, f = initial.register, _factor(initial.rho)
+    target = reg.labels[-1]
     flags = []
     for _ in range(links):
-        basis = generic_basis(state, target, rng)
-        plan = MeasurementPlan((target,), (basis,))
-        state = premeasure(state, plan)
-        flags.append(pure_gme_test(state))
-        target = state.register.labels[-1]
-    return {"per_step": flags, "final_state": state}
+        k, d = reg.index(target), reg.dim(target)
+        if reg.total_dim * d > MAX_TOTAL_DIM:
+            raise InvariantError(f"pre-measurement would exceed total dimension {MAX_TOTAL_DIM}")
+        m = np.moveaxis(f.reshape(reg.dims + (-1,)), k, 0).reshape(d, -1)
+        basis = _generic_draw(m @ linalg.dagger(m), target, rng)
+        f = _premeasure_factor(f, reg.dims, k, basis.vectors)
+        reg = reg.with_apparatus(target)
+        norm = np.vdot(f, f).real
+        if abs(norm - 1.0) > linalg.TOL_STRUCT:
+            raise InvariantError(f"chain state lost its unit trace: trace {norm}")
+        flags.append(_gme_test(None, reg.dims, f))
+        target = reg.labels[-1]
+    return {"per_step": flags, "final_state": LabeledState(reg, f @ linalg.dagger(f))}

@@ -20,6 +20,9 @@ from .errors import InvariantError
 
 CLAMP = 1e-10
 
+# Reduced purity margin below 1 under which a pure state's cut is entangled.
+_GME_TOL = 1e-8
+
 # Largest ||rho - psi psi^dag||_F at which a state is read off its vector psi.
 _PURE_GUARD = 1e-13
 
@@ -99,10 +102,15 @@ def _pure_vector(rho):
     return psi
 
 
-def _schmidt(psi, dims, cut):
-    """Schmidt coefficients of the vector ``psi`` across ``cut``."""
+def _schmidt(f, dims, cut):
+    """Singular values across ``cut`` of a factor f of rho = f f^dag.
+
+    f is a vector psi (these are its Schmidt coefficients) or a (D, r) matrix,
+    whose column index is kept on the far side of the cut.
+    """
     d0 = math.prod(dims[i] for i in cut.p0)
-    m = psi.reshape(dims).transpose(cut.p0 + cut.p1).reshape(d0, -1)
+    order = cut.p0 + cut.p1 + (len(dims),)
+    m = f.reshape(dims + (-1,)).transpose(order).reshape(d0, -1)
     return np.linalg.svd(m, compute_uv=False)
 
 
@@ -118,11 +126,11 @@ def _negativity(state, psi, cut):
     return 0.0 if value < CLAMP else value
 
 
-def _reduced_purity(state, psi, cut):
-    """Tr(rho_p0^2), the sum of s^4 over the Schmidt coefficients when psi is given."""
-    if psi is None:
-        return linalg.purity(linalg.partial_trace(state.rho, state.dims, cut.p0))
-    return float(np.sum(_schmidt(psi, state.dims, cut) ** 4))
+def _reduced_purity(rho, dims, f, cut):
+    """Tr(rho_p0^2): the sum of s^4 over ``_schmidt(f, ...)`` when a factor f is given."""
+    if f is None:
+        return linalg.purity(linalg.partial_trace(rho, dims, cut.p0))
+    return float(np.sum(_schmidt(f, dims, cut) ** 4))
 
 
 def negativity(state, cut):
@@ -174,7 +182,7 @@ def e_min_max(state):
     return emin, emax, cmin, cmax
 
 
-def pure_gme_test(state, tol=1e-8):
+def pure_gme_test(state, tol=_GME_TOL):
     """Genuine multipartite entanglement test for pure states.
 
     GME iff the reduced purity is below 1 - tol for every nontrivial cut;
@@ -182,8 +190,12 @@ def pure_gme_test(state, tol=1e-8):
     """
     if not state.is_pure():
         raise InvariantError("pure_gme_test requires a pure state")
-    psi = _pure_vector(state.rho)
-    for cut in all_cuts(state.register.n):
-        if _reduced_purity(state, psi, cut) >= 1.0 - tol:
+    return _gme_test(state.rho, state.dims, _pure_vector(state.rho), tol)
+
+
+def _gme_test(rho, dims, f, tol=_GME_TOL):
+    """``pure_gme_test`` off the factor f of rho = f f^dag, or off rho when f is None."""
+    for cut in all_cuts(len(dims)):
+        if _reduced_purity(rho, dims, f, cut) >= 1.0 - tol:
             return {"gme": False, "witness": cut}
     return {"gme": True, "witness": None}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcorr import chain, serialize
+from qcorr import chain, linalg, serialize
 from qcorr.chain import (
     ChainConfig,
     OPTIMIZED,
@@ -12,7 +12,7 @@ from qcorr.chain import (
     generic_basis,
     run_chain,
 )
-from qcorr.entanglement import BipartitionCut, negativity
+from qcorr.entanglement import BipartitionCut, _pure_vector, negativity, pure_gme_test
 from qcorr.errors import InvariantError
 from qcorr.premeasure import MeasurementPlan, premeasure
 from qcorr.quantumness import OptimizerConfig
@@ -28,6 +28,8 @@ from qcorr.states import (
     pure_state,
     random_basis,
     random_mixed,
+    random_pure,
+    spawn_rng,
     w_state,
 )
 
@@ -105,20 +107,82 @@ def dense_link_values(initial, links):
     return values
 
 
+def dense_break_rows(report, n0):
+    """Each level's break-point negativity off the dense partial transpose of the final state."""
+    final = report.final_state
+    rows = []
+    for j in range(1, len(report.rows)):
+        pt = linalg.partial_transpose(final.rho, final.dims, range(n0 + j, final.register.n))
+        w = np.linalg.eigvalsh(pt)
+        rows.append(float(np.sum(np.abs(w[w < 0]))))
+    return rows
+
+
+def seven_link_chains(flag_copy):
+    """(initial, links) of one-qubit chains that measure the previous apparatus.
+
+    7 links from one qubit reach the 256 dimension cap; seeds 0 and 2 start
+    pure, seed 1 mixed.
+    """
+    targets = chain_labels(7)
+    for seed in range(3):
+        rng = make_rng(seed)
+        state = random_mixed(Register(("S",), (2,)), rank=1 + seed % 2, seed=seed)
+        links = [LinkSpec(lab, random_basis(lab, 2, rng)) for lab in targets]
+        if flag_copy:
+            links[1:] = [LinkSpec(lab) for lab in targets[1:]]
+        yield state, tuple(links)
+
+
 class TestRunChain:
     @pytest.mark.parametrize("flag_copy", [False, True])
     def test_link_values_match_dense_oracle(self, flag_copy):
-        # 7 links from one qubit reach the 256 dimension cap
-        targets = chain_labels(7)
-        for seed in range(3):
-            rng = make_rng(seed)
-            state = random_mixed(Register(("S",), (2,)), rank=1 + seed % 2, seed=seed)
-            links = [LinkSpec(lab, random_basis(lab, 2, rng)) for lab in targets]
-            if flag_copy:
-                links[1:] = [LinkSpec(lab) for lab in targets[1:]]
-            report = run_chain(ChainConfig(state, tuple(links)))
+        for state, links in seven_link_chains(flag_copy):
+            report = run_chain(ChainConfig(state, links))
             dense = dense_link_values(state, links)
             assert np.max(np.abs(np.subtract(report.entanglement_sequence(), dense))) <= 1e-12
+
+    @pytest.mark.parametrize("flag_copy", [False, True])
+    def test_break_rows_match_dense_oracle(self, flag_copy):
+        for state, links in seven_link_chains(flag_copy):
+            report = run_chain(ChainConfig(state, links))
+            breaks = [r.break_negativity for r in report.rows[:-1]]
+            assert np.max(np.abs(np.subtract(breaks, dense_break_rows(report, 1)))) <= 1e-12
+
+    def test_break_rows_take_no_dense_spectrum_when_links_measure_apparatuses(
+        self, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("dense break-point negativity")
+
+        monkeypatch.setattr(chain, "_negativity", refuse)
+        monkeypatch.setattr(chain, "_pure_vector", refuse)
+        for flag_copy in (False, True):
+            for state, links in seven_link_chains(flag_copy):
+                report = run_chain(ChainConfig(state, links))
+                e = report.entanglement_sequence()
+                assert [r.break_negativity for r in report.rows] == e[1:] + [None]
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_break_rows_mix_dense_and_link_values(self, rank, monkeypatch):
+        # links A, B, M:A: level 1 is dense (link 3 measures M:A, left of the
+        # cut), level 2 is link 3's value
+        rng = make_rng(5)
+        state = random_mixed(default_register(2), rank=rank, seed=6)
+        links = tuple(LinkSpec(lab, random_basis(lab, 2, rng)) for lab in ("A", "B", "M:A"))
+        dense_calls = []
+        real = chain._negativity
+        monkeypatch.setattr(chain, "_negativity", lambda *a: dense_calls.append(a) or real(*a))
+        report = run_chain(ChainConfig(state, links))
+        assert len(dense_calls) == 1
+        assert report.rows[1].break_negativity == report.rows[2].entanglement
+        breaks = [r.break_negativity for r in report.rows[:-1]]
+        assert np.max(np.abs(np.subtract(breaks, dense_break_rows(report, 2)))) <= 1e-12
+        assert breaks[0] > 0.0
+
+    def test_empty_chain_refused(self):
+        with pytest.raises(InvariantError, match="at least one link"):
+            ChainConfig(bell_state(), ())
 
     def test_classical_links_read_exactly_zero(self):
         links = tuple(LinkSpec(lab) for lab in chain_labels(4))
@@ -260,3 +324,65 @@ class TestGmePropagation:
     def test_subsystem_cap(self):
         with pytest.raises(InvariantError):
             chain_gme_propagation(ghz_state(3), links=6)
+
+    def test_dimension_cap(self):
+        # 6 subsystems, but the third qutrit link would reach 27 * 27 = 729 > 256
+        with pytest.raises(InvariantError, match="exceed total dimension 256"):
+            chain_gme_propagation(ghz_state(3, 3), links=3)
+
+    @pytest.mark.parametrize("links", [0, -2])
+    def test_needs_a_link(self, links):
+        with pytest.raises(InvariantError, match="at least one link"):
+            chain_gme_propagation(ghz_state(3), links)
+
+    @pytest.mark.parametrize("make, links, seed", [
+        (lambda: ghz_state(3), 5, 0),
+        (lambda: w_state(3), 4, 3),
+        (lambda: pure_state(np.kron(np.array([1, 0, 0, 1]) / np.sqrt(2), [1.0, 0.0]),
+                            default_register(3)), 3, 2),
+        (lambda: random_pure(default_register(4), 9), 3, 7),
+        (lambda: random_pure(Register(("A", "B"), (2, 3)), 10), 2, 1),
+        (lambda: nearly_pure(ghz_state(3)), 3, 4),
+        (lambda: nearly_pure(w_state(3)), 3, 5),
+    ])
+    def test_matches_dense_replay(self, make, links, seed):
+        initial = make()
+        out = chain_gme_propagation(initial, links, seed=seed)
+        flags, final = dense_gme_replay(initial, links, seed)
+        assert out["per_step"] == flags
+        assert out["final_state"].register == final.register
+        assert np.max(np.abs(out["final_state"].rho - final.rho)) <= 1e-13
+
+    def test_nearly_pure_inputs_keep_their_flags(self):
+        # (1 - eps) psi psi^dag + eps I/D passes is_pure but not the 1e-13 guard
+        for state, gme in ((nearly_pure(ghz_state(3)), True), (nearly_pure(w_state(3)), True)):
+            assert _pure_vector(state.rho) is None
+            out = chain_gme_propagation(state, 3, seed=11)
+            assert out["per_step"] == dense_gme_replay(state, 3, 11)[0]
+            assert [step["gme"] for step in out["per_step"]] == [gme] * 3
+
+    def test_builds_no_dense_premeasurement(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("chain_gme_propagation premeasured a density matrix")
+
+        monkeypatch.setattr(chain, "premeasure", refuse)
+        out = chain_gme_propagation(ghz_state(3), links=5, seed=0)
+        assert all(step["gme"] for step in out["per_step"])
+        assert out["final_state"].register.total_dim == 256
+
+
+def nearly_pure(state, eps=1e-10):
+    d = state.register.total_dim
+    return LabeledState(state.register, (1 - eps) * state.rho + eps * np.eye(d) / d)
+
+
+def dense_gme_replay(initial, links, seed):
+    """Per-step GME verdicts and final state off dense premeasure, with the same draws."""
+    rng = spawn_rng(seed, 0)
+    state, flags = initial, []
+    for _ in range(links):
+        target = state.register.labels[-1]
+        basis = generic_basis(state, target, rng)
+        state = premeasure(state, MeasurementPlan((target,), (basis,)))
+        flags.append(pure_gme_test(state))
+    return flags, state

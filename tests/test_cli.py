@@ -506,6 +506,16 @@ class TestChainCommand:
         assert len(csv_lines) == 4
 
 
+    def test_empty_links_refused(self, capsys, tmp_path):
+        config = tmp_path / "chain.json"
+        config.write_text(json.dumps({"state": serialize.state_to_json(bell_state()), "links": []}))
+        prefix = tmp_path / "empty"
+        code, _, err = run(capsys, "chain", "--config", str(config), "--out-prefix", str(prefix))
+        assert code == EXIT_INVARIANT
+        assert "at least one link" in err
+        assert not (tmp_path / "empty.csv").exists()
+
+
 class TestGen:
     def test_fixture_files(self, capsys, tmp_path):
         assert main(["gen", "--out-dir", str(tmp_path)]) == EXIT_OK

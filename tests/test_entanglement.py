@@ -254,7 +254,7 @@ class TestPureVectorPath:
             assert abs(negativity(state, cut) - dense_negativity(state, cut)) <= 1e-12
             assert abs(entropy_of_entanglement(state, cut)
                        - linalg.von_neumann_entropy(reduced)) <= 1e-12
-            assert abs(entanglement._reduced_purity(state, psi, cut)
+            assert abs(entanglement._reduced_purity(state.rho, state.dims, psi, cut)
                        - linalg.purity(reduced)) <= 1e-12
 
     @pytest.mark.parametrize("make", [
