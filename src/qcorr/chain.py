@@ -20,15 +20,13 @@ negativity-of-quantumness optimizer on the current state), or "flag-copy"
 
 from dataclasses import dataclass, field
 
-import math
-
 import numpy as np
 
 from . import linalg
 from .entanglement import BipartitionCut, _gme_test, _negativity, _pure_vector
 from .errors import InvariantError
-from .premeasure import MeasurementPlan, premeasure
-from .quantumness import OptimizerConfig, apparatus_negativity, q_negativity
+from .premeasure import MeasurementPlan, _isometry, premeasure
+from .quantumness import OptimizerConfig, _integer, apparatus_negativity, q_negativity
 from .states import (
     MAX_TOTAL_DIM,
     LabeledState,
@@ -211,32 +209,18 @@ def _factor(rho):
     return v[:, keep] * np.sqrt(w[keep])
 
 
-def _premeasure_factor(f, dims, k, u):
-    """V f, for V the isometry that measures subsystem ``k`` in basis ``u``.
-
-    ``f`` is a (D, r) factor of rho = f f^dag, and the (D d, r) result is a
-    factor of ``premeasure``'s output, with the apparatus last: U^dag on axis
-    k, the index copied into a new trailing axis, then U on axis k.
-    """
-    d, after = dims[k], math.prod(dims[k + 1 :])
-    r = f.shape[1]
-    t = (linalg.dagger(u) @ f.reshape(-1, d, after * r)).reshape(-1, d, after, 1, r)
-    t = t * np.eye(d).reshape(1, d, 1, d, 1)
-    return (u @ t.reshape(-1, d, after * d * r)).reshape(-1, r)
-
-
 def chain_gme_propagation(initial, links, seed=0):
     """GME flags after each of ``links`` generic-basis chain links.
 
     The first link measures the last system subsystem; subsequent links
     measure the previous apparatus.  Pure initial states only.  The state is
     carried as a factor f of rho = f f^dag: each link applies its isometry to
-    f's columns, and each GME test reads the singular values of f across
-    every cut.
+    f's columns with ``premeasure``'s own ``_isometry``, and each GME test
+    reads the singular values of f across every cut.
     """
     if not initial.is_pure():
         raise InvariantError("chain_gme_propagation requires a pure initial state")
-    if links < 1:
+    if _integer(links, "chain_gme_propagation links") < 1:
         raise InvariantError(f"chain_gme_propagation needs at least one link, got {links}")
     if initial.register.n + links > 8:
         raise InvariantError("at most 8 total subsystems after all links")
@@ -250,7 +234,7 @@ def chain_gme_propagation(initial, links, seed=0):
             raise InvariantError(f"pre-measurement would exceed total dimension {MAX_TOTAL_DIM}")
         m = np.moveaxis(f.reshape(reg.dims + (-1,)), k, 0).reshape(d, -1)
         basis = _generic_draw(m @ linalg.dagger(m), target, rng)
-        f = _premeasure_factor(f, reg.dims, k, basis.vectors)
+        f = _isometry(f, reg.dims, k, basis.vectors)
         reg = reg.with_apparatus(target)
         norm = np.vdot(f, f).real
         if abs(norm - 1.0) > linalg.TOL_STRUCT:

@@ -3,21 +3,15 @@
 A complete von Neumann measurement of subsystem k in basis {|b_i> = U|i>}
 is the isometry V |b_i> = |b_i> (x) |i>, with the apparatus in the
 computational basis and appended at the end of the register.  It factors
-as V = (U (x) 1) C U^dag, where C |i> = |i> (x) |i> copies the index:
-measuring in basis U is rotating by U^dag, recording the computational
-index, and rotating back.  For a plan on several subsystems, the record
-rec(s) of a computational index s is the tuple of its measured sub-indices
-in plan order, and with sigma = G rho G^dag, G the tensor product of the
-U_k^dag,
-
-    premeasure:  sigma[s, s'] moves to ((s, rec s), (s', rec s'));
-    dephase:     sigma[s, s'] is kept where rec s = rec s', zeroed elsewhere;
-    undo:        the inverse gather, refused when the weight outside the
-                 record positions exceeds IMAGE_TOL;
-
-each followed by the rotation back by the U_k on the system subsystems.
-Every rotation acts on one tensor axis at a time; no operator on the whole
-register is formed.
+as V = (U (x) 1) C U^dag, where C |i> = |i> (x) |i> copies the index.
+``_isometry`` applies V to the columns of a matrix, one tensor axis at a
+time, and ``_isometry_dag`` applies V^dag, which takes the diagonal of the
+(k, apparatus) axes instead of copying.  Label by label, ``premeasure`` sets
+rho <- V (V rho)^dag = V rho V^dag and undo sets rho <- V^dag (V^dag rho)^dag,
+last apparatus first, refusing a rho whose weight outside the image of V
+exceeds IMAGE_TOL.  ``dephase`` rotates by the U_k^dag, zeroes the entries
+where a measured subsystem's ket and bra indices differ, and rotates back.
+No operator on the whole register is formed.
 """
 
 from dataclasses import dataclass
@@ -70,20 +64,6 @@ class MeasurementPlan:
                 )
 
 
-def _records(dims, measured_idx):
-    """Record of each computational index of a register with subsystem ``dims``.
-
-    The record is the tuple of the index's sub-indices on the subsystems
-    ``measured_idx``, flattened in that order (the first one slowest).
-    """
-    full = np.arange(math.prod(dims))
-    rec = np.zeros_like(full)
-    for k in measured_idx:
-        stride = math.prod(dims[k + 1 :])
-        rec = rec * dims[k] + (full // stride) % dims[k]
-    return rec
-
-
 def _local(rho, dims, k, op):
     """(1 (x) op (x) 1) rho (1 (x) op (x) 1)^dag, with ``op`` on subsystem ``k``."""
     big = rho.shape[0]
@@ -96,6 +76,35 @@ def _rotate(rho, dims, measured_idx, ops):
     """Apply each of ``ops`` locally on its subsystem in ``measured_idx``."""
     for k, op in zip(measured_idx, ops):
         rho = _local(rho, dims, k, op)
+    return rho
+
+
+def _isometry(f, dims, k, u):
+    """V f for a (D, r) ``f``, V measuring subsystem ``k`` of ``dims`` in basis ``u``.
+
+    The (D d, r) result has the apparatus last: U^dag on axis k, the index
+    copied into a new trailing axis, then U on axis k.
+    """
+    d, after = dims[k], math.prod(dims[k + 1 :])
+    r = f.shape[1]
+    t = (linalg.dagger(u) @ f.reshape(-1, d, after * r)).reshape(-1, d, after, 1, r)
+    t = t * np.eye(d).reshape(1, d, 1, d, 1)
+    return (u @ t.reshape(-1, d, after * d * r)).reshape(-1, r)
+
+
+def _isometry_dag(g, dims, k, u):
+    """V^dag g for a (D d, r) ``g``: U^dag on axis k, the (k, apparatus) diagonal, U."""
+    d, after = dims[k], math.prod(dims[k + 1 :])
+    r = g.shape[1]
+    t = (linalg.dagger(u) @ g.reshape(-1, d, after * d * r)).reshape(-1, d, after, d, r)
+    t = np.einsum("aibir->aibr", t)
+    return (u @ t.reshape(-1, d, after * r)).reshape(-1, r)
+
+
+def _conjugate(rho, dims, n, idx, us):
+    """V rho V^dag for the plan isometry V; ``dims[: n + j]`` is the register at level j."""
+    for j, (k, u) in enumerate(zip(idx, us)):
+        rho = _isometry(linalg.dagger(_isometry(rho, dims[: n + j], k, u)), dims[: n + j], k, u)
     return rho
 
 
@@ -113,29 +122,24 @@ def premeasure(state, plan):
     """
     reg = state.register
     idx, us = _plan_axes(reg, plan)
-    big = reg.total_dim
-    records = math.prod(reg.dims[k] for k in idx)
-    if big * records > MAX_TOTAL_DIM:
+    if reg.total_dim * math.prod(reg.dims[k] for k in idx) > MAX_TOTAL_DIM:
         raise InvariantError(f"pre-measurement would exceed total dimension {MAX_TOTAL_DIM}")
-    sigma = _rotate(state.rho, reg.dims, idx, [linalg.dagger(u) for u in us])
-    pos = np.arange(big) * records + _records(reg.dims, idx)
-    out = np.zeros((big * records, big * records), dtype=complex)
-    out[np.ix_(pos, pos)] = sigma
     for label in plan.measured:
         reg = reg.with_apparatus(label)
-    # rebinding frees the unrotated array before the density checks run
-    out = _rotate(out, reg.dims, idx, us)
-    return LabeledState(reg, out)
+    return LabeledState(reg, _conjugate(state.rho, reg.dims, state.register.n, idx, us))
 
 
 def dephase(state, plan):
     """Pinching in the plan bases on each measured subsystem."""
-    dims = state.register.dims
-    idx, us = _plan_axes(state.register, plan)
-    sigma = _rotate(state.rho, dims, idx, [linalg.dagger(u) for u in us])
-    rec = _records(dims, idx)
-    sigma = np.where(rec[:, None] == rec, sigma, 0)
-    return LabeledState(state.register, _rotate(sigma, dims, idx, us))
+    reg = state.register
+    idx, us = _plan_axes(reg, plan)
+    sigma = _rotate(state.rho, reg.dims, idx, [linalg.dagger(u) for u in us])
+    sigma = sigma.reshape(reg.dims * 2)
+    for k in idx:
+        shape = [1] * (2 * reg.n)
+        shape[k] = shape[reg.n + k] = reg.dims[k]
+        sigma = sigma * np.eye(reg.dims[k]).reshape(shape)
+    return LabeledState(reg, _rotate(sigma.reshape(reg.total_dim, -1), reg.dims, idx, us))
 
 
 def _pull_back(premeasured, plan):
@@ -143,7 +147,8 @@ def _pull_back(premeasured, plan):
 
     The last len(plan.measured) labels must be the plan's apparatuses in plan
     order, and ``rho`` must lie in the image of V: half the trace norm of
-    its part outside the record positions may not exceed IMAGE_TOL.
+    rho - V (V^dag rho V) V^dag, its part outside the image, may not exceed
+    IMAGE_TOL.
     """
     reg = premeasured.register
     n = reg.n - len(plan.measured)
@@ -158,17 +163,17 @@ def _pull_back(premeasured, plan):
         raise InvariantError(
             f"apparatus dimensions {reg.dims[n:]} do not match the measured subsystems"
         )
-    big = base.total_dim
-    sigma = _rotate(premeasured.rho, reg.dims, idx, [linalg.dagger(u) for u in us])
-    pos = np.arange(big) * (reg.total_dim // big) + _records(base.dims, idx)
-    block = sigma[np.ix_(pos, pos)]
-    sigma[np.ix_(pos, pos)] = 0
-    residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(sigma)))
+    block = premeasured.rho
+    for j in reversed(range(len(idx))):
+        level, k, u = reg.dims[: n + j], idx[j], us[j]
+        block = _isometry_dag(linalg.dagger(_isometry_dag(block, level, k, u)), level, k, u)
+    outside = premeasured.rho - _conjugate(block, reg.dims, n, idx, us)
+    residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(outside)))
     if residual > IMAGE_TOL:
         raise InvariantError(
             f"state is not in the image of the measurement isometry (residual {residual:.3e})"
         )
-    return base, _rotate(block, base.dims, idx, us)
+    return base, block
 
 
 def undo_interaction(premeasured, plan):

@@ -45,6 +45,13 @@ TWO_WAY_DEFICIT = "two_way_deficit"
 LOCKSTEP_ROWS = 64  # restarts per minimize call
 
 
+def _integer(value, what):
+    """``value`` if it is an integer other than a bool: its type defines ``__index__``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvariantError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 24
@@ -53,6 +60,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_iter", "seed"):
+            _integer(getattr(self, name), name)
         if self.restarts < 1:
             raise InvariantError("restarts must be >= 1")
         if self.max_iter < 1:

@@ -330,9 +330,9 @@ class TestGmePropagation:
         with pytest.raises(InvariantError, match="exceed total dimension 256"):
             chain_gme_propagation(ghz_state(3, 3), links=3)
 
-    @pytest.mark.parametrize("links", [0, -2])
+    @pytest.mark.parametrize("links", [0, -2, 2.5, True, "2", None])
     def test_needs_a_link(self, links):
-        with pytest.raises(InvariantError, match="at least one link"):
+        with pytest.raises(InvariantError, match="at least one link|must be an integer"):
             chain_gme_propagation(ghz_state(3), links)
 
     @pytest.mark.parametrize("make, links, seed", [

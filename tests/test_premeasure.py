@@ -156,8 +156,10 @@ class TestIsometry:
         assert np.max(np.abs(linalg.dagger(w) @ w - np.eye(12))) <= 1e-12
 
 
-# (dims, measured) shapes for the oracle comparison; the last is a chain
-# link on seven qubits that reaches the total dimension cap of 256
+# (dims, measured) shapes for the oracle comparison; (2,) * 7/G is a chain
+# link on seven qubits that reaches the total dimension cap of 256,
+# (2, 3, 2)/B measures an axis with subsystems on both sides, and
+# (2, 2, 2, 2)/DBA is a three-label plan out of register order
 ORACLE_SHAPES = [
     ((2, 2), "A"),
     ((2, 2), "B"),
@@ -167,6 +169,9 @@ ORACLE_SHAPES = [
     ((2, 2, 2), "AC"),
     ((2, 2, 2), "CA"),
     ((2,) * 7, "G"),
+    ((2, 3, 2), "B"),
+    ((2, 3, 4), "BA"),
+    ((2, 2, 2, 2), "DBA"),
 ]
 
 

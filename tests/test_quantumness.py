@@ -158,6 +158,16 @@ class TestParameterization:
         with pytest.raises(InvariantError, match="non-negative"):
             OptimizerConfig(seed=-1)
 
+    @pytest.mark.parametrize("field", ["restarts", "max_iter", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), "3", None])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(InvariantError, match=f"{field} must be an integer"):
+            OptimizerConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = OptimizerConfig(restarts=np.int64(3), max_iter=np.int32(5), seed=np.uint8(2))
+        assert (cfg.restarts, cfg.max_iter, cfg.seed) == (3, 5, 2)
+
     def test_workspace_bases_split_blocks(self):
         # parameters follow the measurement order, one d(d-1) block per
         # label; the grouped exp(iH) of the two qubits decodes each block
