@@ -172,21 +172,15 @@ def eigenbasis_criterion(state, basis, tol=1e-9):
     }
 
 
-def generic_basis(state, target, rng):
-    """Seeded random basis, resampled while it nearly diagonalizes the target.
+def _generic_draw(reduced, target, rng):
+    """Seeded random basis for ``target``, resampled while it nearly diagonalizes ``reduced``.
 
-    A draw is generic when it leaves at least GENERIC_PROXIMITY of
-    off-diagonal mass in the target's reduced state.  If that state is
-    (close to) maximally mixed every basis diagonalizes it; after
+    ``reduced`` is the target's reduced operator.  A draw is generic when it
+    leaves at least GENERIC_PROXIMITY of off-diagonal mass in it.  If that
+    state is (close to) maximally mixed every basis diagonalizes it; after
     GENERIC_ATTEMPTS draws the last is accepted, which is harmless for
     multipartite-entanglement propagation.
     """
-    idx = state.register.index(target)
-    return _generic_draw(linalg.partial_trace(state.rho, state.dims, [idx]), target, rng)
-
-
-def _generic_draw(reduced, target, rng):
-    """``generic_basis`` given the target's reduced operator."""
     basis = None
     for _ in range(GENERIC_ATTEMPTS):
         basis = random_basis(target, reduced.shape[0], rng)
@@ -224,6 +218,8 @@ def chain_gme_propagation(initial, links, seed=0):
         raise InvariantError(f"chain_gme_propagation needs at least one link, got {links}")
     if initial.register.n + links > 8:
         raise InvariantError("at most 8 total subsystems after all links")
+    if _integer(seed, "chain_gme_propagation seed") < 0:
+        raise InvariantError(f"chain_gme_propagation seed must be non-negative, got {seed}")
     rng = spawn_rng(seed, 0)
     reg, f = initial.register, _factor(initial.rho)
     target = reg.labels[-1]

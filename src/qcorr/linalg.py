@@ -31,6 +31,7 @@ def check_density(rho, dims=None):
 
     Checks Hermiticity and unit trace at 1e-12 and positivity of the
     spectrum at -1e-10, plus dimension consistency when ``dims`` is given.
+    A NaN fails every test, so NaN or infinite entries are refused.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -42,13 +43,13 @@ def check_density(rho, dims=None):
                 f"matrix dimension {rho.shape[0]} != product of subsystem dims {d}"
             )
     herm = np.max(np.abs(rho - dagger(rho)))
-    if herm > TOL_STRUCT:
+    if not herm <= TOL_STRUCT:
         raise InvariantError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > TOL_STRUCT:
+    if not abs(tr - 1.0) <= TOL_STRUCT:
         raise InvariantError(f"trace {tr} differs from 1 beyond tolerance")
     wmin = float(np.min(np.linalg.eigvalsh(rho)))
-    if wmin < -TOL_PSD:
+    if not wmin >= -TOL_PSD:
         raise InvariantError(f"not positive semidefinite: min eigenvalue {wmin:.3e}")
     return rho
 

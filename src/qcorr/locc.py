@@ -10,8 +10,6 @@ sampled.
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
 
 from . import linalg
@@ -71,33 +69,24 @@ def locc_undo(premeasured, plan, label):
     a = reg.index(label)
     d = reg.dims[a]
 
-    # Fourier in the plan basis on the measured subsystem
+    # outcome k of the Fourier measurement in the plan basis: project the
+    # measured subsystem on row k of F U^dag, which also drops it, then
+    # correct the phase on the apparatus
     f_plan = fourier_unitary(d) @ linalg.dagger(basis.vectors)
-    rho1 = _local(premeasured.rho, reg.dims, a, f_plan).reshape(reg.dims * 2)
-
-    app_label = apparatus_label(label)
     out_reg = reg.drop(label)
-    big = out_reg.total_dim
-    after = math.prod(out_reg.dims[out_reg.index(app_label) + 1 :])
+    m = out_reg.index(apparatus_label(label))
     probs = []
     branches = []
     for k in range(d):
-        # outcome k: the (k, k) slice on the measured subsystem is the
-        # unnormalized state of the rest, already traced over that subsystem
-        branch = rho1.take(k, axis=reg.n + a).take(k, axis=a).reshape(big, big)
+        branch = _local(premeasured.rho, reg.dims, a, f_plan[k : k + 1])
         p = float(np.real(np.trace(branch)))
         if p < 1e-12:
             raise InvariantError(f"degenerate outcome probability {p} for k={k}")
         probs.append(p)
-        # the correction U_k is diagonal: a phase on the apparatus index of
-        # the ket and its conjugate on the bra
-        ck = np.diag(correction_unitary(k, d))[:, None]
-        branch = (branch.reshape(-1, d, after * big) * ck).reshape(-1, d, after) * np.conj(ck)
-        branches.append(LabeledState(out_reg, branch.reshape(big, big) / p))
+        branch = _local(branch, out_reg.dims, m, correction_unitary(k, d))
+        branches.append(LabeledState(out_reg, branch / p))
 
-    avg = np.zeros_like(branches[0].rho)
-    for p, b in zip(probs, branches):
-        avg += p * b.rho
+    avg = sum(p * b.rho for p, b in zip(probs, branches))
     output = LabeledState(out_reg, avg)
     return LoccTranscript(tuple(probs), tuple(branches), output)
 

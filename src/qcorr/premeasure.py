@@ -4,12 +4,13 @@ A complete von Neumann measurement of subsystem k in basis {|b_i> = U|i>}
 is the isometry V |b_i> = |b_i> (x) |i>, with the apparatus in the
 computational basis and appended at the end of the register.  It factors
 as V = (U (x) 1) C U^dag, where C |i> = |i> (x) |i> copies the index.
-``_isometry`` applies V to the columns of a matrix, one tensor axis at a
-time, and ``_isometry_dag`` applies V^dag, which takes the diagonal of the
-(k, apparatus) axes instead of copying.  Label by label, ``premeasure`` sets
-rho <- V (V rho)^dag = V rho V^dag and undo sets rho <- V^dag (V^dag rho)^dag,
-last apparatus first, refusing a rho whose weight outside the image of V
-exceeds IMAGE_TOL.  ``dephase`` rotates by the U_k^dag, zeroes the entries
+``_on_axis`` applies every operator on one subsystem, here and in the LOCC
+channel, to the columns of a matrix; ``_isometry`` applies V with it and
+``_isometry_dag`` V^dag, which takes the (k, apparatus) diagonal instead of
+copying.  Label by label, ``premeasure`` sets rho <- V (V rho)^dag =
+V rho V^dag and undo sets rho <- V^dag (V^dag rho)^dag, last apparatus
+first, refusing a rho whose weight outside the image of V exceeds
+IMAGE_TOL.  ``dephase`` rotates by the U_k^dag, zeroes the entries
 where a measured subsystem's ket and bra indices differ, and rotates back.
 No operator on the whole register is formed.
 """
@@ -64,12 +65,15 @@ class MeasurementPlan:
                 )
 
 
+def _on_axis(f, dims, k, op):
+    """(1 (x) op (x) 1) f for a (D, r) ``f``, (d', d_k) ``op`` on axis ``k``: (D d'/d_k, r)."""
+    r = f.shape[1]
+    return (op @ f.reshape(-1, dims[k], math.prod(dims[k + 1 :]) * r)).reshape(-1, r)
+
+
 def _local(rho, dims, k, op):
-    """(1 (x) op (x) 1) rho (1 (x) op (x) 1)^dag, with ``op`` on subsystem ``k``."""
-    big = rho.shape[0]
-    d, after = dims[k], math.prod(dims[k + 1 :])
-    rho = op @ rho.reshape(-1, d, after * big)
-    return (np.conj(op) @ rho.reshape(-1, d, after)).reshape(big, big)
+    """(1 (x) op (x) 1) rho (1 (x) op (x) 1)^dag for a Hermitian ``rho``, ``op`` on axis ``k``."""
+    return _on_axis(linalg.dagger(_on_axis(rho, dims, k, op)), dims, k, op)
 
 
 def _rotate(rho, dims, measured_idx, ops):
@@ -85,20 +89,17 @@ def _isometry(f, dims, k, u):
     The (D d, r) result has the apparatus last: U^dag on axis k, the index
     copied into a new trailing axis, then U on axis k.
     """
-    d, after = dims[k], math.prod(dims[k + 1 :])
-    r = f.shape[1]
-    t = (linalg.dagger(u) @ f.reshape(-1, d, after * r)).reshape(-1, d, after, 1, r)
+    d, after, r = dims[k], math.prod(dims[k + 1 :]), f.shape[1]
+    t = _on_axis(f, dims, k, linalg.dagger(u)).reshape(-1, d, after, 1, r)
     t = t * np.eye(d).reshape(1, d, 1, d, 1)
-    return (u @ t.reshape(-1, d, after * d * r)).reshape(-1, r)
+    return _on_axis(t.reshape(-1, r), (*dims, d), k, u)
 
 
 def _isometry_dag(g, dims, k, u):
     """V^dag g for a (D d, r) ``g``: U^dag on axis k, the (k, apparatus) diagonal, U."""
-    d, after = dims[k], math.prod(dims[k + 1 :])
-    r = g.shape[1]
-    t = (linalg.dagger(u) @ g.reshape(-1, d, after * d * r)).reshape(-1, d, after, d, r)
-    t = np.einsum("aibir->aibr", t)
-    return (u @ t.reshape(-1, d, after * r)).reshape(-1, r)
+    d, after, r = dims[k], math.prod(dims[k + 1 :]), g.shape[1]
+    t = _on_axis(g, (*dims, d), k, linalg.dagger(u)).reshape(-1, d, after, d, r)
+    return _on_axis(np.einsum("aibir->aibr", t).reshape(-1, r), dims, k, u)
 
 
 def _conjugate(rho, dims, n, idx, us):

@@ -66,7 +66,7 @@ class OptimizerConfig:
             raise InvariantError("restarts must be >= 1")
         if self.max_iter < 1:
             raise InvariantError("max_iter must be >= 1")
-        if not 0 < self.tol < float("inf"):  # also refuses NaN
+        if isinstance(self.tol, bool) or not 0 < self.tol < float("inf"):  # also refuses NaN
             raise InvariantError(f"tolerance must be positive and finite, got {self.tol}")
         if self.seed < 0:
             raise InvariantError(f"seed must be non-negative, got {self.seed}")

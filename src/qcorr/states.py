@@ -192,7 +192,7 @@ def pure_state(amplitudes, register):
     norm = float(np.linalg.norm(psi))
     if norm == 0.0:
         raise InvariantError("zero amplitude vector")
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # also refuses NaN
         raise InvariantError(f"amplitude vector norm {norm} too far from 1")
     psi = psi / norm
     return LabeledState(register, np.outer(psi, np.conj(psi)))

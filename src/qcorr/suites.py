@@ -112,6 +112,8 @@ def run_theorem2(samples=200, seed=7, restarts=24):
 
 # A sampled state counts as entangled above this A:B negativity.
 MIN_ENTANGLED_NEGATIVITY = 0.05
+# classify_cc calls a state classical below this residual.
+THEOREM1_THRESHOLD = 1e-7
 
 def _random_cc_state(seed, t):
     rng = make_rng(derive_seed(seed, t, 10))
@@ -136,7 +138,7 @@ def _random_entangled_state(seed, t):
     raise RuntimeError("failed to sample an entangled state")
 
 
-def run_theorem1(samples=50, seed=11, threshold=1e-7, restarts=24):
+def run_theorem1(samples=50, seed=11, restarts=24):
     cfg_for = lambda t: OptimizerConfig(restarts=restarts, seed=derive_seed(seed, t, 1))
 
     def trial(t):
@@ -146,7 +148,7 @@ def run_theorem1(samples=50, seed=11, threshold=1e-7, restarts=24):
         else:
             state = _random_entangled_state(seed, t)
             expect_cc = False
-        verdict = classify_cc(state, ("A",), threshold=threshold, cfg=cfg_for(t))
+        verdict = classify_cc(state, ("A",), threshold=THEOREM1_THRESHOLD, cfg=cfg_for(t))
         oracle = cc_commutation_oracle(state, "A")
         ok = verdict["cc"] == expect_cc and oracle == verdict["cc"]
         return (t, expect_cc, verdict["cc"], oracle, verdict["residual"], ok)
@@ -154,7 +156,7 @@ def run_theorem1(samples=50, seed=11, threshold=1e-7, restarts=24):
     rows = [trial(t) for t in range(2 * samples)]
     # margin: distance of the residual from the decision threshold
     worst = min(
-        (threshold - r[4]) if r[1] else (r[4] - threshold) for r in rows
+        (THEOREM1_THRESHOLD - r[4]) if r[1] else (r[4] - THEOREM1_THRESHOLD) for r in rows
     )
     columns = ("trial", "expected_cc", "classified_cc", "oracle_cc", "residual", "ok")
     return _result("theorem1", columns, rows, worst)
@@ -165,7 +167,9 @@ def run_theorem1(samples=50, seed=11, threshold=1e-7, restarts=24):
 # the corresponding entanglement across the cut.
 # ---------------------------------------------------------------------------
 
-def run_pure_saturation(samples=100, seed=3, restarts=24, tol=1e-5):
+PURE_SATURATION_TOL = 1e-5  # largest |Q - N| and |D - E| a trial passes with
+
+def run_pure_saturation(samples=100, seed=3, restarts=24):
     ab_cut = BipartitionCut((0,), (1,))
 
     def trial(t):
@@ -177,11 +181,11 @@ def run_pure_saturation(samples=100, seed=3, restarts=24, tol=1e-5):
         da = deficit(state, ("A",), cfg).value
         gap_q = abs(qa - n_ab)
         gap_d = abs(da - e_ent)
-        ok = gap_q <= tol and gap_d <= tol
+        ok = gap_q <= PURE_SATURATION_TOL and gap_d <= PURE_SATURATION_TOL
         return (t, n_ab, qa, e_ent, da, gap_q, gap_d, ok)
 
     rows = [trial(t) for t in range(samples)]
-    worst = min(tol - max(r[5], r[6]) for r in rows)
+    worst = min(PURE_SATURATION_TOL - max(r[5], r[6]) for r in rows)
     columns = ("trial", "negativity", "q_a", "entropy_ent", "deficit_a",
                "gap_negativity", "gap_deficit", "ok")
     return _result("pure-saturation", columns, rows, worst)
@@ -246,6 +250,8 @@ def run_locc_undo(samples=100, seed=5):
 # flag-copy links saturate, and break-point cuts ignore later links.
 # ---------------------------------------------------------------------------
 
+CHAIN_MONOTONE_LINKS = 4
+
 def _chain_labels(n_links):
     labels = ["S"]
     for _ in range(n_links - 1):
@@ -253,13 +259,13 @@ def _chain_labels(n_links):
     return labels
 
 
-def run_chain_monotone(samples=50, seed=13, n_links=4):
+def run_chain_monotone(samples=50, seed=13):
     def trial(t):
         state = random_mixed(
             Register(("S",), (2,)), 1 + t % 2, derive_seed(seed, t)
         )
         rng = make_rng(derive_seed(seed, t, 1))
-        targets = _chain_labels(n_links)
+        targets = _chain_labels(CHAIN_MONOTONE_LINKS)
         links = tuple(
             LinkSpec(lab, random_basis(lab, 2, rng)) for lab in targets
         )
@@ -278,7 +284,7 @@ def run_chain_monotone(samples=50, seed=13, n_links=4):
         # fixed-break invariance: cut at level j unchanged by the last link
         short_report = run_chain(ChainConfig(state, links[:-1]))
         break_drift = 0.0
-        for j in range(1, n_links - 1):
+        for j in range(1, CHAIN_MONOTONE_LINKS - 1):
             left = tuple(range(1 + j))
             cut_short = BipartitionCut(left, tuple(range(1 + j, short_report.final_state.register.n)))
             cut_full = BipartitionCut(left, tuple(range(1 + j, report.final_state.register.n)))
@@ -292,7 +298,7 @@ def run_chain_monotone(samples=50, seed=13, n_links=4):
     rows = [trial(t) for t in range(samples)]
     worst = min(min(r[1], 1e-10 - r[2], 1e-10 - r[3]) for r in rows)
     columns = ("trial", "monotone_margin", "flag_drift", "break_drift", "ok") + tuple(
-        f"e_link{j + 1}" for j in range(n_links)
+        f"e_link{j + 1}" for j in range(CHAIN_MONOTONE_LINKS)
     )
     return _result("chain-monotone", columns, rows, worst)
 

@@ -65,7 +65,7 @@ def test_criterion_02_two_sided_dominates_one_sided(theorem2_result):
 def test_criterion_03_pure_state_saturation():
     # 100 Haar pure two-qubit states: |q^(A) - N| <= 1e-5 and
     # |deficit^(A) - entropy of entanglement| <= 1e-5
-    result = run_pure_saturation(samples=100, seed=3, restarts=24, tol=1e-5)
+    result = run_pure_saturation(samples=100, seed=3, restarts=24)
     gap_q = max(r[5] for r in result.trials)
     gap_d = max(r[6] for r in result.trials)
     ok = result.failures == 0
@@ -76,7 +76,7 @@ def test_criterion_03_pure_state_saturation():
 def test_criterion_04_classical_classification():
     # 50 constructed classical states -> cc with residual < 1e-7, 50
     # entangled states -> not cc; commutation oracle agrees on all 100
-    result = run_theorem1(samples=50, seed=11, threshold=1e-7, restarts=24)
+    result = run_theorem1(samples=50, seed=11, restarts=24)
     ok = result.failures == 0 and len(result.trials) == 100
     report(4, ok, f"100 states, {result.failures} misclassifications, "
                   f"worst residual margin {result.worst_margin:.3e}")
@@ -96,7 +96,7 @@ def test_criterion_05_locc_undo_and_monotonicity():
 def test_criterion_06_chain_monotonicity():
     # 50 random 4-link chains: non-decreasing within 1e-9, flag-copy
     # constant within 1e-10, break cuts unchanged by later links
-    result = run_chain_monotone(samples=50, seed=13, n_links=4)
+    result = run_chain_monotone(samples=50, seed=13)
     ok = result.failures == 0
     report(6, ok, f"50 chains, worst margin {result.worst_margin:.3e}")
 

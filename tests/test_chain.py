@@ -8,8 +8,8 @@ from qcorr.chain import (
     LinkSpec,
     TRACK_QUANTUMNESS,
     chain_gme_propagation,
+    _generic_draw,
     eigenbasis_criterion,
-    generic_basis,
     run_chain,
 )
 from qcorr.entanglement import BipartitionCut, _pure_vector, negativity, pure_gme_test
@@ -285,18 +285,24 @@ class TestRunChain:
         assert ChainConfig(bell_state(), links).q_cfg == parsed.q_cfg
 
 
+def draw_on(state, target, rng):
+    """``_generic_draw`` on the target's reduced state."""
+    reduced = linalg.partial_trace(state.rho, state.dims, [state.register.index(target)])
+    return _generic_draw(reduced, target, rng)
+
+
 class TestGenericBasis:
     def test_avoids_eigenbasis(self):
         state = single_qubit_state(0.75)
         rng = make_rng(3)
         for _ in range(5):
-            basis = generic_basis(state, "S", rng)
+            basis = draw_on(state, "S", rng)
             out = eigenbasis_criterion(state, basis)
             assert out["off_diagonal_mass"] >= 1e-3
 
     def test_degenerate_target_still_returns(self):
         state = LabeledState(Register(("S",), (2,)), np.eye(2) / 2)
-        basis = generic_basis(state, "S", make_rng(4))
+        basis = draw_on(state, "S", make_rng(4))
         assert basis.dim == 2
 
 
@@ -334,6 +340,11 @@ class TestGmePropagation:
     def test_needs_a_link(self, links):
         with pytest.raises(InvariantError, match="at least one link|must be an integer"):
             chain_gme_propagation(ghz_state(3), links)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "0", None])
+    def test_refuses_bad_seed(self, seed):
+        with pytest.raises(InvariantError, match="seed must be"):
+            chain_gme_propagation(ghz_state(3), 1, seed=seed)
 
     @pytest.mark.parametrize("make, links, seed", [
         (lambda: ghz_state(3), 5, 0),
@@ -382,7 +393,7 @@ def dense_gme_replay(initial, links, seed):
     state, flags = initial, []
     for _ in range(links):
         target = state.register.labels[-1]
-        basis = generic_basis(state, target, rng)
+        basis = draw_on(state, target, rng)
         state = premeasure(state, MeasurementPlan((target,), (basis,)))
         flags.append(pure_gme_test(state))
     return flags, state

@@ -21,6 +21,17 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+class TestCheckDensity:
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_refuses_non_finite_entry(self, entry, where):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[where] = rho[where[::-1]] = entry
+        with pytest.raises(InvariantError):
+            linalg.check_density(rho)
+
+
 class TestPartialTrace:
     def test_product_state(self):
         rng = np.random.default_rng(0)

@@ -135,6 +135,30 @@ class TestLoccUndo:
         order = [out_ba.register.labels.index(l) for l in out_ab.register.labels]
         assert linalg.trace_distance(out_ab.rho, out_ba.permuted(order).rho) <= 1e-11
 
+    def test_mid_register_subsystem_and_apparatus(self):
+        # plan (A, C) on (2, 3, 2): undoing C projects out an axis with
+        # subsystems on both sides, and undoing A then corrects M:A with
+        # M:C after it
+        reg = Register(("A", "B", "C"), (2, 3, 2))
+        state = random_mixed(reg, rank=2, seed=78)
+        rng = make_rng(79)
+        plan = MeasurementPlan(("A", "C"), (random_basis("A", 2, rng), random_basis("C", 2, rng)))
+        ua, uc = (b.vectors for b in plan.bases)
+        first = locc_undo(premeasure(state, plan), plan, "C")
+        assert first.output.register.labels == ("A", "B", "M:A", "M:C")
+        assert np.allclose(first.outcome_probabilities, [0.5, 0.5], atol=1e-12)
+        g = np.kron(np.eye(6), uc.conj().T)
+        rotated_c = LabeledState(reg, g @ state.rho @ g.conj().T)
+        expected = premeasure(rotated_c, MeasurementPlan(("A",), plan.bases[:1]))
+        assert linalg.trace_distance(first.output.rho, expected.permuted([0, 1, 3, 2]).rho) <= 1e-11
+
+        second = locc_undo(first.output, plan, "A")
+        assert second.output.register.labels == ("B", "M:A", "M:C")
+        assert np.allclose(second.outcome_probabilities, [0.5, 0.5], atol=1e-12)
+        g = np.kron(np.kron(ua.conj().T, np.eye(3)), uc.conj().T)
+        expected = LabeledState(reg, g @ state.rho @ g.conj().T).permuted([1, 0, 2])
+        assert linalg.trace_distance(second.output.rho, expected.rho) <= 1e-11
+
 
 class TestMonotonicity:
     def test_holds_on_random_states(self):

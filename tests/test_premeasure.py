@@ -6,6 +6,7 @@ from qcorr.entanglement import BipartitionCut, negativity
 from qcorr.errors import InvariantError
 from qcorr.premeasure import (
     MeasurementPlan,
+    _local,
     dephase,
     premeasure,
     undo_interaction,
@@ -154,6 +155,21 @@ class TestIsometry:
         basis = random_basis("B", 3, make_rng(2))
         w = global_isometry(reg, "B", basis)
         assert np.max(np.abs(linalg.dagger(w) @ w - np.eye(12))) <= 1e-12
+
+
+class TestLocal:
+    # one row of an operator projects the subsystem out; a square one keeps it
+    @pytest.mark.parametrize("label", ["A", "B", "C"])
+    @pytest.mark.parametrize("rows", [1, None])
+    def test_matches_dense_kronecker(self, label, rows):
+        reg = Register(("A", "B", "C"), (2, 3, 2))
+        state = random_mixed(reg, rank=2, seed=30)
+        d = reg.dim(label)
+        op = random_unitary(d, make_rng(31))[: rows or d]
+        big = global_operator(reg, label, op)
+        out = _local(state.rho, reg.dims, reg.index(label), op)
+        assert out.shape == (reg.total_dim * len(op) // d,) * 2
+        assert np.max(np.abs(out - big @ state.rho @ linalg.dagger(big))) <= 1e-14
 
 
 # (dims, measured) shapes for the oracle comparison; (2,) * 7/G is a chain

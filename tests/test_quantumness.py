@@ -149,7 +149,7 @@ class TestParameterization:
         with pytest.raises(InvariantError):
             OptimizerConfig(max_iter=0)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf"), True, False])
     def test_tol_must_be_positive_and_finite(self, tol):
         with pytest.raises(InvariantError, match="positive and finite"):
             OptimizerConfig(tol=tol)

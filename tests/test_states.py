@@ -130,6 +130,15 @@ class TestConstructors:
         with pytest.raises(InvariantError):
             pure_state([1.0, 1.0], default_register(1))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_pure_state_rejects_non_finite_amplitude(self, entry):
+        with pytest.raises(InvariantError, match="norm"):
+            pure_state([entry, 1.0], default_register(1))
+
+    def test_labeled_state_rejects_nan(self):
+        with pytest.raises(InvariantError, match="not Hermitian"):
+            LabeledState(Register(("A",), (2,)), np.full((2, 2), np.nan))
+
     def test_werner_endpoints(self):
         assert np.allclose(werner_state(0.0).rho, np.eye(4) / 4)
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
