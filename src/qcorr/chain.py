@@ -23,18 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .entanglement import BipartitionCut, _gme_test, _negativity, _pure_vector
+from .entanglement import BipartitionCut, _factor, _gme_test, _negativity, _pure_vector
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, _isometry, premeasure
 from .quantumness import OptimizerConfig, _integer, apparatus_negativity, q_negativity
-from .states import (
-    MAX_TOTAL_DIM,
-    LabeledState,
-    LocalBasis,
-    computational_basis,
-    random_basis,
-    spawn_rng,
-)
+from .states import LabeledState, LocalBasis, computational_basis, random_basis, spawn_rng
 
 FLAG_COPY = "flag-copy"
 OPTIMIZED = "optimized"
@@ -44,6 +37,11 @@ TRACK_QUANTUMNESS = "quantumness"
 
 GENERIC_PROXIMITY = 1e-3
 GENERIC_ATTEMPTS = 20
+
+# Slack below which a link value may fall short of the last and stay monotone.
+_MONOTONE_TOL = 1e-9
+# Apparatus negativity above which a measurement basis counts as entangling.
+_ENTANGLING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,9 +82,9 @@ class ChainReport:
     def entanglement_sequence(self):
         return [r.entanglement for r in self.rows]
 
-    def monotone(self, tol=1e-9):
+    def monotone(self):
         e = self.entanglement_sequence()
-        return all(e[j + 1] >= e[j] - tol for j in range(len(e) - 1))
+        return all(e[j + 1] >= e[j] - _MONOTONE_TOL for j in range(len(e) - 1))
 
 
 def _resolve_basis(state, spec, q_cfg):
@@ -110,11 +108,7 @@ def run_chain(cfg):
     state = cfg.initial
     links = []  # (link, target, apparatus, entanglement, quantumness)
     for j, spec in enumerate(cfg.links, start=1):
-        d = state.register.dim(spec.target)
-        if state.register.total_dim * d > MAX_TOTAL_DIM:
-            raise InvariantError(
-                f"chain link {j} would exceed total dimension {MAX_TOTAL_DIM}"
-            )
+        state.register.with_apparatus(spec.target)  # refuses past the cap before optimizing
         basis = _resolve_basis(state, spec, cfg.q_cfg)
         plan = MeasurementPlan((spec.target,), (basis,))
         e_val = apparatus_negativity(state, plan)
@@ -155,7 +149,7 @@ def _off_diagonal_mass(rho, basis):
     return float(np.sum(np.abs(rotated - np.diag(np.diag(rotated)))))
 
 
-def eigenbasis_criterion(state, basis, tol=1e-9):
+def eigenbasis_criterion(state, basis):
     """Whether measuring a single-subsystem state in ``basis`` creates entanglement.
 
     Equivalent to the basis failing to diagonalize the state: the correct
@@ -166,7 +160,7 @@ def eigenbasis_criterion(state, basis, tol=1e-9):
         raise InvariantError("eigenbasis_criterion requires a single-subsystem state")
     e_val = apparatus_negativity(state, MeasurementPlan(state.register.labels, (basis,)))
     return {
-        "entangling": e_val > tol,
+        "entangling": e_val > _ENTANGLING_TOL,
         "entanglement": e_val,
         "off_diagonal_mass": _off_diagonal_mass(state.rho, basis),
     }
@@ -187,20 +181,6 @@ def _generic_draw(reduced, target, rng):
         if _off_diagonal_mass(reduced, basis) >= GENERIC_PROXIMITY:
             break
     return basis
-
-
-def _factor(rho):
-    """A (D, r) matrix f with rho = f f^dag.
-
-    f is the vector psi when the purity guard accepts it, else the
-    eigenvectors of rho's positive eigenvalues w, scaled by sqrt(w).
-    """
-    psi = _pure_vector(rho)
-    if psi is not None:
-        return psi[:, None]
-    w, v = np.linalg.eigh(rho)
-    keep = w > 0
-    return v[:, keep] * np.sqrt(w[keep])
 
 
 def chain_gme_propagation(initial, links, seed=0):
@@ -226,8 +206,6 @@ def chain_gme_propagation(initial, links, seed=0):
     flags = []
     for _ in range(links):
         k, d = reg.index(target), reg.dim(target)
-        if reg.total_dim * d > MAX_TOTAL_DIM:
-            raise InvariantError(f"pre-measurement would exceed total dimension {MAX_TOTAL_DIM}")
         m = np.moveaxis(f.reshape(reg.dims + (-1,)), k, 0).reshape(d, -1)
         basis = _generic_draw(m @ linalg.dagger(m), target, rng)
         f = _isometry(f, reg.dims, k, basis.vectors)
@@ -235,6 +213,6 @@ def chain_gme_propagation(initial, links, seed=0):
         norm = np.vdot(f, f).real
         if abs(norm - 1.0) > linalg.TOL_STRUCT:
             raise InvariantError(f"chain state lost its unit trace: trace {norm}")
-        flags.append(_gme_test(None, reg.dims, f))
+        flags.append(_gme_test(reg.dims, f))
         target = reg.labels[-1]
     return {"per_step": flags, "final_state": LabeledState(reg, f @ linalg.dagger(f))}

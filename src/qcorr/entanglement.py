@@ -7,7 +7,8 @@ lower-bound witness.
 
 Pure inputs (see ``_pure_vector``) are read off the Schmidt coefficients of
 their vector, one SVD per cut; mixed inputs take the dense partial transpose
-or partial trace of rho.
+of rho.  The pure-state measures (entropy of entanglement, the GME test) read
+the singular values of a factor of rho (see ``_factor``) and nothing else.
 """
 
 import math
@@ -102,6 +103,22 @@ def _pure_vector(rho):
     return psi
 
 
+def _factor(rho):
+    """A unit-norm (D, r) matrix f with rho = f f^dag, up to rho's negative part.
+
+    f is the vector psi when the purity guard accepts it, else the
+    eigenvectors of rho's positive eigenvalues w, scaled by sqrt(w) and
+    renormalized: ``check_density`` admits eigenvalues down to -1e-10, so the
+    positive ones may sum to slightly more than 1.
+    """
+    psi = _pure_vector(rho)
+    if psi is not None:
+        return psi[:, None]
+    w, v = np.linalg.eigh(rho)
+    keep = w > 0
+    return v[:, keep] * np.sqrt(w[keep] / np.sum(w[keep]))
+
+
 def _schmidt(f, dims, cut):
     """Singular values across ``cut`` of a factor f of rho = f f^dag.
 
@@ -124,13 +141,6 @@ def _negativity(state, psi, cut):
         # (||(psi psi^dag)^T_p1||_1 - 1)/2 = ((sum s)^2 - 1)/2 (Vidal & Werner)
         value = (float(np.sum(_schmidt(psi, state.dims, cut))) ** 2 - 1.0) / 2.0
     return 0.0 if value < CLAMP else value
-
-
-def _reduced_purity(rho, dims, f, cut):
-    """Tr(rho_p0^2): the sum of s^4 over ``_schmidt(f, ...)`` when a factor f is given."""
-    if f is None:
-        return linalg.purity(linalg.partial_trace(rho, dims, cut.p0))
-    return float(np.sum(_schmidt(f, dims, cut) ** 4))
 
 
 def negativity(state, cut):
@@ -156,12 +166,8 @@ def entropy_of_entanglement(state, cut):
         raise InvariantError(
             f"entropy_of_entanglement requires a pure state (purity {state.purity():.6f})"
         )
-    psi = _pure_vector(state.rho)
-    if psi is None:
-        reduced = linalg.partial_trace(state.rho, state.dims, cut.p0)
-        return linalg.von_neumann_entropy(reduced)
     # the reduced spectrum is s^2, cut off as von_neumann_entropy cuts its eigenvalues
-    p = _schmidt(psi, state.dims, cut) ** 2
+    p = _schmidt(_factor(state.rho), state.dims, cut) ** 2
     p = p[p > linalg.EIG_ZERO]
     return float(-np.sum(p * np.log2(p)))
 
@@ -182,20 +188,20 @@ def e_min_max(state):
     return emin, emax, cmin, cmax
 
 
-def pure_gme_test(state, tol=_GME_TOL):
+def pure_gme_test(state):
     """Genuine multipartite entanglement test for pure states.
 
-    GME iff the reduced purity is below 1 - tol for every nontrivial cut;
-    otherwise the first product cut found is returned as witness.
+    GME iff the reduced purity is below 1 - _GME_TOL for every nontrivial
+    cut; otherwise the first product cut found is returned as witness.
     """
     if not state.is_pure():
         raise InvariantError("pure_gme_test requires a pure state")
-    return _gme_test(state.rho, state.dims, _pure_vector(state.rho), tol)
+    return _gme_test(state.dims, _factor(state.rho))
 
 
-def _gme_test(rho, dims, f, tol=_GME_TOL):
-    """``pure_gme_test`` off the factor f of rho = f f^dag, or off rho when f is None."""
+def _gme_test(dims, f):
+    """``pure_gme_test`` off a factor f of rho = f f^dag: Tr(rho_p0^2) is the sum of s^4."""
     for cut in all_cuts(len(dims)):
-        if _reduced_purity(rho, dims, f, cut) >= 1.0 - tol:
+        if np.sum(_schmidt(f, dims, cut) ** 4) >= 1.0 - _GME_TOL:
             return {"gme": False, "witness": cut}
     return {"gme": True, "witness": None}

@@ -42,7 +42,8 @@ def check_density(rho, dims=None):
             raise InvariantError(
                 f"matrix dimension {rho.shape[0]} != product of subsystem dims {d}"
             )
-    herm = np.max(np.abs(rho - dagger(rho)))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
+        herm = np.max(np.abs(rho - dagger(rho)))
     if not herm <= TOL_STRUCT:
         raise InvariantError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = np.trace(rho)
@@ -115,8 +116,9 @@ def trace_distance(rho, sigma):
     if rho.shape != sigma.shape:
         raise InvariantError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     h = np.asarray(rho - sigma, dtype=complex)
-    dev = np.max(np.abs(h - dagger(h))) if h.size else 0.0
-    if dev > TOL_PSD:
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
+        dev = np.max(np.abs(h - dagger(h))) if h.size else 0.0
+    if not dev <= TOL_PSD:  # also refuses NaN
         raise InvariantError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     # eigh, not eigvalsh: eigvalsh would move the last bits of reported distances
     w, _ = np.linalg.eigh(h)

@@ -28,7 +28,7 @@ class LoccTranscript:
 
     def __post_init__(self):
         p = np.asarray(self.outcome_probabilities, dtype=float)
-        if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-10:
+        if not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-10):  # also refuses NaN
             raise InvariantError(f"invalid outcome probabilities: {p}")
 
 

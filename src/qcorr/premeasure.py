@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantError
-from .states import MAX_TOTAL_DIM, LabeledState, apparatus_label
+from .states import LabeledState, apparatus_label
 
 # Residual weight outside the isometry image above which undo refuses.
 IMAGE_TOL = 1e-8
@@ -123,8 +123,6 @@ def premeasure(state, plan):
     """
     reg = state.register
     idx, us = _plan_axes(reg, plan)
-    if reg.total_dim * math.prod(reg.dims[k] for k in idx) > MAX_TOTAL_DIM:
-        raise InvariantError(f"pre-measurement would exceed total dimension {MAX_TOTAL_DIM}")
     for label in plan.measured:
         reg = reg.with_apparatus(label)
     return LabeledState(reg, _conjugate(state.rho, reg.dims, state.register.n, idx, us))

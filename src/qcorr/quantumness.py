@@ -44,6 +44,9 @@ TWO_WAY_DEFICIT = "two_way_deficit"
 
 LOCKSTEP_ROWS = 64  # restarts per minimize call
 
+# Largest commutator entry at which ``cc_commutation_oracle`` calls two slices commuting.
+_COMMUTATION_TOL = 1e-9
+
 
 def _integer(value, what):
     """``value`` if it is an integer other than a bool: its type defines ``__index__``."""
@@ -539,7 +542,7 @@ def classify_cc(state, measured, threshold=1e-7, cfg=OptimizerConfig()):
     }
 
 
-def cc_commutation_oracle(state, measured_label, tol=1e-9):
+def cc_commutation_oracle(state, measured_label):
     """Algebraic classicality check for the bipartite case (test oracle).
 
     The state is classical on the measured subsystem iff the conditional
@@ -555,5 +558,7 @@ def cc_commutation_oracle(state, measured_label, tol=1e-9):
         t = t.transpose(1, 0, 3, 2)
     slices = [t[:, k, :, l] for k in range(t.shape[1]) for l in range(t.shape[1])]
     return all(
-        np.max(np.abs(x @ y - y @ x)) <= tol for i, x in enumerate(slices) for y in slices[i + 1 :]
+        np.max(np.abs(x @ y - y @ x)) <= _COMMUTATION_TOL
+        for i, x in enumerate(slices)
+        for y in slices[i + 1 :]
     )

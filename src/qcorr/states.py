@@ -15,7 +15,7 @@ APPARATUS = "apparatus"
 # Apparatus labels are derived from the measured label with this prefix.
 APPARATUS_PREFIX = "M:"
 
-# States beyond this total dimension are rejected everywhere.
+# Registers, and so states, beyond this total dimension are refused.
 MAX_TOTAL_DIM = 256
 
 
@@ -47,6 +47,10 @@ class Register:
             raise InvariantError(f"duplicate labels in register: {labels}")
         if any(d < 2 for d in dims):
             raise InvariantError(f"all subsystem dimensions must be >= 2, got {dims}")
+        if math.prod(dims) > MAX_TOTAL_DIM:
+            raise InvariantError(
+                f"register {labels} of dims {dims} would exceed total dimension {MAX_TOTAL_DIM}"
+            )
 
     @property
     def kinds(self):
@@ -101,8 +105,9 @@ class LocalBasis:
         object.__setattr__(self, "vectors", v)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InvariantError("basis vectors must form a square matrix of columns")
-        gram = linalg.dagger(v) @ v
-        if np.max(np.abs(gram - np.eye(v.shape[0]))) > 1e-10:
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN, refused below
+            gram = linalg.dagger(v) @ v
+        if not np.max(np.abs(gram - np.eye(v.shape[0]))) <= 1e-10:  # also refuses NaN
             raise InvariantError(f"basis for {self.subsystem!r} is not orthonormal")
 
     @property
@@ -134,12 +139,6 @@ class LabeledState:
 
     def is_pure(self, tol=1e-8):
         return self.purity() >= 1.0 - tol
-
-    def reduced(self, keep_indices):
-        """Reduced LabeledState on the kept subsystem indices."""
-        keep = sorted(set(keep_indices))
-        rho = linalg.partial_trace(self.rho, self.dims, keep)
-        return LabeledState(self.register.select(keep), rho)
 
     def permuted(self, order):
         """LabeledState with subsystems reordered according to ``order``."""

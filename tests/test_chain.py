@@ -271,7 +271,7 @@ class TestRunChain:
         cfg = ChainConfig(
             initial=state, links=(LinkSpec("C"), LinkSpec("M:C", OPTIMIZED))
         )
-        with pytest.raises(InvariantError, match="chain link 2 would exceed"):
+        with pytest.raises(InvariantError, match=r"'M:C', 'M:M:C'\).*exceed total dimension 256"):
             run_chain(cfg)
 
     def test_default_optimizer_matches_chain_json(self):
@@ -363,6 +363,18 @@ class TestGmePropagation:
         assert out["per_step"] == flags
         assert out["final_state"].register == final.register
         assert np.max(np.abs(out["final_state"].rho - final.rho)) <= 1e-13
+
+    def test_negative_part_is_dropped(self):
+        # (1 + eps) psi psi^dag - eps q q^dag with q orthogonal to psi passes
+        # check_density and is_pure, but its positive eigenvalues sum to 1 + eps
+        eps, pure = 5e-11, random_pure(Register(("A", "B"), (2, 2)), 5)
+        _, v = np.linalg.eigh(pure.rho)
+        rho = (1 + eps) * pure.rho - eps * np.outer(v[:, 0], v[:, 0].conj())
+        state = LabeledState(pure.register, rho)
+        out = chain_gme_propagation(state, 3, seed=1)
+        flags, final = dense_gme_replay(state, 3, 1)
+        assert out["per_step"] == flags
+        assert np.max(np.abs(out["final_state"].rho - final.rho)) <= 1e-9
 
     def test_nearly_pure_inputs_keep_their_flags(self):
         # (1 - eps) psi psi^dag + eps I/D passes is_pure but not the 1e-13 guard

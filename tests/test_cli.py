@@ -82,6 +82,19 @@ class TestExitCodes:
         assert code == EXIT_INVARIANT
         assert "invariant" in err
 
+    def test_invariant_error_oversize_register(self, capsys, tmp_path):
+        obj = {"labels": list("ABCDEFGHI"), "dims": [2] * 9,
+               "re": (np.eye(512) / 512).tolist(), "im": np.zeros((512, 512)).tolist()}
+        path = tmp_path / "nine-qubits.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "measure", "--state", str(path), "--measure", "negativity",
+            "--cut", "A:B,C,D,E,F,G,H,I",
+        )
+        assert code == EXIT_INVARIANT
+        assert "exceed total dimension 256" in err
+        assert "Traceback" not in out + err
+
     def test_usage_error_unknown_measure(self, capsys, bell_file):
         code, _, err = run(
             capsys, "measure", "--state", bell_file, "--measure", "discord", "--cut", "A:B"

@@ -202,8 +202,9 @@ def test_negativity_zero_for_all_separable_cq_states():
 
 
 # ---------------------------------------------------------------------------
-# Pure inputs are read off their Schmidt coefficients; the dense partial
-# transpose and partial trace of rho are the oracle.
+# Pure inputs are read off their Schmidt coefficients, and the pure-state
+# measures off a factor of rho; the dense partial transpose and partial trace
+# of rho are the oracle.
 # ---------------------------------------------------------------------------
 
 def dense_negativity(state, cut):
@@ -216,8 +217,20 @@ def dense_reduced(state, cut):
     return linalg.partial_trace(state.rho, state.dims, cut.p0)
 
 
+def reduced_purity(state, cut):
+    return linalg.purity(dense_reduced(state, cut))
+
+
+def dense_gme(state):
+    """``pure_gme_test`` off the dense reduced purities."""
+    for cut in all_cuts(state.register.n):
+        if reduced_purity(state, cut) >= 1.0 - entanglement._GME_TOL:
+            return {"gme": False, "witness": cut}
+    return {"gme": True, "witness": None}
+
+
 def force_dense(monkeypatch):
-    """Send every state down the dense path, as if none passed the purity guard."""
+    """Fail every state's purity guard: negativity goes dense, the factor through eigh."""
     monkeypatch.setattr(entanglement, "_pure_vector", lambda rho: None)
 
 
@@ -254,8 +267,9 @@ class TestPureVectorPath:
             assert abs(negativity(state, cut) - dense_negativity(state, cut)) <= 1e-12
             assert abs(entropy_of_entanglement(state, cut)
                        - linalg.von_neumann_entropy(reduced)) <= 1e-12
-            assert abs(entanglement._reduced_purity(state.rho, state.dims, psi, cut)
-                       - linalg.purity(reduced)) <= 1e-12
+            s = entanglement._schmidt(psi, state.dims, cut)
+            assert abs(np.sum(s**4) - linalg.purity(reduced)) <= 1e-12
+        assert pure_gme_test(state) == dense_gme(state)
 
     @pytest.mark.parametrize("make", [
         lambda: random_mixed(default_register(3), rank=2, seed=8),
@@ -277,9 +291,23 @@ class TestPureVectorPath:
         assert entanglement._pure_vector(state.rho) is None
         for cut in all_cuts(4):
             assert negativity(state, cut) == dense_negativity(state, cut)
-            assert entropy_of_entanglement(state, cut) == linalg.von_neumann_entropy(
-                dense_reduced(state, cut))
+            assert abs(entropy_of_entanglement(state, cut)
+                       - linalg.von_neumann_entropy(dense_reduced(state, cut))) <= 1e-12
+        assert pure_gme_test(state) == dense_gme(state)
         assert pure_gme_test(state)["gme"] is True
+
+    def test_negative_part_is_dropped(self):
+        # (1 + eps) psi psi^dag - eps q q^dag with q orthogonal to psi passes
+        # check_density and is_pure; the factor keeps psi, renormalized
+        eps, pure = 5e-11, random_pure(Register(("A", "B"), (2, 2)), 5)
+        _, v = np.linalg.eigh(pure.rho)
+        rho = (1 + eps) * pure.rho - eps * np.outer(v[:, 0], v[:, 0].conj())
+        state = LabeledState(pure.register, rho)
+        assert state.is_pure()
+        f = entanglement._factor(state.rho)
+        assert abs(np.vdot(f, f).real - 1.0) <= 1e-14
+        assert pure_gme_test(state) == dense_gme(state)
+        assert abs(entropy_of_entanglement(state, AB) - entropy_of_entanglement(pure, AB)) <= 1e-12
 
     def test_pure_seven_qubits_take_no_dense_spectrum(self, monkeypatch):
         state = random_pure(default_register(7), 71)
@@ -304,6 +332,7 @@ class TestPureVectorPath:
     def test_gme_verdicts_match_dense_path(self, make, monkeypatch):
         state = make()
         fast = pure_gme_test(state)
+        assert fast == dense_gme(state)
         force_dense(monkeypatch)
         assert pure_gme_test(state) == fast
 

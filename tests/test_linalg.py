@@ -22,7 +22,6 @@ def random_unitary(rng, d):
 
 
 class TestCheckDensity:
-    @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     def test_refuses_non_finite_entry(self, entry, where):
@@ -161,6 +160,11 @@ class TestTraceDistance:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvariantError, match="not Hermitian"):
             linalg.trace_distance(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, entry):
+        with pytest.raises(InvariantError, match="not Hermitian"):
+            linalg.trace_distance(np.full((2, 2), entry), np.eye(2) / 2)
 
 
 @settings(max_examples=25, deadline=None)

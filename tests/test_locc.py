@@ -5,6 +5,7 @@ from qcorr import linalg
 from qcorr.entanglement import BipartitionCut, negativity
 from qcorr.errors import InvariantError
 from qcorr.locc import (
+    LoccTranscript,
     correction_unitary,
     fourier_unitary,
     locc_undo,
@@ -64,6 +65,15 @@ class TestCorrection:
     def test_out_of_range(self):
         with pytest.raises(InvariantError):
             correction_unitary(3, 3)
+
+
+class TestTranscript:
+    @pytest.mark.parametrize("probs", [
+        (np.nan, np.nan), (np.nan, 1.0), (0.5, 0.6), (1.5, -0.5), (np.inf, -np.inf),
+    ])
+    def test_refuses_invalid_probabilities(self, probs):
+        with pytest.raises(InvariantError, match="invalid outcome probabilities"):
+            LoccTranscript(probs, (), None)
 
 
 class TestLoccUndo:
