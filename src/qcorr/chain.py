@@ -2,22 +2,24 @@
 
 Each link couples a fresh apparatus to a target subsystem (the observed
 system for the first link, typically the previous apparatus afterwards).
-Per link the simulator records the entanglement across
-(everything else):(new apparatus), read off the measured blocks of the
-pre-link state, and, optionally, a quantumness upper bound for the new
-apparatus.  The break-point row at level j is the negativity of the final
-state across (systems, apparatuses 1..j):(apparatuses j+1..).  When every
-link after j + 1 measures an apparatus on the right of that cut, those links
-are isometries local to the right block and leave the negativity unchanged,
-so the row is link j + 1's value; otherwise it is computed on the final
-state.  Chains whose links each measure the previous apparatus therefore
-take no dense break-point spectrum.
+Both chain functions carry the state as a factor f of rho = f f^dag, one
+``_link`` step per link.  Per link the simulator records the entanglement
+across (everything else):(new apparatus), read off the pre-link state's
+measured blocks, and, optionally, a quantumness bound for the new apparatus.
+The break-point row at level j is the negativity of the final state across
+(systems, apparatuses 1..j):(apparatuses j+1..).  When every link after
+j + 1 measures an apparatus on the right of that cut, those links are
+isometries local to the right block and leave the negativity unchanged, so
+the row is link j + 1's value; otherwise it is computed on the final state.
+A LabeledState is formed, and checked, only for an "optimized" link, a
+tracked quantumness, a dense break row, or a read of the final state.
 
 Basis policies per link: an explicit basis, "optimized" (argmin of the
 negativity-of-quantumness optimizer on the current state), or "flag-copy"
 (computational basis, copying the previous measurement record).
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 from . import linalg
 from .entanglement import BipartitionCut, _factor, _gme_test, _negativity, _pure_vector
 from .errors import InvariantError
-from .premeasure import MeasurementPlan, _isometry, premeasure
+from .premeasure import MeasurementPlan, _isometry
 from .quantumness import OptimizerConfig, _integer, apparatus_negativity, q_negativity
 from .states import LabeledState, LocalBasis, computational_basis, random_basis, spawn_rng
 
@@ -42,6 +44,9 @@ GENERIC_ATTEMPTS = 20
 _MONOTONE_TOL = 1e-9
 # Apparatus negativity above which a measurement basis counts as entangling.
 _ENTANGLING_TOL = 1e-9
+
+# f f^dag for the link-value read: Hermitian and PSD by construction, trace checked by _link
+_Dense = namedtuple("_Dense", "register rho")
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,11 @@ class ChainConfig:
     def __post_init__(self):
         if not self.links:
             raise InvariantError("a chain needs at least one link")
+        if not all(isinstance(link, LinkSpec) for link in self.links):
+            raise InvariantError(f"chain links must be LinkSpecs, got {self.links!r}")
+        tracks = {TRACK_NEGATIVITY, TRACK_QUANTUMNESS}
+        if not isinstance(self.track, (set, frozenset)) or not self.track <= tracks:
+            raise InvariantError(f"track must be a set within {sorted(tracks)}, got {self.track!r}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +86,14 @@ class ChainRow:
 
 @dataclass(frozen=True)
 class ChainReport:
+    """The per-link rows; ``final_state`` is formed from the chain's factor on first read."""
+
     rows: tuple
-    final_state: LabeledState = field(repr=False)
+    _final: dict = field(repr=False)
+
+    @property
+    def final_state(self):
+        return self._final["final_state"]
 
     def entanglement_sequence(self):
         return [r.entanglement for r in self.rows]
@@ -87,49 +103,70 @@ class ChainReport:
         return all(e[j + 1] >= e[j] - _MONOTONE_TOL for j in range(len(e) - 1))
 
 
-def _resolve_basis(state, spec, q_cfg):
+class _Final(dict):
+    """A dict whose "final_state" entry, the state f f^dag on ``reg``, is formed on first read."""
+
+    def __init__(self, reg, f, **entries):
+        super().__init__(entries)
+        self._reg, self._f = reg, f
+
+    def __missing__(self, key):
+        if key != "final_state":
+            raise KeyError(key)
+        return self.setdefault(key, LabeledState(self._reg, self._f @ linalg.dagger(self._f)))
+
+
+def _link(reg, f, target, u):
+    """(register, factor) after measuring ``target`` of rho = f f^dag in basis ``u``."""
+    out = reg.with_apparatus(target)
+    f = _isometry(f, reg.dims, reg.index(target), u)
+    if not abs(np.vdot(f, f).real - 1.0) <= linalg.TOL_STRUCT:
+        raise InvariantError(f"chain state lost its unit trace: trace {np.vdot(f, f).real}")
+    return out, f
+
+
+def _resolve_basis(reg, f, spec, q_cfg):
     if isinstance(spec.basis, LocalBasis):
         if spec.basis.subsystem != spec.target:
             raise InvariantError(
                 f"explicit basis is for {spec.basis.subsystem!r}, link targets {spec.target!r}"
             )
         return spec.basis
-    d = state.register.dim(spec.target)
     if spec.basis == FLAG_COPY:
-        return computational_basis(spec.target, d)
+        return computational_basis(spec.target, reg.dim(spec.target))
     if spec.basis == OPTIMIZED:
-        report = q_negativity(state, (spec.target,), q_cfg)
+        report = q_negativity(LabeledState(reg, f @ linalg.dagger(f)), (spec.target,), q_cfg)
         return report.argmin_bases[0]
     raise InvariantError(f"unknown basis policy {spec.basis!r}")
 
 
 def run_chain(cfg):
     """Execute the chain and assemble the per-link report."""
-    state = cfg.initial
+    reg, f = cfg.initial.register, _factor(cfg.initial.rho)
     links = []  # (link, target, apparatus, entanglement, quantumness)
     for j, spec in enumerate(cfg.links, start=1):
-        state.register.with_apparatus(spec.target)  # refuses past the cap before optimizing
-        basis = _resolve_basis(state, spec, cfg.q_cfg)
-        plan = MeasurementPlan((spec.target,), (basis,))
-        e_val = apparatus_negativity(state, plan)
-        state = premeasure(state, plan)
-        app_label = state.register.labels[-1]
+        reg.with_apparatus(spec.target)  # refuses past the cap before optimizing
+        plan = MeasurementPlan((spec.target,), (_resolve_basis(reg, f, spec, cfg.q_cfg),))
+        e_val = apparatus_negativity(_Dense(reg, f @ linalg.dagger(f)), plan)
+        reg, f = _link(reg, f, spec.target, plan.bases[0].vectors)
         q_val = None
         if TRACK_QUANTUMNESS in cfg.track:
-            q_val = q_negativity(state, (app_label,), cfg.q_cfg).value
-        links.append((j, spec.target, app_label, e_val, q_val))
+            state = LabeledState(reg, f @ linalg.dagger(f))
+            q_val = q_negativity(state, (reg.labels[-1],), cfg.q_cfg).value
+        links.append((j, spec.target, reg.labels[-1], e_val, q_val))
 
     # break at level j before the last link: systems plus the first j
     # apparatuses vs the rest, on the final state.  When every link after
     # j + 1 measures an apparatus right of the cut, those links are isometries
     # local to the right block, so the row is link j + 1's value.
-    n0, n = cfg.initial.register.n, state.register.n
+    n0, n, final = cfg.initial.register.n, reg.n, _Final(reg, f)
     apparatuses = [link[2] for link in links]
     from_link = [
         all(spec.target in apparatuses[j:] for spec in cfg.links[j + 1 :])
         for j in range(1, len(links))
     ]
-    psi = None if all(from_link) else _pure_vector(state.rho)
+    state = None if all(from_link) else final["final_state"]
+    psi = None if state is None else _pure_vector(state.rho)
     breaks = []
     for j, local in enumerate(from_link, start=1):
         if local:
@@ -139,7 +176,7 @@ def run_chain(cfg):
         cut.validate(n)
         breaks.append(_negativity(state, psi, cut))
     rows = tuple(ChainRow(*link, brk) for link, brk in zip(links, breaks + [None]))
-    return ChainReport(rows, state)
+    return ChainReport(rows, final)
 
 
 def _off_diagonal_mass(rho, basis):
@@ -187,10 +224,10 @@ def chain_gme_propagation(initial, links, seed=0):
     """GME flags after each of ``links`` generic-basis chain links.
 
     The first link measures the last system subsystem; subsequent links
-    measure the previous apparatus.  Pure initial states only.  The state is
-    carried as a factor f of rho = f f^dag: each link applies its isometry to
-    f's columns with ``premeasure``'s own ``_isometry``, and each GME test
-    reads the singular values of f across every cut.
+    measure the previous apparatus.  Pure initial states only.  Each link is
+    a ``_link`` step on a factor f of rho = f f^dag, and each GME test reads
+    the singular values of f across every cut.  Returns a dict with
+    "per_step", the flags, and "final_state", formed on first read.
     """
     if not initial.is_pure():
         raise InvariantError("chain_gme_propagation requires a pure initial state")
@@ -202,17 +239,11 @@ def chain_gme_propagation(initial, links, seed=0):
         raise InvariantError(f"chain_gme_propagation seed must be non-negative, got {seed}")
     rng = spawn_rng(seed, 0)
     reg, f = initial.register, _factor(initial.rho)
-    target = reg.labels[-1]
     flags = []
     for _ in range(links):
-        k, d = reg.index(target), reg.dim(target)
-        m = np.moveaxis(f.reshape(reg.dims + (-1,)), k, 0).reshape(d, -1)
-        basis = _generic_draw(m @ linalg.dagger(m), target, rng)
-        f = _isometry(f, reg.dims, k, basis.vectors)
-        reg = reg.with_apparatus(target)
-        norm = np.vdot(f, f).real
-        if abs(norm - 1.0) > linalg.TOL_STRUCT:
-            raise InvariantError(f"chain state lost its unit trace: trace {norm}")
-        flags.append(_gme_test(reg.dims, f))
         target = reg.labels[-1]
-    return {"per_step": flags, "final_state": LabeledState(reg, f @ linalg.dagger(f))}
+        m = np.moveaxis(f.reshape(reg.dims + (-1,)), -2, 0).reshape(reg.dims[-1], -1)
+        basis = _generic_draw(m @ linalg.dagger(m), target, rng)
+        reg, f = _link(reg, f, target, basis.vectors)
+        flags.append(_gme_test(reg.dims, f))
+    return _Final(reg, f, per_step=flags)

@@ -13,6 +13,7 @@ the singular values of a factor of rho (see ``_factor``) and nothing else.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,8 +72,9 @@ def cut_from_labels(register, spec_str):
     return cut
 
 
+@lru_cache(maxsize=None)
 def all_cuts(n):
-    """All 2^(n-1) - 1 nontrivial bipartitions, canonical (0 in p0), sorted."""
+    """All 2^(n-1) - 1 nontrivial bipartitions, canonical (0 in p0), sorted; built once per n."""
     if not 2 <= n <= 8:
         raise InvariantError(f"cut enumeration needs 2 to 8 subsystems, got {n}")
     cuts = []
@@ -81,7 +83,7 @@ def all_cuts(n):
         p1 = tuple(i for i in range(1, n) if mask & (1 << (i - 1)))
         p0 = tuple(i for i in range(n) if i not in p1)
         cuts.append(BipartitionCut(p0, p1))
-    return sorted(cuts, key=BipartitionCut.key)
+    return tuple(sorted(cuts, key=BipartitionCut.key))
 
 
 def _pure_vector(rho):

@@ -1,9 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from qcorr import chain, linalg, serialize
 from qcorr.chain import (
     ChainConfig,
+    FLAG_COPY,
     OPTIMIZED,
     LinkSpec,
     TRACK_QUANTUMNESS,
@@ -15,7 +18,7 @@ from qcorr.chain import (
 from qcorr.entanglement import BipartitionCut, _pure_vector, negativity, pure_gme_test
 from qcorr.errors import InvariantError
 from qcorr.premeasure import MeasurementPlan, premeasure
-from qcorr.quantumness import OptimizerConfig
+from qcorr.quantumness import OptimizerConfig, apparatus_negativity, q_negativity
 from qcorr.states import (
     LabeledState,
     LocalBasis,
@@ -32,6 +35,9 @@ from qcorr.states import (
     spawn_rng,
     w_state,
 )
+
+# premeasure's dense V rho V^dag, which every pre-measurement state goes through
+PREMEASURE_MODULE = importlib.import_module("qcorr.premeasure")
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 FAST_Q = OptimizerConfig(restarts=6, seed=0)
@@ -82,7 +88,7 @@ class TestEigenbasisCriterion:
         def refuse(*args):
             raise AssertionError("eigenbasis_criterion built the pre-measurement state")
 
-        monkeypatch.setattr(chain, "premeasure", refuse)
+        monkeypatch.setattr(PREMEASURE_MODULE, "_conjugate", refuse)
         out = eigenbasis_criterion(single_qubit_state(0.75), LocalBasis("S", HADAMARD))
         assert out["entanglement"] == pytest.approx(0.25, abs=1e-12)
 
@@ -134,7 +140,84 @@ def seven_link_chains(flag_copy):
         yield state, tuple(links)
 
 
+def psi_q_state():
+    """(1 + eps) psi psi^dag - eps q q^dag with q orthogonal to psi, eps = 5e-11.
+
+    ``check_density`` and ``is_pure`` admit it; a factor of it drops the
+    negative part and renormalizes.
+    """
+    eps, pure = 5e-11, random_pure(Register(("A", "B"), (2, 2)), 5)
+    _, v = np.linalg.eigh(pure.rho)
+    rho = (1 + eps) * pure.rho - eps * np.outer(v[:, 0], v[:, 0].conj())
+    return LabeledState(pure.register, rho)
+
+
+def oracle_panel():
+    """(initial, links, tolerance) for the dense-oracle panel.
+
+    One-qubit chains of 4 to 7 links measuring the previous apparatus, with
+    random bases and flag-copy after link 1, from rank 1 and rank 2 states;
+    (2,2) chains whose links leave dense break rows; and the psi/q state,
+    whose chain runs on the factor without its 5e-11 negative part.
+    """
+    for n_links in (4, 5, 6, 7):
+        for rank in (1, 2):
+            rng = make_rng(10 * n_links + rank)
+            state = random_mixed(Register(("S",), (2,)), rank=rank, seed=n_links + 10 * rank)
+            targets = chain_labels(n_links)
+            links = tuple(LinkSpec(lab, random_basis(lab, 2, rng)) for lab in targets)
+            yield state, links, 1e-12
+            yield state, links[:1] + tuple(LinkSpec(lab) for lab in targets[1:]), 1e-12
+    labels = ("A", "B", "M:A", "M:B")
+    for rank in (1, 2, 4):
+        rng = make_rng(20 + rank)
+        state = random_mixed(default_register(2), rank=rank, seed=30 + rank)
+        yield state, tuple(LinkSpec(lab, random_basis(lab, 2, rng)) for lab in labels), 1e-12
+    rng = make_rng(7)
+    yield psi_q_state(), tuple(LinkSpec(lab, random_basis(lab, 2, rng)) for lab in labels), 1e-9
+
+
+def dense_final_state(initial, links):
+    state = initial
+    for spec in links:
+        basis = spec.basis
+        if not isinstance(basis, LocalBasis):  # flag-copy
+            basis = computational_basis(spec.target, state.register.dim(spec.target))
+        state = premeasure(state, MeasurementPlan((spec.target,), (basis,)))
+    return state
+
+
 class TestRunChain:
+    def test_panel_matches_dense_oracles(self):
+        for state, links, tol in oracle_panel():
+            report = run_chain(ChainConfig(state, links))
+            dense = dense_link_values(state, links)
+            assert np.max(np.abs(np.subtract(report.entanglement_sequence(), dense))) <= tol
+            breaks = [r.break_negativity for r in report.rows[:-1]]
+            oracle = dense_break_rows(report, state.register.n)
+            assert np.max(np.abs(np.subtract(breaks, oracle))) <= tol
+            final = dense_final_state(state, links)
+            assert report.final_state.register == final.register
+            assert np.max(np.abs(report.final_state.rho - final.rho)) <= tol
+
+    def test_optimized_link_with_tracked_quantumness(self):
+        state = random_mixed(default_register(2), rank=2, seed=3)
+        links = (LinkSpec("B", OPTIMIZED), LinkSpec("M:B"), LinkSpec("M:M:B", OPTIMIZED))
+        report = run_chain(ChainConfig(state, links, frozenset({TRACK_QUANTUMNESS}), FAST_Q))
+        # dense replay: optimize, read and track on each dense premeasured state
+        for spec, row in zip(links, report.rows):
+            if spec.basis == FLAG_COPY:
+                basis = computational_basis(spec.target, 2)
+            else:
+                basis = q_negativity(state, (spec.target,), FAST_Q).argmin_bases[0]
+            plan = MeasurementPlan((spec.target,), (basis,))
+            assert row.entanglement == pytest.approx(apparatus_negativity(state, plan), abs=1e-9)
+            state = premeasure(state, plan)
+            q = q_negativity(state, (state.register.labels[-1],), FAST_Q).value
+            assert row.quantumness == pytest.approx(q, abs=1e-9)
+        assert report.rows[0].entanglement > 0.0
+        assert report.monotone()
+
     @pytest.mark.parametrize("flag_copy", [False, True])
     def test_link_values_match_dense_oracle(self, flag_copy):
         for state, links in seven_link_chains(flag_copy):
@@ -183,6 +266,19 @@ class TestRunChain:
     def test_empty_chain_refused(self):
         with pytest.raises(InvariantError, match="at least one link"):
             ChainConfig(bell_state(), ())
+
+    def test_misspelled_track_refused(self):
+        with pytest.raises(InvariantError, match="track must be a set"):
+            ChainConfig(bell_state(), (LinkSpec("B"),), track=frozenset({"quantumnes"}))
+
+    def test_track_must_be_a_set(self):
+        # a string would track quantumness through a substring match
+        with pytest.raises(InvariantError, match="track must be a set"):
+            ChainConfig(bell_state(), (LinkSpec("B"),), track=TRACK_QUANTUMNESS)
+
+    def test_links_must_be_link_specs(self):
+        with pytest.raises(InvariantError, match="chain links must be LinkSpecs"):
+            ChainConfig(single_qubit_state(0.3), ("S",))
 
     def test_classical_links_read_exactly_zero(self):
         links = tuple(LinkSpec(lab) for lab in chain_labels(4))
@@ -285,6 +381,36 @@ class TestRunChain:
         assert ChainConfig(bell_state(), links).q_cfg == parsed.q_cfg
 
 
+class TestDensityChecks:
+    """A chain checks a density matrix only where one is read."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls, real = [], linalg.check_density
+        monkeypatch.setattr(linalg, "check_density", lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_run_chain_checks_only_the_final_state_read(self, monkeypatch):
+        state, links = next(seven_link_chains(False))
+        calls = self.counted(monkeypatch)
+        report = run_chain(ChainConfig(state, links))
+        assert len(calls) == 0
+        final = report.final_state
+        assert len(calls) == 1 and final.register.total_dim == 256
+        assert report.final_state is final and len(calls) == 1
+
+    def test_gme_propagation_checks_only_the_final_state_read(self, monkeypatch):
+        initial = ghz_state(3)
+        calls = self.counted(monkeypatch)
+        out = chain_gme_propagation(initial, links=5, seed=0)
+        assert len(calls) == 0 and all(step["gme"] for step in out["per_step"])
+        final = out["final_state"]
+        assert len(calls) == 1 and final.register.total_dim == 256
+        assert out["final_state"] is final and len(calls) == 1
+        with pytest.raises(KeyError):
+            out["final"]
+
+
 def draw_on(state, target, rng):
     """``_generic_draw`` on the target's reduced state."""
     reduced = linalg.partial_trace(state.rho, state.dims, [state.register.index(target)])
@@ -365,12 +491,8 @@ class TestGmePropagation:
         assert np.max(np.abs(out["final_state"].rho - final.rho)) <= 1e-13
 
     def test_negative_part_is_dropped(self):
-        # (1 + eps) psi psi^dag - eps q q^dag with q orthogonal to psi passes
-        # check_density and is_pure, but its positive eigenvalues sum to 1 + eps
-        eps, pure = 5e-11, random_pure(Register(("A", "B"), (2, 2)), 5)
-        _, v = np.linalg.eigh(pure.rho)
-        rho = (1 + eps) * pure.rho - eps * np.outer(v[:, 0], v[:, 0].conj())
-        state = LabeledState(pure.register, rho)
+        # the positive eigenvalues of the psi/q state sum to 1 + 5e-11
+        state = psi_q_state()
         out = chain_gme_propagation(state, 3, seed=1)
         flags, final = dense_gme_replay(state, 3, 1)
         assert out["per_step"] == flags
@@ -388,7 +510,7 @@ class TestGmePropagation:
         def refuse(*args):
             raise AssertionError("chain_gme_propagation premeasured a density matrix")
 
-        monkeypatch.setattr(chain, "premeasure", refuse)
+        monkeypatch.setattr(PREMEASURE_MODULE, "_conjugate", refuse)
         out = chain_gme_propagation(ghz_state(3), links=5, seed=0)
         assert all(step["gme"] for step in out["per_step"])
         assert out["final_state"].register.total_dim == 256

@@ -61,6 +61,19 @@ class TestCuts:
             with pytest.raises(InvariantError):
                 all_cuts(n)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_all_cuts_order_and_cache(self, n):
+        # the enumeration by mask over p1, sorted by key, built once per n
+        expected = []
+        for mask in range(1, 2 ** (n - 1)):
+            p1 = tuple(i for i in range(1, n) if mask & (1 << (i - 1)))
+            expected.append(BipartitionCut(tuple(i for i in range(n) if i not in p1), p1))
+        expected.sort(key=BipartitionCut.key)
+        cuts = all_cuts(n)
+        assert isinstance(cuts, tuple)
+        assert [c.key() for c in cuts] == [c.key() for c in expected]
+        assert all_cuts(n) is cuts
+
     def test_cut_from_labels(self):
         reg = Register(("A", "B", "C"), (2, 2, 2))
         cut = cut_from_labels(reg, "A,C:B")
