@@ -14,9 +14,9 @@ the row is link j + 1's value; otherwise it is computed on the final state.
 A LabeledState is formed, and checked, only for an "optimized" link, a
 tracked quantumness, a dense break row, or a read of the final state.
 
-Basis policies per link: an explicit basis, "optimized" (argmin of the
-negativity-of-quantumness optimizer on the current state), or "flag-copy"
-(computational basis, copying the previous measurement record).
+Basis policies per link: an explicit basis, "optimized" (q_negativity's
+argmin on the current state) or "flag-copy" (computational basis, copying
+the previous record).  ``ChainConfig`` checks every link before any runs.
 """
 
 from collections import namedtuple
@@ -28,8 +28,8 @@ from . import linalg
 from .entanglement import BipartitionCut, _factor, _gme_test, _negativity, _pure_vector
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, _isometry
-from .quantumness import OptimizerConfig, _integer, apparatus_negativity, q_negativity
-from .states import LabeledState, LocalBasis, computational_basis, random_basis, spawn_rng
+from .quantumness import OptimizerConfig, apparatus_negativity, q_negativity
+from .states import LabeledState, LocalBasis, _integer, computational_basis, random_basis, spawn_rng
 
 FLAG_COPY = "flag-copy"
 OPTIMIZED = "optimized"
@@ -59,6 +59,8 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class ChainConfig:
+    """A chain to run; each link's basis, target and new register are checked when built."""
+
     initial: LabeledState
     links: tuple
     track: frozenset = frozenset({TRACK_NEGATIVITY})
@@ -67,11 +69,18 @@ class ChainConfig:
     def __post_init__(self):
         if not self.links:
             raise InvariantError("a chain needs at least one link")
-        if not all(isinstance(link, LinkSpec) for link in self.links):
-            raise InvariantError(f"chain links must be LinkSpecs, got {self.links!r}")
         tracks = {TRACK_NEGATIVITY, TRACK_QUANTUMNESS}
         if not isinstance(self.track, (set, frozenset)) or not self.track <= tracks:
             raise InvariantError(f"track must be a set within {sorted(tracks)}, got {self.track!r}")
+        reg = self.initial.register
+        for link in self.links:
+            if not isinstance(link, LinkSpec):
+                raise InvariantError(f"chain links must be LinkSpecs, got {self.links!r}")
+            if isinstance(link.basis, LocalBasis):
+                MeasurementPlan((link.target,), (link.basis,)).check_register(reg)
+            elif not isinstance(link.basis, str) or link.basis not in (FLAG_COPY, OPTIMIZED):
+                raise InvariantError(f"unknown basis policy {link.basis!r}")
+            reg = reg.with_apparatus(link.target)
 
 
 @dataclass(frozen=True)
@@ -127,17 +136,11 @@ def _link(reg, f, target, u):
 
 def _resolve_basis(reg, f, spec, q_cfg):
     if isinstance(spec.basis, LocalBasis):
-        if spec.basis.subsystem != spec.target:
-            raise InvariantError(
-                f"explicit basis is for {spec.basis.subsystem!r}, link targets {spec.target!r}"
-            )
         return spec.basis
     if spec.basis == FLAG_COPY:
         return computational_basis(spec.target, reg.dim(spec.target))
-    if spec.basis == OPTIMIZED:
-        report = q_negativity(LabeledState(reg, f @ linalg.dagger(f)), (spec.target,), q_cfg)
-        return report.argmin_bases[0]
-    raise InvariantError(f"unknown basis policy {spec.basis!r}")
+    report = q_negativity(LabeledState(reg, f @ linalg.dagger(f)), (spec.target,), q_cfg)
+    return report.argmin_bases[0]
 
 
 def run_chain(cfg):
@@ -145,7 +148,6 @@ def run_chain(cfg):
     reg, f = cfg.initial.register, _factor(cfg.initial.rho)
     links = []  # (link, target, apparatus, entanglement, quantumness)
     for j, spec in enumerate(cfg.links, start=1):
-        reg.with_apparatus(spec.target)  # refuses past the cap before optimizing
         plan = MeasurementPlan((spec.target,), (_resolve_basis(reg, f, spec, cfg.q_cfg),))
         e_val = apparatus_negativity(_Dense(reg, f @ linalg.dagger(f)), plan)
         reg, f = _link(reg, f, spec.target, plan.bases[0].vectors)
@@ -223,18 +225,15 @@ def _generic_draw(reduced, target, rng):
 def chain_gme_propagation(initial, links, seed=0):
     """GME flags after each of ``links`` generic-basis chain links.
 
-    The first link measures the last system subsystem; subsequent links
-    measure the previous apparatus.  Pure initial states only.  Each link is
-    a ``_link`` step on a factor f of rho = f f^dag, and each GME test reads
-    the singular values of f across every cut.  Returns a dict with
-    "per_step", the flags, and "final_state", formed on first read.
+    The first link measures the last system subsystem, later links the
+    previous apparatus; the first link past the 256 cap is refused.  Pure
+    initial states only.  Each link is a ``_link`` step on a factor f, each
+    GME test an SVD of f per cut.  Returns "per_step" and a lazy "final_state".
     """
     if not initial.is_pure():
         raise InvariantError("chain_gme_propagation requires a pure initial state")
     if _integer(links, "chain_gme_propagation links") < 1:
         raise InvariantError(f"chain_gme_propagation needs at least one link, got {links}")
-    if initial.register.n + links > 8:
-        raise InvariantError("at most 8 total subsystems after all links")
     if _integer(seed, "chain_gme_propagation seed") < 0:
         raise InvariantError(f"chain_gme_propagation seed must be non-negative, got {seed}")
     rng = spawn_rng(seed, 0)

@@ -36,7 +36,7 @@ import numpy as np
 from . import linalg
 from .entanglement import CLAMP
 from .errors import InvariantError
-from .states import SYSTEM, LocalBasis, spawn_rng
+from .states import SYSTEM, LocalBasis, _integer, spawn_rng
 
 NEGATIVITY_OF_QUANTUMNESS = "negativity_of_quantumness"
 ONE_WAY_DEFICIT = "one_way_deficit"
@@ -46,13 +46,6 @@ LOCKSTEP_ROWS = 64  # restarts per minimize call
 
 # Largest commutator entry at which ``cc_commutation_oracle`` calls two slices commuting.
 _COMMUTATION_TOL = 1e-9
-
-
-def _integer(value, what):
-    """``value`` if it is an integer other than a bool: its type defines ``__index__``."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise InvariantError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -529,6 +522,8 @@ def classify_cc(state, measured, threshold=1e-7, cfg=OptimizerConfig()):
     Returns {"cc", "witness_bases", "residual"}; witness bases are the
     argmin of the negativity optimization when classical.
     """
+    if isinstance(threshold, bool) or not 0 < threshold < float("inf"):  # also refuses NaN
+        raise InvariantError(f"threshold must be positive and finite, got {threshold}")
     q = q_negativity(state, measured, cfg)
     d = deficit(state, measured, cfg)
     residual = max(q.value, d.value)

@@ -19,6 +19,13 @@ APPARATUS_PREFIX = "M:"
 MAX_TOTAL_DIM = 256
 
 
+def _integer(value, what, error=InvariantError):
+    """``value`` if it is an integer other than a bool: its type defines ``__index__``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def apparatus_label(label):
     """Label of the apparatus that records a measurement of ``label``."""
     return APPARATUS_PREFIX + label
@@ -38,7 +45,7 @@ class Register:
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(int(_integer(d, "a subsystem dimension")) for d in self.dims)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
         if len(labels) != len(dims):
@@ -83,10 +90,8 @@ class Register:
 
     def with_apparatus(self, measured_label):
         """New register with an apparatus for ``measured_label`` appended."""
-        return Register(
-            self.labels + (apparatus_label(measured_label),),
-            self.dims + (self.dim(measured_label),),
-        )
+        d = self.dim(measured_label)  # refuses an unknown label of any type
+        return Register(self.labels + (apparatus_label(measured_label),), self.dims + (d,))
 
     def drop(self, label):
         i = self.index(label)

@@ -32,6 +32,7 @@ from .quantumness import (
 from .states import (
     LabeledState,
     Register,
+    _integer,
     apparatus_label,
     classical_quantum_state,
     default_register,
@@ -354,8 +355,7 @@ def run_suite(name, samples=None, seed=None):
     if name not in _SUITES:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     kwargs = {key: v for key, v in (("samples", samples), ("seed", seed)) if v is not None}
-    if kwargs.get("samples", 1) < 1:
-        raise UsageError(f"samples must be at least 1, got {samples}")
-    if kwargs.get("seed", 0) < 0:
-        raise UsageError(f"the seed must be non-negative, got {seed}")
+    for key, low in (("samples", 1), ("seed", 0)):
+        if _integer(kwargs.get(key, low), key, UsageError) < low:
+            raise UsageError(f"{key} must be at least {low}, got {kwargs[key]}")
     return _SUITES[name](**kwargs)

@@ -338,25 +338,20 @@ class TestRunChain:
         assert report.rows[0].entanglement == pytest.approx(0.25, abs=1e-10)
 
     def test_explicit_basis_label_mismatch(self):
-        cfg = ChainConfig(
-            initial=bell_state(),
-            links=(LinkSpec("B", LocalBasis("A", np.eye(2))),),
-        )
         with pytest.raises(InvariantError):
-            run_chain(cfg)
+            ChainConfig(
+                initial=bell_state(),
+                links=(LinkSpec("B", LocalBasis("A", np.eye(2))),),
+            )
 
     def test_unknown_policy(self):
-        cfg = ChainConfig(initial=bell_state(), links=(LinkSpec("B", "nope"),))
         with pytest.raises(InvariantError):
-            run_chain(cfg)
+            ChainConfig(initial=bell_state(), links=(LinkSpec("B", "nope"),))
 
     def test_dimension_cap(self):
         state = random_mixed(Register(("A", "B", "C"), (4, 4, 4)), rank=1, seed=2)
-        cfg = ChainConfig(
-            initial=state, links=(LinkSpec("C"), LinkSpec("M:C"))
-        )
         with pytest.raises(InvariantError):
-            run_chain(cfg)
+            ChainConfig(initial=state, links=(LinkSpec("C"), LinkSpec("M:C")))
 
     def test_dimension_cap_before_optimizing(self, monkeypatch):
         def never(*args):
@@ -364,11 +359,28 @@ class TestRunChain:
 
         monkeypatch.setattr(chain, "q_negativity", never)
         state = random_mixed(Register(("A", "B", "C"), (4, 4, 4)), rank=1, seed=2)
-        cfg = ChainConfig(
-            initial=state, links=(LinkSpec("C"), LinkSpec("M:C", OPTIMIZED))
-        )
         with pytest.raises(InvariantError, match=r"'M:C', 'M:M:C'\).*exceed total dimension 256"):
-            run_chain(cfg)
+            ChainConfig(initial=state, links=(LinkSpec("C"), LinkSpec("M:C", OPTIMIZED)))
+
+    @pytest.mark.parametrize("last, match", [
+        (LinkSpec("M:B", "nope"), "unknown basis policy 'nope'"),
+        (LinkSpec("M:B", np.eye(2)), "unknown basis policy"),
+        (LinkSpec("M:B", LocalBasis("B", np.eye(2))), "does not match plan label 'M:B'"),
+        (LinkSpec("M:B", LocalBasis("M:B", np.eye(3))), "basis dimension 3 != subsystem 'M:B'"),
+        (LinkSpec("Z"), "label 'Z' not in register"),
+        (LinkSpec(5), "label 5 not in register"),
+        (LinkSpec("B"), "duplicate labels"),
+        (LinkSpec("A", OPTIMIZED), "exceed total dimension 256"),
+    ])
+    def test_bad_link_refused_before_any_runs(self, monkeypatch, last, match):
+        def never(*args):
+            raise AssertionError("q_negativity called")
+
+        monkeypatch.setattr(chain, "q_negativity", never)
+        # each last link is valid but for one fault: a record of A would reach 64 * 16 > 256
+        initial = random_mixed(Register(("A", "B"), (16, 2)), rank=1, seed=2)
+        with pytest.raises(InvariantError, match=match):
+            ChainConfig(initial, (LinkSpec("B", OPTIMIZED), last))
 
     def test_default_optimizer_matches_chain_json(self):
         # a config with no "optimizer" block optimizes links alike from the
@@ -461,6 +473,11 @@ class TestGmePropagation:
         # 6 subsystems, but the third qutrit link would reach 27 * 27 = 729 > 256
         with pytest.raises(InvariantError, match="exceed total dimension 256"):
             chain_gme_propagation(ghz_state(3, 3), links=3)
+
+    def test_qubit_cap_refused_at_the_link(self):
+        # the sixth link would make nine qubits, 512 > 256
+        with pytest.raises(InvariantError, match=r"'M:M:M:M:M:M:C'\).*exceed total dimension 256"):
+            chain_gme_propagation(ghz_state(3), 6)
 
     @pytest.mark.parametrize("links", [0, -2, 2.5, True, "2", None])
     def test_needs_a_link(self, links):

@@ -500,6 +500,15 @@ class TestClassify:
         assert obj["cc"] is True
         assert obj["witness_bases"] is not None
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])
+    def test_threshold_refused(self, capsys, bell_file, threshold):
+        code, out, err = run(
+            capsys, "classify", "--state", bell_file, "--measured", "A", "--threshold", threshold
+        )
+        assert code == EXIT_INVARIANT
+        assert "threshold must be positive and finite" in err
+        assert out == ""
+
 
 class TestChainCommand:
     def test_demo_chain(self, capsys, tmp_path, monkeypatch):

@@ -749,6 +749,15 @@ class TestClassify:
         out = classify_cc(discordant_state(), ("A",), cfg=FAST)
         assert out["cc"] is True
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1e-7, True])
+    def test_threshold_refused_before_optimizing(self, monkeypatch, threshold):
+        def never(*args):
+            raise AssertionError("q_negativity called")
+
+        monkeypatch.setattr(quantumness, "q_negativity", never)
+        with pytest.raises(InvariantError, match="threshold must be positive and finite"):
+            classify_cc(cc_state(), ("A", "B"), threshold=threshold, cfg=FAST)
+
 
 class TestCommutationOracle:
     def test_cc_state(self):

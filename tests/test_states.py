@@ -58,6 +58,17 @@ class TestRegister:
         with pytest.raises(InvariantError):
             Register(("A", "A"), (2, 2))
 
+    @pytest.mark.parametrize("dims", [(2.7, 2.2), ("3", "2"), (2, True), (2, None)])
+    def test_non_integer_dimension_rejected(self, dims):
+        # int() would truncate 2.7 to 2 and parse "3" to 3
+        with pytest.raises(InvariantError, match="dimension must be an integer"):
+            Register(("A", "B"), dims)
+
+    def test_numpy_integer_dimensions_stored_as_int(self):
+        reg = Register(("A", "B"), np.array([2, 3]))
+        assert reg.dims == (2, 3)
+        assert all(type(d) is int for d in reg.dims)
+
     def test_trivial_dimension_rejected(self):
         with pytest.raises(InvariantError):
             Register(("A",), (1,))

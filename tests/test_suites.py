@@ -63,7 +63,9 @@ def test_theorem3_smoke():
 
 @pytest.mark.parametrize("name", ["theorem3", "locc-undo", "chain-monotone"])
 @pytest.mark.parametrize("kwargs, word", [({"samples": 0}, "samples"), ({"samples": -2}, "samples"),
-                                          ({"seed": -1}, "seed")])
+                                          ({"seed": -1}, "seed"), ({"samples": 2.5}, "samples"),
+                                          ({"samples": True}, "samples"), ({"seed": 1.5}, "seed"),
+                                          ({"seed": True}, "seed"), ({"seed": "1"}, "seed")])
 def test_run_suite_refuses_bad_inputs(name, kwargs, word):
     with pytest.raises(UsageError, match=word):
         run_suite(name, **kwargs)
