@@ -67,6 +67,8 @@ class ChainConfig:
     q_cfg: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
+        if not isinstance(self.initial, LabeledState):
+            raise InvariantError(f"a chain starts from a LabeledState, got {self.initial!r}")
         if not self.links:
             raise InvariantError("a chain needs at least one link")
         tracks = {TRACK_NEGATIVITY, TRACK_QUANTUMNESS}
@@ -232,10 +234,8 @@ def chain_gme_propagation(initial, links, seed=0):
     """
     if not initial.is_pure():
         raise InvariantError("chain_gme_propagation requires a pure initial state")
-    if _integer(links, "chain_gme_propagation links") < 1:
-        raise InvariantError(f"chain_gme_propagation needs at least one link, got {links}")
-    if _integer(seed, "chain_gme_propagation seed") < 0:
-        raise InvariantError(f"chain_gme_propagation seed must be non-negative, got {seed}")
+    _integer(links, "chain_gme_propagation links", low=1)
+    _integer(seed, "chain_gme_propagation seed", low=0)
     rng = spawn_rng(seed, 0)
     reg, f = initial.register, _factor(initial.rho)
     flags = []

@@ -25,7 +25,7 @@ from .entanglement import (
 from .errors import InvariantError, ParseError, UsageError
 from .quantumness import OptimizerConfig, classify_cc, deficit, q_negativity
 from .states import bell_state, ghz_state, werner_state, classical_quantum_state
-from .states import LocalBasis
+from .states import LocalBasis, _integer
 from .suites import run_suite
 
 EXIT_OK = 0
@@ -44,16 +44,12 @@ E_MEASURES = {
 def _seed_option(seed):
     """Explicit --seed wins; QCORR_SEED is the fallback; default 0."""
     if seed is None:
-        env = os.environ.get("QCORR_SEED")
-        if not env:
-            return 0
+        env = os.environ.get("QCORR_SEED") or "0"
         try:
             seed = int(env)
         except ValueError:
             raise UsageError(f"QCORR_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise UsageError(f"the seed must be non-negative, got {seed}")
-    return seed
+    return _integer(seed, "the seed", UsageError, low=0)
 
 
 def _parse_measured(measured):

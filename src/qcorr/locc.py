@@ -17,7 +17,7 @@ from .entanglement import BipartitionCut, negativity
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, _local, _pull_back, premeasure
 from .quantumness import apparatus_negativity
-from .states import LabeledState, apparatus_label
+from .states import LabeledState, _integer, apparatus_label
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ class LoccTranscript:
 
 def fourier_unitary(d):
     """F[k][i] = exp(2*pi*1j*i*k/d)/sqrt(d)."""
-    if d < 2:
-        raise InvariantError(f"fourier_unitary requires d >= 2, got {d}")
+    _integer(d, "fourier_unitary d", low=2)
     k, i = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return np.exp(2j * np.pi * i * k / d) / np.sqrt(d)
 

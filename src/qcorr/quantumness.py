@@ -28,6 +28,7 @@ over the batch.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -48,6 +49,12 @@ LOCKSTEP_ROWS = 64  # restarts per minimize call
 _COMMUTATION_TOL = 1e-9
 
 
+def _positive(value, what):
+    """Refuse ``value`` unless it is a real number, other than a bool, in (0, inf)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise InvariantError(f"{what} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 24
@@ -56,16 +63,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iter", "seed"):
-            _integer(getattr(self, name), name)
-        if self.restarts < 1:
-            raise InvariantError("restarts must be >= 1")
-        if self.max_iter < 1:
-            raise InvariantError("max_iter must be >= 1")
-        if isinstance(self.tol, bool) or not 0 < self.tol < float("inf"):  # also refuses NaN
-            raise InvariantError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.seed < 0:
-            raise InvariantError(f"seed must be non-negative, got {self.seed}")
+        for name, low in (("restarts", 1), ("max_iter", 1), ("seed", 0)):
+            _integer(getattr(self, name), name, low=low)
+        _positive(self.tol, "tol")
 
 
 @dataclass(frozen=True)
@@ -522,8 +522,7 @@ def classify_cc(state, measured, threshold=1e-7, cfg=OptimizerConfig()):
     Returns {"cc", "witness_bases", "residual"}; witness bases are the
     argmin of the negativity optimization when classical.
     """
-    if isinstance(threshold, bool) or not 0 < threshold < float("inf"):  # also refuses NaN
-        raise InvariantError(f"threshold must be positive and finite, got {threshold}")
+    _positive(threshold, "threshold")
     q = q_negativity(state, measured, cfg)
     d = deficit(state, measured, cfg)
     residual = max(q.value, d.value)

@@ -25,7 +25,7 @@ from .chain import (
 )
 from .errors import InvariantError, ParseError, UsageError
 from .quantumness import OptimizerConfig
-from .states import LabeledState, LocalBasis, Register
+from .states import LabeledState, LocalBasis, Register, _integer
 
 try:
     VERSION = metadata.version("qcorr")
@@ -114,14 +114,15 @@ def basis_from_json(obj, where="basis"):
 
 
 def _number(val, what, kind=float):
-    """``kind(val)``; a bool is refused, and for int a fractional float too."""
-    fractional = kind is int and isinstance(val, float) and not val.is_integer()
-    if isinstance(val, bool) or fractional:
-        noun = "an integer" if kind is int else "a number"
-        raise ParseError(f"{what} must be {noun}, got {val!r}")
+    """The JSON number ``val`` as ``kind``; strings and bools are refused, and 2.0 is int 2."""
+    if kind is int:
+        integral = isinstance(val, float) and val.is_integer()
+        return _integer(int(val) if integral else val, what, ParseError)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ParseError(f"{what} must be a number, got {val!r}")
     try:
-        return kind(val)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return float(val)
+    except OverflowError as exc:
         raise ParseError(f"{what}: not a number ({exc})") from None
 
 

@@ -18,11 +18,16 @@ APPARATUS_PREFIX = "M:"
 # Registers, and so states, beyond this total dimension are refused.
 MAX_TOTAL_DIM = 256
 
+# Purity deficit below which ``LabeledState.is_pure`` calls a state pure.
+_PURE_TOL = 1e-8
 
-def _integer(value, what, error=InvariantError):
-    """``value`` if it is an integer other than a bool: its type defines ``__index__``."""
+
+def _integer(value, what, error=InvariantError, low=None):
+    """``value`` if it is a non-bool integer (its type has ``__index__``) of at least ``low``."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise error(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{what} must be at least {low}, got {value!r}")
     return value
 
 
@@ -45,15 +50,15 @@ class Register:
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        dims = tuple(int(_integer(d, "a subsystem dimension")) for d in self.dims)
+        dims = tuple(int(_integer(d, "a subsystem dimension", low=2)) for d in self.dims)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
         if len(labels) != len(dims):
             raise InvariantError("register labels/dims length mismatch")
+        if not all(isinstance(lab, str) for lab in labels):
+            raise InvariantError(f"register labels must be strings, got {labels!r}")
         if len(set(labels)) != len(labels):
             raise InvariantError(f"duplicate labels in register: {labels}")
-        if any(d < 2 for d in dims):
-            raise InvariantError(f"all subsystem dimensions must be >= 2, got {dims}")
         if math.prod(dims) > MAX_TOTAL_DIM:
             raise InvariantError(
                 f"register {labels} of dims {dims} would exceed total dimension {MAX_TOTAL_DIM}"
@@ -142,8 +147,8 @@ class LabeledState:
     def purity(self):
         return linalg.purity(self.rho)
 
-    def is_pure(self, tol=1e-8):
-        return self.purity() >= 1.0 - tol
+    def is_pure(self):
+        return self.purity() >= 1.0 - _PURE_TOL
 
     def permuted(self, order):
         """LabeledState with subsystems reordered according to ``order``."""
@@ -158,7 +163,7 @@ class LabeledState:
 
 def default_register(n, d=2):
     """Register with labels A, B, C, ... and uniform dimension ``d``."""
-    labels = tuple(chr(ord("A") + i) for i in range(n))
+    labels = tuple(chr(ord("A") + i) for i in range(_integer(n, "default_register n", low=1)))
     return Register(labels, (d,) * n)
 
 
@@ -168,6 +173,7 @@ def default_register(n, d=2):
 # ---------------------------------------------------------------------------
 
 def make_rng(seed):
+    _integer(seed, "seed", low=0)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -248,25 +254,23 @@ def werner_state(p):
 
 def ghz_state(n, d=2):
     """(|0...0> + ... + |d-1...d-1>)/sqrt(d) on n qudits."""
-    if n < 2:
-        raise InvariantError("ghz_state requires n >= 2")
-    psi = np.zeros(d**n, dtype=complex)
+    reg = default_register(_integer(n, "ghz_state n", low=2), d)
+    psi = np.zeros(reg.total_dim, dtype=complex)
     for i in range(d):
         idx = sum(i * d**k for k in range(n))
         psi[idx] = 1.0
     psi /= np.sqrt(d)
-    return pure_state(psi, default_register(n, d))
+    return pure_state(psi, reg)
 
 
 def w_state(n):
     """Symmetric single-excitation state on n qubits."""
-    if n < 2:
-        raise InvariantError("w_state requires n >= 2")
-    psi = np.zeros(2**n, dtype=complex)
+    reg = default_register(_integer(n, "w_state n", low=2))
+    psi = np.zeros(reg.total_dim, dtype=complex)
     for k in range(n):
         psi[2**k] = 1.0
     psi /= np.sqrt(n)
-    return pure_state(psi, default_register(n))
+    return pure_state(psi, reg)
 
 
 def random_pure(register, seed):
@@ -279,7 +283,7 @@ def random_pure(register, seed):
 def random_mixed(register, rank, seed):
     """Normalized G G^dag with G a complex-Gaussian (d x rank) matrix."""
     d = register.total_dim
-    if not 1 <= rank <= d:
+    if _integer(rank, "rank", low=1) > d:
         raise InvariantError(f"rank {rank} outside [1, {d}]")
     rng = make_rng(seed)
     g = complex_gaussian(rng, (d, rank))

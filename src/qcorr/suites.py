@@ -19,7 +19,7 @@ from .chain import (
     run_chain,
 )
 from .entanglement import BipartitionCut, entropy_of_entanglement, negativity
-from .errors import UsageError
+from .errors import InvariantError, UsageError
 from .locc import locc_undo, verify_monotonicity_step
 from .premeasure import MeasurementPlan, premeasure
 from .quantumness import (
@@ -136,7 +136,7 @@ def _random_entangled_state(seed, t):
         )
         if negativity(state, ab_cut) > MIN_ENTANGLED_NEGATIVITY:
             return state
-    raise RuntimeError("failed to sample an entangled state")
+    raise InvariantError("failed to sample an entangled state")
 
 
 def run_theorem1(samples=50, seed=11, restarts=24):
@@ -356,6 +356,5 @@ def run_suite(name, samples=None, seed=None):
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     kwargs = {key: v for key, v in (("samples", samples), ("seed", seed)) if v is not None}
     for key, low in (("samples", 1), ("seed", 0)):
-        if _integer(kwargs.get(key, low), key, UsageError) < low:
-            raise UsageError(f"{key} must be at least {low}, got {kwargs[key]}")
+        _integer(kwargs.get(key, low), key, UsageError, low=low)
     return _SUITES[name](**kwargs)

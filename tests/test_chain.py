@@ -267,6 +267,11 @@ class TestRunChain:
         with pytest.raises(InvariantError, match="at least one link"):
             ChainConfig(bell_state(), ())
 
+    @pytest.mark.parametrize("initial", [None, np.eye(4) / 4])
+    def test_initial_must_be_a_state(self, initial):
+        with pytest.raises(InvariantError, match="starts from a LabeledState"):
+            ChainConfig(initial, (LinkSpec("B"),))
+
     def test_misspelled_track_refused(self):
         with pytest.raises(InvariantError, match="track must be a set"):
             ChainConfig(bell_state(), (LinkSpec("B"),), track=frozenset({"quantumnes"}))
@@ -481,7 +486,7 @@ class TestGmePropagation:
 
     @pytest.mark.parametrize("links", [0, -2, 2.5, True, "2", None])
     def test_needs_a_link(self, links):
-        with pytest.raises(InvariantError, match="at least one link|must be an integer"):
+        with pytest.raises(InvariantError, match="links must be at least 1|must be an integer"):
             chain_gme_propagation(ghz_state(3), links)
 
     @pytest.mark.parametrize("seed", [1.5, -1, True, "0", None])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorr import cli, serialize
+from qcorr.chain import ChainReport, ChainRow
 from qcorr.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from qcorr.states import bell_state, werner_state
 from qcorr.suites import SuiteResult
@@ -105,6 +106,14 @@ class TestExitCodes:
     def test_usage_error_missing_required_flag(self, capsys, bell_file):
         code, _, _ = run(capsys, "measure", "--state", bell_file, "--measure", "negativity")
         assert code == EXIT_USAGE  # E measures need --cut
+
+    def test_usage_error_unknown_quantumness_measure(self, capsys, bell_file):
+        code, out, err = run(
+            capsys, "quantumness", "--state", bell_file, "--measured", "A", "--measure", "bogus"
+        )
+        assert code == EXIT_USAGE
+        assert "unknown quantumness measure 'bogus'" in err
+        assert out == ""
 
     def test_usage_error_unknown_flag(self, capsys, bell_file):
         code, _, _ = run(capsys, "measure", "--state", bell_file, "--bogus", "1")
@@ -527,6 +536,18 @@ class TestChainCommand:
         assert csv_lines[0] == "link,target,apparatus,entanglement,quantumness,break_negativity"
         assert len(csv_lines) == 4
 
+
+    def test_non_monotone_exits_invariant_after_writing(self, capsys, tmp_path, monkeypatch):
+        rows = (ChainRow(1, "B", "M:B", 0.5), ChainRow(2, "M:B", "M:M:B", 0.25))
+        monkeypatch.setattr(cli, "run_chain", lambda cfg: ChainReport(rows, {}))
+        prefix = tmp_path / "drop"
+        code, _, _ = run(
+            capsys, "chain", "--config", _demo_chain_config(tmp_path / "c.json"),
+            "--out-prefix", str(prefix),
+        )
+        assert code == EXIT_INVARIANT
+        assert json.loads((tmp_path / "drop.json").read_text())["monotone"] is False
+        assert len((tmp_path / "drop.csv").read_text().strip().splitlines()) == 3
 
     def test_empty_links_refused(self, capsys, tmp_path):
         config = tmp_path / "chain.json"

@@ -1,0 +1,84 @@
+"""Counts and tolerances of the wrong type or range get a clean refusal.
+
+Every library entry point refuses with ``InvariantError``, and a JSON input
+file makes the CLI exit 2 with no traceback.  JSON strings are refused for
+numeric fields even when they would parse as numbers.
+"""
+
+import json
+
+import pytest
+
+from qcorr import serialize
+from qcorr.cli import EXIT_PARSE, main
+from qcorr.errors import InvariantError
+from qcorr.locc import fourier_unitary
+from qcorr.quantumness import OptimizerConfig, classify_cc
+from qcorr.states import (
+    bell_state,
+    default_register,
+    ghz_state,
+    random_mixed,
+    random_pure,
+    w_state,
+)
+
+LIBRARY_CASES = {
+    "tol-string": (lambda: OptimizerConfig(tol="1e-8"), "tol must be positive and finite"),
+    "threshold-string": (
+        lambda: classify_cc(bell_state(), ("A",), threshold="1e-7"),
+        "threshold must be positive and finite",
+    ),
+    "ghz-float": (lambda: ghz_state(2.5), "ghz_state n must be an integer"),
+    "w-float": (lambda: w_state(3.0), "w_state n must be an integer"),
+    "register-float": (lambda: default_register(2.0), "default_register n must be an integer"),
+    "rank-float": (lambda: random_mixed(default_register(2), 2.5, 1), "rank must be an integer"),
+    "seed-float": (lambda: random_pure(default_register(2), 1.5), "seed must be an integer"),
+    "seed-negative": (lambda: random_pure(default_register(2), -1), "seed must be at least 0"),
+    "fourier-float": (lambda: fourier_unitary(2.5), "fourier_unitary d must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_CASES)
+def test_library_refusal(case):
+    call, message = LIBRARY_CASES[case]
+    with pytest.raises(InvariantError, match=message):
+        call()
+
+
+def _state_file(tmp_path):
+    obj = serialize.state_to_json(bell_state())
+    obj["dims"] = ["2", "2"]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    return ("measure", "--state", str(path), "--measure", "negativity", "--cut", "A:B")
+
+
+def _chain_config(optimizer):
+    def argv(tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({
+            "state": serialize.state_to_json(bell_state()),
+            "links": [{"target": "B"}],
+            "optimizer": optimizer,
+        }))
+        return ("chain", "--config", str(path), "--out-prefix", str(tmp_path / "chain"))
+    return argv
+
+
+JSON_CASES = {
+    "dims-strings": (_state_file, "dims must be an integer, got '2'"),
+    "restarts-string": (_chain_config({"restarts": "3"}), "'restarts' must be an integer"),
+    "tol-string": (_chain_config({"tol": "1e-8"}), "'tol' must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", JSON_CASES)
+def test_json_refusal(capsys, tmp_path, case):
+    argv, message = JSON_CASES[case]
+    code = main(list(argv(tmp_path)))
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "chain.csv").exists()

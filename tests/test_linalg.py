@@ -30,6 +30,31 @@ class TestCheckDensity:
         with pytest.raises(InvariantError):
             linalg.check_density(rho)
 
+    @staticmethod
+    def with_least_eigenvalue(w):
+        """A Hermitian unit-trace 3x3 matrix with eigenvalues 0.5 - w, 0.5 and w."""
+        u = random_unitary(np.random.default_rng(1), 3)
+        rho = u @ np.diag([0.5 - w, 0.5, w]) @ u.conj().T
+        return (rho + rho.conj().T) / 2
+
+    def test_refuses_negative_eigenvalue(self):
+        with pytest.raises(InvariantError, match="not positive semidefinite"):
+            linalg.check_density(self.with_least_eigenvalue(-1e-9))
+
+    def test_admits_eigenvalue_within_tolerance(self):
+        rho = self.with_least_eigenvalue(-1e-11)
+        assert np.min(np.linalg.eigvalsh(rho)) < 0
+        assert linalg.check_density(rho) is not None
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_refuses_non_square(self, shape):
+        with pytest.raises(InvariantError, match="must be square"):
+            linalg.check_density(np.ones(shape) / 2)
+
+    def test_refuses_dimension_mismatch(self):
+        with pytest.raises(InvariantError, match="dimension 4 != product of subsystem dims 6"):
+            linalg.check_density(np.eye(4) / 4, dims=(2, 3))
+
 
 class TestPartialTrace:
     def test_product_state(self):

@@ -155,7 +155,7 @@ class TestParameterization:
             OptimizerConfig(tol=tol)
 
     def test_seed_must_be_non_negative(self):
-        with pytest.raises(InvariantError, match="non-negative"):
+        with pytest.raises(InvariantError, match="seed must be at least 0"):
             OptimizerConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["restarts", "max_iter", "seed"])
