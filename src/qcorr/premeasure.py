@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantError
-from .states import LabeledState, apparatus_label
+from .states import LabeledState, LocalBasis, apparatus_label
 
 # Residual weight outside the isometry image above which undo refuses.
 IMAGE_TOL = 1e-8
@@ -41,11 +41,15 @@ class MeasurementPlan:
         bases = tuple(self.bases)
         object.__setattr__(self, "measured", measured)
         object.__setattr__(self, "bases", bases)
+        if not measured:
+            raise InvariantError("measured subset must be nonempty")
         if len(measured) != len(bases):
             raise InvariantError("one basis per measured label required")
         if len(set(measured)) != len(measured):
             raise InvariantError(f"duplicate measured labels: {measured}")
         for label, basis in zip(measured, bases):
+            if not isinstance(basis, LocalBasis):
+                raise InvariantError(f"basis for {label!r} must be a LocalBasis, got {basis!r}")
             if basis.subsystem != label:
                 raise InvariantError(
                     f"basis subsystem {basis.subsystem!r} does not match plan label {label!r}"

@@ -33,9 +33,13 @@ except metadata.PackageNotFoundError:  # running from a source tree
     VERSION = "0.0.0+src"
 
 
-def _object(obj, where):
+def _object(obj, where, keys=None):
+    """``obj`` if it is a dict, with no key outside ``keys`` when they are given."""
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
+    unknown = [key for key in obj if keys is not None and key not in keys]
+    if unknown:
+        raise ParseError(f"{where}: unknown key {unknown[0]!r}; expected one of {', '.join(keys)}")
     return obj
 
 
@@ -127,7 +131,7 @@ def _number(val, what, kind=float):
 
 
 def optimizer_from_json(obj, seed_default=0):
-    obj = _object({} if obj is None else obj, "optimizer")
+    obj = _object({} if obj is None else obj, "optimizer", ("restarts", "max_iter", "tol", "seed"))
     restarts = _number(obj.get("restarts", OptimizerConfig.restarts), "optimizer: 'restarts'", int)
     max_iter = _number(obj.get("max_iter", OptimizerConfig.max_iter), "optimizer: 'max_iter'", int)
     seed = _number(obj.get("seed", seed_default), "optimizer: 'seed'", int)
@@ -136,7 +140,7 @@ def optimizer_from_json(obj, seed_default=0):
 
 
 def chain_config_from_json(obj, where="chain config", seed=0):
-    if "state" in _object(obj, where):
+    if "state" in _object(obj, where, ("state", "state_file", "links", "track", "optimizer")):
         state = state_from_json(obj["state"], f"{where}.state")
     elif "state_file" in obj:
         state = load_state(_require(obj, "state_file", str, where))
@@ -145,6 +149,7 @@ def chain_config_from_json(obj, where="chain config", seed=0):
     links_raw = _require(obj, "links", list, where)
     links = []
     for i, link in enumerate(links_raw):
+        _object(link, f"{where}.links[{i}]", ("target", "basis"))
         target = _require(link, "target", str, f"{where}.links[{i}]")
         basis = link.get("basis", FLAG_COPY)
         if isinstance(basis, dict):

@@ -3,6 +3,7 @@
 from dataclasses import dataclass, field
 
 import math
+import numbers
 
 import numpy as np
 
@@ -179,6 +180,7 @@ def make_rng(seed):
 
 def spawn_rng(seed, task):
     """Independent stream for a numbered sub-task of a seeded run."""
+    _integer(seed, "seed", low=0)
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(int(task),)))
     )
@@ -245,6 +247,8 @@ def bell_state():
 
 def werner_state(p):
     """p |Psi-><Psi-| + (1-p) I/4 on two qubits."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise InvariantError(f"werner parameter must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise InvariantError(f"werner parameter {p} outside [0, 1]")
     singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)

@@ -3,10 +3,12 @@
 Each suite runs seeded randomized trials, returns per-trial rows plus a
 summary, and counts a failure whenever a checked inequality misses its
 stated tolerance.  Trials are independent with per-trial derived seeds and
-run in trial order.
+run in trial order.  A trial returns its row, a dict from column name to
+value, and its margin, how far it cleared its checks (negative on a miss).
 """
 
 from dataclasses import dataclass, field
+import itertools
 
 import numpy as np
 
@@ -60,11 +62,18 @@ class SuiteResult:
         return self.failures == 0
 
 
-def _result(name, columns, rows, worst, **summary):
-    """The suite's result; a trial fails wherever its ``ok`` column is false."""
-    ok = columns.index("ok")
-    failures = sum(1 for r in rows if not r[ok])
-    return SuiteResult(name, rows, failures, worst, columns, summary)
+def _result(name, trials, **summary):
+    """Run ``trials``, an iterable of ``(row, margin)`` pairs, into the suite's result.
+
+    The columns are the first row's keys, a trial fails wherever its ``ok``
+    column is false, the worst margin is the least, and each summary entry is
+    a function of the list of rows.
+    """
+    rows, margins = zip(*trials)
+    failures = sum(1 for r in rows if not r["ok"])
+    summary = {key: read(rows) for key, read in summary.items()}
+    values = [tuple(r.values()) for r in rows]
+    return SuiteResult(name, values, failures, min(margins), tuple(rows[0]), summary)
 
 
 def derive_seed(seed, *key):
@@ -83,13 +92,13 @@ def _random_two_qubit_mixed(seed, t):
 # dominate smaller ones (with optimizer slack on the larger search space).
 # ---------------------------------------------------------------------------
 
-def run_theorem2(samples=200, seed=7, restarts=24):
+def run_theorem2(samples=200, seed=7):
     ab_cut = BipartitionCut((0,), (1,))
 
     def trial(t):
         state = _random_two_qubit_mixed(seed, t)
         n_ab = negativity(state, ab_cut)
-        cfg = lambda r: OptimizerConfig(restarts=restarts, seed=derive_seed(seed, t, r))
+        cfg = lambda r: OptimizerConfig(seed=derive_seed(seed, t, r))
         qa = q_negativity(state, ("A",), cfg(1)).value
         qb = q_negativity(state, ("B",), cfg(2)).value
         qab = q_negativity(state, ("A", "B"), cfg(3)).value
@@ -97,13 +106,11 @@ def run_theorem2(samples=200, seed=7, restarts=24):
         m_ab = qab - n_ab
         m_order = qab - max(qa, qb)
         ok = m_a >= -1e-9 and m_ab >= -1e-9 and m_order >= -1e-5
-        return (t, n_ab, qa, qb, qab, m_a, m_ab, m_order, ok)
+        row = dict(trial=t, negativity=n_ab, q_a=qa, q_b=qb, q_ab=qab,
+                   margin_a=m_a, margin_ab=m_ab, margin_order=m_order, ok=ok)
+        return row, min(m_a, m_ab, m_order)
 
-    rows = [trial(t) for t in range(samples)]
-    worst = min(min(r[5], r[6], r[7]) for r in rows)
-    columns = ("trial", "negativity", "q_a", "q_b", "q_ab",
-               "margin_a", "margin_ab", "margin_order", "ok")
-    return _result("theorem2", columns, rows, worst)
+    return _result("theorem2", map(trial, range(samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +146,7 @@ def _random_entangled_state(seed, t):
     raise InvariantError("failed to sample an entangled state")
 
 
-def run_theorem1(samples=50, seed=11, restarts=24):
-    cfg_for = lambda t: OptimizerConfig(restarts=restarts, seed=derive_seed(seed, t, 1))
-
+def run_theorem1(samples=50, seed=11):
     def trial(t):
         if t < samples:
             state = _random_cc_state(seed, t)
@@ -149,18 +154,17 @@ def run_theorem1(samples=50, seed=11, restarts=24):
         else:
             state = _random_entangled_state(seed, t)
             expect_cc = False
-        verdict = classify_cc(state, ("A",), threshold=THEOREM1_THRESHOLD, cfg=cfg_for(t))
+        cfg = OptimizerConfig(seed=derive_seed(seed, t, 1))
+        verdict = classify_cc(state, ("A",), threshold=THEOREM1_THRESHOLD, cfg=cfg)
         oracle = cc_commutation_oracle(state, "A")
+        residual = verdict["residual"]
         ok = verdict["cc"] == expect_cc and oracle == verdict["cc"]
-        return (t, expect_cc, verdict["cc"], oracle, verdict["residual"], ok)
+        row = dict(trial=t, expected_cc=expect_cc, classified_cc=verdict["cc"],
+                   oracle_cc=oracle, residual=residual, ok=ok)
+        # margin: distance of the residual from the decision threshold
+        return row, THEOREM1_THRESHOLD - residual if expect_cc else residual - THEOREM1_THRESHOLD
 
-    rows = [trial(t) for t in range(2 * samples)]
-    # margin: distance of the residual from the decision threshold
-    worst = min(
-        (THEOREM1_THRESHOLD - r[4]) if r[1] else (r[4] - THEOREM1_THRESHOLD) for r in rows
-    )
-    columns = ("trial", "expected_cc", "classified_cc", "oracle_cc", "residual", "ok")
-    return _result("theorem1", columns, rows, worst)
+    return _result("theorem1", map(trial, range(2 * samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,26 +174,24 @@ def run_theorem1(samples=50, seed=11, restarts=24):
 
 PURE_SATURATION_TOL = 1e-5  # largest |Q - N| and |D - E| a trial passes with
 
-def run_pure_saturation(samples=100, seed=3, restarts=24):
+def run_pure_saturation(samples=100, seed=3):
     ab_cut = BipartitionCut((0,), (1,))
 
     def trial(t):
         state = random_pure(default_register(2), derive_seed(seed, t))
         n_ab = negativity(state, ab_cut)
         e_ent = entropy_of_entanglement(state, ab_cut)
-        cfg = OptimizerConfig(restarts=restarts, seed=derive_seed(seed, t, 1))
+        cfg = OptimizerConfig(seed=derive_seed(seed, t, 1))
         qa = q_negativity(state, ("A",), cfg).value
         da = deficit(state, ("A",), cfg).value
         gap_q = abs(qa - n_ab)
         gap_d = abs(da - e_ent)
         ok = gap_q <= PURE_SATURATION_TOL and gap_d <= PURE_SATURATION_TOL
-        return (t, n_ab, qa, e_ent, da, gap_q, gap_d, ok)
+        row = dict(trial=t, negativity=n_ab, q_a=qa, entropy_ent=e_ent, deficit_a=da,
+                   gap_negativity=gap_q, gap_deficit=gap_d, ok=ok)
+        return row, PURE_SATURATION_TOL - max(gap_q, gap_d)
 
-    rows = [trial(t) for t in range(samples)]
-    worst = min(PURE_SATURATION_TOL - max(r[5], r[6]) for r in rows)
-    columns = ("trial", "negativity", "q_a", "entropy_ent", "deficit_a",
-               "gap_negativity", "gap_deficit", "ok")
-    return _result("pure-saturation", columns, rows, worst)
+    return _result("pure-saturation", map(trial, range(samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,29 +222,28 @@ def run_locc_undo(samples=100, seed=5):
         )
         prob_gap = max(abs(p - 1.0 / d) for p in transcript.outcome_probabilities)
         ok = dist <= 1e-11 and branch_gap <= 1e-11
-        return (t, d, dist, branch_gap, prob_gap, ok)
+        row = dict(kind="undo", trial=t, dim=d, a=dist, b=branch_gap, c=prob_gap, ok=ok)
+        return row, 1e-11 - max(dist, branch_gap)
 
     def mono_trial(t):
         state = _random_two_qubit_mixed(seed + 1, t)
         rng = make_rng(derive_seed(seed, t, 2))
         plan = MeasurementPlan(("A",), (random_basis("A", 2, rng),))
         step = verify_monotonicity_step(state, plan)
-        return (t, step["lhs"], step["rhs"], step["lhs"] - step["rhs"], step["holds"])
+        gap = step["lhs"] - step["rhs"]
+        row = dict(kind="monotonicity", trial=t, dim=None, a=step["lhs"], b=step["rhs"],
+                   c=gap, ok=step["holds"])
+        return row, gap + 1e-9
 
-    undo_rows = [undo_trial(t) for t in range(samples)]
-    mono_rows = [mono_trial(t) for t in range(5 * samples)]
-    worst_undo = max(max(r[2], r[3]) for r in undo_rows)
-    worst_mono = min(r[3] for r in mono_rows)
-    rows = [("undo",) + r for r in undo_rows] + [
-        ("monotonicity", r[0], None, r[1], r[2], r[3], r[4]) for r in mono_rows
-    ]
     return _result(
         "locc-undo",
-        ("kind", "trial", "dim", "a", "b", "c", "ok"),
-        rows,
-        min(1e-11 - worst_undo, worst_mono + 1e-9),
-        max_trace_distance=worst_undo,
-        worst_monotonicity_margin=worst_mono,
+        itertools.chain(map(undo_trial, range(samples)), map(mono_trial, range(5 * samples))),
+        max_trace_distance=lambda rows: max(
+            max(r["a"], r["b"]) for r in rows if r["kind"] == "undo"
+        ),
+        worst_monotonicity_margin=lambda rows: min(
+            r["c"] for r in rows if r["kind"] == "monotonicity"
+        ),
     )
 
 
@@ -294,14 +295,12 @@ def run_chain_monotone(samples=50, seed=13):
             break_drift = max(break_drift, abs(v_full - v_short))
 
         ok = mono_margin >= -1e-9 and flag_drift <= 1e-10 and break_drift <= 1e-10
-        return (t, mono_margin, flag_drift, break_drift, ok) + tuple(e_seq)
+        row = dict(trial=t, monotone_margin=mono_margin, flag_drift=flag_drift,
+                   break_drift=break_drift, ok=ok)
+        row.update((f"e_link{j + 1}", e) for j, e in enumerate(e_seq))
+        return row, min(mono_margin, 1e-10 - flag_drift, 1e-10 - break_drift)
 
-    rows = [trial(t) for t in range(samples)]
-    worst = min(min(r[1], 1e-10 - r[2], 1e-10 - r[3]) for r in rows)
-    columns = ("trial", "monotone_margin", "flag_drift", "break_drift", "ok") + tuple(
-        f"e_link{j + 1}" for j in range(CHAIN_MONOTONE_LINKS)
-    )
-    return _result("chain-monotone", columns, rows, worst)
+    return _result("chain-monotone", map(trial, range(samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +331,10 @@ def run_theorem3(samples=5, seed=17):
             step["gme"] or step["witness"] is not None for step in result["per_step"]
         )
         ok = all(f == expect for f in flags) and witnesses_ok
-        return (t, name, expect, str(flags), ok)
+        row = dict(trial=t, case=name, expect_gme=expect, per_step_gme=str(flags), ok=ok)
+        return row, 0.0 if ok else -1.0
 
-    rows = [trial(t) for t in range(samples * len(cases))]
-    worst = min(0.0 if ok else -1.0 for *_, ok in rows)
-    columns = ("trial", "case", "expect_gme", "per_step_gme", "ok")
-    return _result("theorem3", columns, rows, worst)
+    return _result("theorem3", map(trial, range(samples * len(cases))))
 
 
 _SUITES = {

@@ -182,6 +182,24 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "track" in err
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"trak": ["negativity"]}, "trak"),
+        ({"links": [{"target": "B", "basiss": "optimized"}]}, "basiss"),
+        ({"optimizer": {"restart": 2}}, "restart"),
+    ])
+    def test_parse_error_unknown_chain_config_key(self, capsys, tmp_path, extra, key):
+        config = tmp_path / "chain.json"
+        config.write_text(json.dumps({
+            "state": serialize.state_to_json(bell_state()),
+            "links": [{"target": "B"}],
+            **extra,
+        }))
+        code, _, err = run(capsys, "chain", "--config", str(config),
+                           "--out-prefix", str(tmp_path / "chain"))
+        assert code == EXIT_PARSE
+        assert f"unknown key {key!r}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")])
     def test_parse_error_non_finite_matrix_entry(self, capsys, tmp_path, entry):
         obj = serialize.state_to_json(bell_state())

@@ -12,15 +12,18 @@ import pytest
 from qcorr import serialize
 from qcorr.cli import EXIT_PARSE, main
 from qcorr.errors import InvariantError
-from qcorr.locc import fourier_unitary
-from qcorr.quantumness import OptimizerConfig, classify_cc
+from qcorr.locc import correction_unitary, fourier_unitary
+from qcorr.premeasure import MeasurementPlan
+from qcorr.quantumness import OptimizerConfig, apparatus_negativity, classify_cc
 from qcorr.states import (
     bell_state,
     default_register,
     ghz_state,
     random_mixed,
     random_pure,
+    spawn_rng,
     w_state,
+    werner_state,
 )
 
 LIBRARY_CASES = {
@@ -36,6 +39,15 @@ LIBRARY_CASES = {
     "seed-float": (lambda: random_pure(default_register(2), 1.5), "seed must be an integer"),
     "seed-negative": (lambda: random_pure(default_register(2), -1), "seed must be at least 0"),
     "fourier-float": (lambda: fourier_unitary(2.5), "fourier_unitary d must be an integer"),
+    "correction-float": (lambda: correction_unitary(1.5, 3), "correction index must be an integer"),
+    "werner-string": (lambda: werner_state("0.5"), "werner parameter must be a real number"),
+    "werner-bool": (lambda: werner_state(True), "werner parameter must be a real number"),
+    "spawn-seed-negative": (lambda: spawn_rng(-1, 0), "seed must be at least 0"),
+    "plan-empty": (
+        lambda: apparatus_negativity(bell_state(), MeasurementPlan((), ())),
+        "measured subset must be nonempty",
+    ),
+    "plan-basis-none": (lambda: MeasurementPlan(("A",), (None,)), "must be a LocalBasis"),
 }
 
 

@@ -26,20 +26,20 @@ def test_derive_seed_is_deterministic_and_keyed():
 
 
 def test_theorem2_smoke():
-    result = run_theorem2(samples=3, seed=7, restarts=6)
+    result = run_theorem2(samples=3, seed=7)
     assert result.ok
     assert result.worst_margin >= -1e-9
     assert len(result.trials) == 3
 
 
 def test_theorem1_smoke():
-    result = run_theorem1(samples=3, seed=11, restarts=6)
+    result = run_theorem1(samples=3, seed=11)
     assert result.ok
     assert len(result.trials) == 6  # classical + entangled halves
 
 
 def test_pure_saturation_smoke():
-    result = run_pure_saturation(samples=3, seed=3, restarts=8)
+    result = run_pure_saturation(samples=3, seed=3)
     assert result.ok
     assert result.worst_margin >= 0.0
 
@@ -69,6 +69,26 @@ def test_theorem3_smoke():
 def test_run_suite_refuses_bad_inputs(name, kwargs, word):
     with pytest.raises(UsageError, match=word):
         run_suite(name, **kwargs)
+
+
+HEADERS = {
+    "theorem1": ("trial", "expected_cc", "classified_cc", "oracle_cc", "residual", "ok"),
+    "theorem2": ("trial", "negativity", "q_a", "q_b", "q_ab",
+                 "margin_a", "margin_ab", "margin_order", "ok"),
+    "theorem3": ("trial", "case", "expect_gme", "per_step_gme", "ok"),
+    "locc-undo": ("kind", "trial", "dim", "a", "b", "c", "ok"),
+    "chain-monotone": ("trial", "monotone_margin", "flag_drift", "break_drift", "ok",
+                       "e_link1", "e_link2", "e_link3", "e_link4"),
+    "pure-saturation": ("trial", "negativity", "q_a", "entropy_ent", "deficit_a",
+                        "gap_negativity", "gap_deficit", "ok"),
+}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_csv_header(name):
+    result = run_suite(name, samples=1)
+    assert result.columns == HEADERS[name]
+    assert all(len(row) == len(HEADERS[name]) for row in result.trials)
 
 
 def test_run_suite_dispatch():
