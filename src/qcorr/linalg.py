@@ -55,24 +55,6 @@ def check_density(rho, dims=None):
     return rho
 
 
-def partial_trace(rho, dims, keep):
-    """Reduced operator on the subsystems in ``keep`` (indices into ``dims``)."""
-    dims = list(dims)
-    n = len(dims)
-    keep = sorted(set(keep))
-    if not keep:
-        raise InvariantError("partial_trace: keep set is empty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise InvariantError(f"partial_trace: index out of range for {n} subsystems")
-    t = np.asarray(rho).reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    for ax in sorted(traced, reverse=True):
-        half = t.ndim // 2
-        t = np.trace(t, axis1=ax, axis2=ax + half)
-    d = math.prod(dims[i] for i in keep)
-    return t.reshape(d, d)
-
-
 def partial_transpose(rho, dims, subset):
     """Transpose the tensor indices of the subsystems in ``subset``.
 

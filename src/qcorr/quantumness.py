@@ -21,8 +21,8 @@ time.  ``minimize`` is scipy's Nelder-Mead applied to every start at once:
 each step evaluates the objective once on a batch holding the reflected
 point of every restart still running, once on the expansion or contraction
 points of the restarts that need one, and once on the shrink vertices, and
-each restart stops on its own tolerances.  The objectives therefore take a
-(B, param_len) array of parameter rows and return B values; exp(iH), the
+each restart stops on its own tolerances.  The objective therefore takes a
+(B, param_len) array of parameter rows and returns B values; exp(iH), the
 rotation and the block spectra are all computed as stacked numpy calls
 over the batch.
 """
@@ -30,7 +30,7 @@ over the batch.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -174,19 +174,22 @@ class _Workspace:
     When every subsystem is measured (m = 1), sigma = G_M rho G_M^dag is
     formed and its entries gathered: P coefficient rows would cost P D_M^2
     products per parameter row.  The same route guards memory when the P
-    coefficient rows of length D_M^2 would hold more than 4 D^2 entries,
-    four times sigma (P > 4 m^2: many measured subsystems, few unmeasured).
+    off-diagonal coefficient rows of length D_M^2 would hold more than 4 D^2
+    entries, four times sigma (P > 4 m^2: many measured subsystems, few
+    unmeasured).  The route is chosen once per state and both reads take it.
     It never forms G_M (x) I_m: rho is stored as a (D_M, m^2 D_M) matrix
     with rows kappa and columns (nu, nu', kappa'), and two stacked
     products, G_M times that matrix and then the result, with rows
     (a, nu, nu'), times G_M^dag, put sigma_ab[nu, nu'] at row (a, nu, nu')
-    and column b.  Construction keeps only the layouts of rho that the two
-    routes read; S(rho) and the grouping of the chart are built on first use.
+    and column b.  Construction keeps only the layout of rho that the route
+    reads; S(rho) and the grouping of the chart are built on first use.
 
-    ``negativity_at`` reads the negativity at given U_k^dag, as
-    ``apparatus_negativity`` does for fixed bases.  Both objectives decode a
-    batch of parameter rows (B, param_len) into U_k^dag, then read one value
-    per row; ``bases`` decodes one row through the same exp(iH) call.
+    ``negativity_at`` and ``deficit_at`` read the two measures at given
+    U_k^dag, one (B, d, d) stack per measured subsystem, and return one
+    value per row; ``apparatus_negativity`` reads the first at fixed bases.
+    The optimizer composes a read with ``_unitaries_dag``, which decodes a
+    batch of parameter rows (B, param_len) into the U_k^dag; ``bases``
+    decodes one row through the same exp(iH) call.
     """
 
     def __init__(self, state, measured):
@@ -197,24 +200,18 @@ class _Workspace:
         self.meas_dims = [reg.dims[i] for i in measured_idx]
         self.param_len = sum(d * (d - 1) for d in self.meas_dims)
 
-        d_m = math.prod(self.meas_dims)
+        self._records = d_m = math.prod(self.meas_dims)
         self.block_dim = m = len(state.rho) // d_m
-
-        def pairs(a, b):
-            # the records (a, b) of the blocks an objective reads, and
-            # whether to read them off sigma rather than coefficient rows
-            return a, b, m == 1 or len(a) > 4 * m * m
-
-        self._off_pairs = pairs(*_upper_slots(d_m))
-        self._diag_pairs = pairs(np.arange(d_m), np.arange(d_m))
-        routes = {self._off_pairs[2], self._diag_pairs[2]}
+        # sigma rather than coefficient rows when m = 1, or when the off-diagonal
+        # coefficient rows would hold more than 4 D^2 entries
+        self._via_sigma = m == 1 or d_m * (d_m - 1) // 2 > 4 * m * m
 
         order = measured_idx + [i for i in range(reg.n) if i not in measured_idx]
         rho = state.rho.reshape(reg.dims * 2).transpose(order + [reg.n + i for i in order])
         rho = rho.reshape(d_m, m, d_m, m)
-        if True in routes:  # rows kappa, columns (nu, nu', kappa')
-            self._rho_sigma = rho.transpose(0, 1, 3, 2).reshape(d_m, m * m * d_m)
-        if False in routes:  # rows (kappa, kappa'), columns (nu, nu')
+        if self._via_sigma:  # rows kappa, columns (nu, nu', kappa')
+            self._rho = rho.transpose(0, 1, 3, 2).reshape(d_m, m * m * d_m)
+        else:  # rows (kappa, kappa'), columns (nu, nu')
             self._rho = rho.transpose(0, 2, 1, 3).reshape(d_m**2, m * m)
 
     @cached_property
@@ -254,16 +251,15 @@ class _Workspace:
             LocalBasis(label, linalg.dagger(u[0])) for label, u in zip(self.measured, u_dag)
         )
 
-    def _blocks(self, u_dag, pairs):
-        """sigma_ab for each (a, b) in ``pairs`` at each row of the U_k^dag stacks: (B, P, m, m)."""
+    def _blocks(self, u_dag, a, b):
+        """sigma_ab for each record pair (a[i], b[i]) at each row of ``u_dag``: (B, P, m, m)."""
         g, *rest = u_dag
         for u in rest:  # G_M, the Kronecker product over the measured subsystems
             (n, ra, ca), (_, rb, cb) = g.shape, u.shape
             g = (g[:, :, None, :, None] * u[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
-        a, b, via_sigma = pairs
         n, d_m, m = len(g), g.shape[1], self.block_dim
-        if via_sigma:  # sigma_ab[nu, nu'] at rows (a, nu, nu') and column b
-            sigma = (g @ self._rho_sigma).reshape(n, d_m * m * m, d_m) @ np.conj(g).swapaxes(1, 2)
+        if self._via_sigma:  # sigma_ab[nu, nu'] at rows (a, nu, nu') and column b
+            sigma = (g @ self._rho).reshape(n, d_m * m * m, d_m) @ np.conj(g).swapaxes(1, 2)
             sigma = sigma.reshape(n, d_m, m * m, d_m).swapaxes(2, 3).reshape(n, d_m**2, m, m)
             return sigma.take(a * d_m + b, axis=1)
         coeffs = g.take(a, axis=1)[:, :, :, None] * np.conj(g.take(b, axis=1))[:, :, None, :]
@@ -271,26 +267,23 @@ class _Workspace:
 
     def negativity_at(self, u_dag):
         """sum_{a<b} ||sigma_ab||_1 at each row of ``u_dag``, one (B, d, d) stack per U_k^dag."""
-        blocks = self._blocks(u_dag, self._off_pairs)
+        blocks = self._blocks(u_dag, *_upper_slots(self._records))
         if self.block_dim == 1:
             return np.abs(blocks).reshape(len(blocks), -1).sum(axis=1)
         if self.block_dim == 2:
             return _trace_norm_2x2(blocks).sum(axis=1)
         return np.linalg.svd(blocks, compute_uv=False).sum(axis=(1, 2))
 
-    def neg_objective(self, params):
-        """Negativity objective for each row of ``params`` (B, param_len)."""
-        return self.negativity_at(self._unitaries_dag(params))
-
-    def deficit_objective(self, params):
-        """Deficit objective for each row of ``params`` (B, param_len)."""
-        blocks = self._blocks(self._unitaries_dag(params), self._diag_pairs)
+    def deficit_at(self, u_dag):
+        """S of the dephased state less S(rho), in bits, at each row of ``u_dag``."""
+        records = np.arange(self._records)
+        blocks = self._blocks(u_dag, records, records)
         if self.block_dim == 1:
-            probs = blocks.real.reshape(len(params), -1)
+            probs = blocks.real.reshape(len(blocks), -1)
         elif self.block_dim == 2:
-            probs = _eigvalsh_2x2(blocks).reshape(len(params), -1)
+            probs = _eigvalsh_2x2(blocks).reshape(len(blocks), -1)
         else:
-            probs = np.linalg.eigvalsh(blocks).reshape(len(params), -1)
+            probs = np.linalg.eigvalsh(blocks).reshape(len(blocks), -1)
         # entropy in bits with eigenvalues at or below EIG_ZERO dropped
         probs = np.where(probs > linalg.EIG_ZERO, probs, 1.0)
         return -(probs * np.log2(probs)).sum(axis=1) - self.base_entropy
@@ -474,11 +467,11 @@ def _check_measured(state, measured):
     return measured
 
 
-def _minimum_over_bases(state, measured, cfg, objective, measure):
-    """Report of the optimized minimum of ``objective``, a ``_Workspace`` method."""
+def _minimum_over_bases(state, measured, cfg, read, measure):
+    """Report of the optimized minimum of ``read``, a ``_Workspace`` read at given bases."""
     ws = _Workspace(state, measured)
     value, best_x, restart_values, converged = _optimize(
-        partial(objective, ws), ws.param_len, cfg
+        lambda params: read(ws, ws._unitaries_dag(params)), ws.param_len, cfg
     )
     return QuantumnessReport(
         value=0.0 if value <= 0 else value,  # -0.0 and below zero report +0.0; NaN passes
@@ -494,7 +487,7 @@ def q_negativity(state, measured, cfg=OptimizerConfig()):
     """Upper bound on the minimum system:apparatus negativity over local bases."""
     measured = _check_measured(state, measured)
     return _minimum_over_bases(
-        state, measured, cfg, _Workspace.neg_objective, NEGATIVITY_OF_QUANTUMNESS
+        state, measured, cfg, _Workspace.negativity_at, NEGATIVITY_OF_QUANTUMNESS
     )
 
 
@@ -511,7 +504,7 @@ def deficit(state, measured, cfg=OptimizerConfig()):
     systems = {lab for lab, kind in zip(reg.labels, reg.kinds) if kind == SYSTEM}
     two_way = set(measured) == set(reg.labels) or (len(systems) > 1 and systems <= set(measured))
     return _minimum_over_bases(
-        state, measured, cfg, _Workspace.deficit_objective,
+        state, measured, cfg, _Workspace.deficit_at,
         TWO_WAY_DEFICIT if two_way else ONE_WAY_DEFICIT,
     )
 

@@ -4,7 +4,8 @@ Each suite runs seeded randomized trials, returns per-trial rows plus a
 summary, and counts a failure whenever a checked inequality misses its
 stated tolerance.  Trials are independent with per-trial derived seeds and
 run in trial order.  A trial returns its row, a dict from column name to
-value, and its margin, how far it cleared its checks (negative on a miss).
+value, and its margin, how far it cleared the tolerances of its checks
+(negative on a miss).
 """
 
 from dataclasses import dataclass, field
@@ -76,6 +77,12 @@ def _result(name, trials, **summary):
     return SuiteResult(name, values, failures, min(margins), tuple(rows[0]), summary)
 
 
+def _check_counts(samples, seed, error=InvariantError):
+    """Refuse a sample count below 1 or a seed below 0, or either not an integer."""
+    _integer(samples, "samples", error, low=1)
+    _integer(seed, "seed", error, low=0)
+
+
 def derive_seed(seed, *key):
     """Deterministic 64-bit child seed for a numbered sub-task."""
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
@@ -93,6 +100,7 @@ def _random_two_qubit_mixed(seed, t):
 # ---------------------------------------------------------------------------
 
 def run_theorem2(samples=200, seed=7):
+    _check_counts(samples, seed)
     ab_cut = BipartitionCut((0,), (1,))
 
     def trial(t):
@@ -108,7 +116,7 @@ def run_theorem2(samples=200, seed=7):
         ok = m_a >= -1e-9 and m_ab >= -1e-9 and m_order >= -1e-5
         row = dict(trial=t, negativity=n_ab, q_a=qa, q_b=qb, q_ab=qab,
                    margin_a=m_a, margin_ab=m_ab, margin_order=m_order, ok=ok)
-        return row, min(m_a, m_ab, m_order)
+        return row, min(m_a + 1e-9, m_ab + 1e-9, m_order + 1e-5)
 
     return _result("theorem2", map(trial, range(samples)))
 
@@ -147,6 +155,8 @@ def _random_entangled_state(seed, t):
 
 
 def run_theorem1(samples=50, seed=11):
+    _check_counts(samples, seed)
+
     def trial(t):
         if t < samples:
             state = _random_cc_state(seed, t)
@@ -175,6 +185,7 @@ def run_theorem1(samples=50, seed=11):
 PURE_SATURATION_TOL = 1e-5  # largest |Q - N| and |D - E| a trial passes with
 
 def run_pure_saturation(samples=100, seed=3):
+    _check_counts(samples, seed)
     ab_cut = BipartitionCut((0,), (1,))
 
     def trial(t):
@@ -200,6 +211,8 @@ def run_pure_saturation(samples=100, seed=3):
 # ---------------------------------------------------------------------------
 
 def run_locc_undo(samples=100, seed=5):
+    _check_counts(samples, seed)
+
     def undo_trial(t):
         d = 2 if t % 2 == 0 else 3
         reg = Register(("A", "B"), (d, d))
@@ -262,6 +275,8 @@ def _chain_labels(n_links):
 
 
 def run_chain_monotone(samples=50, seed=13):
+    _check_counts(samples, seed)
+
     def trial(t):
         state = random_mixed(
             Register(("S",), (2,)), 1 + t % 2, derive_seed(seed, t)
@@ -298,7 +313,7 @@ def run_chain_monotone(samples=50, seed=13):
         row = dict(trial=t, monotone_margin=mono_margin, flag_drift=flag_drift,
                    break_drift=break_drift, ok=ok)
         row.update((f"e_link{j + 1}", e) for j, e in enumerate(e_seq))
-        return row, min(mono_margin, 1e-10 - flag_drift, 1e-10 - break_drift)
+        return row, min(mono_margin + 1e-9, 1e-10 - flag_drift, 1e-10 - break_drift)
 
     return _result("chain-monotone", map(trial, range(samples)))
 
@@ -317,6 +332,7 @@ def _biseparable_state():
 
 
 def run_theorem3(samples=5, seed=17):
+    _check_counts(samples, seed)
     cases = [
         ("ghz3", ghz_state(3), True),
         ("w3", w_state(3), True),
@@ -352,6 +368,5 @@ def run_suite(name, samples=None, seed=None):
     if name not in _SUITES:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     kwargs = {key: v for key, v in (("samples", samples), ("seed", seed)) if v is not None}
-    for key, low in (("samples", 1), ("seed", 0)):
-        _integer(kwargs.get(key, low), key, UsageError, low=low)
+    _check_counts(kwargs.get("samples", 1), kwargs.get("seed", 0), UsageError)
     return _SUITES[name](**kwargs)

@@ -8,6 +8,7 @@ claim needs one (partial-transpose spectra, the exhaustive Bloch grid).
 import numpy as np
 import pytest
 
+from dense_oracles import partial_trace
 from qcorr import linalg
 from qcorr.chain import chain_gme_propagation
 from qcorr.entanglement import BipartitionCut, all_cuts, negativity
@@ -135,7 +136,7 @@ def test_criterion_08_gme_propagation():
     # product qubit stays non-GME with a witness cut at every step
     def min_purity_deficit(state):
         return min(
-            1.0 - linalg.purity(linalg.partial_trace(state.rho, state.dims, cut.p0))
+            1.0 - linalg.purity(partial_trace(state.rho, state.dims, cut.p0))
             for cut in all_cuts(state.register.n)
         )
 

@@ -3,6 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
+from dense_oracles import dense_negativity, partial_trace
 from qcorr import chain, linalg, serialize
 from qcorr.chain import (
     ChainConfig,
@@ -116,12 +117,11 @@ def dense_link_values(initial, links):
 def dense_break_rows(report, n0):
     """Each level's break-point negativity off the dense partial transpose of the final state."""
     final = report.final_state
-    rows = []
-    for j in range(1, len(report.rows)):
-        pt = linalg.partial_transpose(final.rho, final.dims, range(n0 + j, final.register.n))
-        w = np.linalg.eigvalsh(pt)
-        rows.append(float(np.sum(np.abs(w[w < 0]))))
-    return rows
+    n = final.register.n
+    return [
+        dense_negativity(final, BipartitionCut(tuple(range(n0 + j)), tuple(range(n0 + j, n))))
+        for j in range(1, len(report.rows))
+    ]
 
 
 def seven_link_chains(flag_copy):
@@ -430,7 +430,7 @@ class TestDensityChecks:
 
 def draw_on(state, target, rng):
     """``_generic_draw`` on the target's reduced state."""
-    reduced = linalg.partial_trace(state.rho, state.dims, [state.register.index(target)])
+    reduced = partial_trace(state.rho, state.dims, [state.register.index(target)])
     return _generic_draw(reduced, target, rng)
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from dense_oracles import dense_negativity, partial_trace
 from qcorr import entanglement, linalg
 from qcorr.chain import ChainConfig, LinkSpec, chain_gme_propagation, run_chain
 from qcorr.entanglement import (
-    CLAMP,
     BipartitionCut,
     all_cuts,
     cut_from_labels,
@@ -220,14 +220,8 @@ def test_negativity_zero_for_all_separable_cq_states():
 # of rho are the oracle.
 # ---------------------------------------------------------------------------
 
-def dense_negativity(state, cut):
-    w = np.linalg.eigvalsh(linalg.partial_transpose(state.rho, state.dims, cut.p1))
-    value = float(np.sum(np.abs(w[w < 0])))
-    return 0.0 if value < CLAMP else value
-
-
 def dense_reduced(state, cut):
-    return linalg.partial_trace(state.rho, state.dims, cut.p0)
+    return partial_trace(state.rho, state.dims, cut.p0)
 
 
 def reduced_purity(state, cut):

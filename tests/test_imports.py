@@ -1,4 +1,5 @@
-"""Every name a qcorr module imports, or binds privately, is read in that module.
+"""Every name a qcorr module imports, or binds privately, is read in that module,
+and every public function or class without a decorator is read by the package.
 
 No linter ships with the test dependencies, so the check reads each module's
 syntax tree with the standard library.  ``__init__.py`` is exempt from the
@@ -70,3 +71,48 @@ def test_checker_flags_unread_private_names():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unread_private_names(module):
     assert unread_private_names((PACKAGE / module).read_text()) == []
+
+
+def unread_public_names(sources):
+    """Public undecorated top-level defs and classes of ``sources`` that none reads.
+
+    A name counts as read where any of ``sources`` loads it, reads it as an
+    attribute, imports it with ``from``, or lists it in ``__all__``.
+    """
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not node.decorator_list
+        and node.name not in read
+    ]
+
+
+def test_checker_flags_unread_public_names():
+    sources = [
+        "__all__ = ['f']\ndef f():\n    pass\ndef g():\n    pass\ndef h():\n    return k\n"
+        "@command\ndef cli():\n    pass\nclass K:\n    pass\n",
+        "from m import a\nimport m\nm.b\n"
+        "def k():\n    pass\ndef a():\n    pass\ndef b():\n    pass\n",
+    ]
+    assert unread_public_names(sources) == ["g", "h", "K"]
+
+
+def test_every_public_name_has_a_library_reader():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_public_names(sources) == []

@@ -53,6 +53,12 @@ def plan_negativity(state, plan):
     return negativity(pm, apparatus_cut(pm, state.register.n))
 
 
+def composed(ws, read):
+    """The optimizer's objective: the ``_Workspace`` read named ``read`` at each parameter row."""
+    at = getattr(ws, read)
+    return lambda params: at(ws._unitaries_dag(params))
+
+
 def discordant_state():
     """Separable but not classical on A: (|0><0| (x) |0><0| + |1><1| (x) |+><+|)/2
     with the role of the classical flag on B's side swapped to A below."""
@@ -201,8 +207,8 @@ class TestWorkspaceAgainstReferencePath:
         (("A", "B"), (2, 3), ("A",)),
         (("A", "B", "C"), (2, 2, 2), ("B",)),
         (("A", "B", "C"), (2, 3, 2), ("C", "A")),
-        # 28 off-diagonal 2x2 blocks: the negativity forms sigma instead of
-        # coefficient rows, the deficit does not (test_block_routes)
+        # 28 off-diagonal 2x2 blocks: both reads form sigma instead of
+        # coefficient rows (test_block_routes)
         (("A", "B", "C", "D"), (2, 2, 2, 2), ("A", "B", "C")),
     ]
 
@@ -226,24 +232,23 @@ class TestWorkspaceAgainstReferencePath:
             assert (ws.block_dim == 1) == (len(measured) == len(dims))
 
     def test_block_routes(self):
-        # sigma is formed when m = 1, or when the coefficient rows would
-        # hold more than 4 D^2 entries (P > 4 m^2); the last shape keeps
-        # both routes covered at m = 2
+        # one route per state: sigma is formed when m = 1, or when the
+        # off-diagonal coefficient rows would hold more than 4 D^2 entries
+        # (P > 4 m^2); the first and last shapes cover both routes at m = 2
+        routes = []
         for labels, dims, measured in self.SHAPES:
             state = random_mixed(Register(labels, dims), rank=2, seed=0)
             ws = _Workspace(state, measured)
-            m = ws.block_dim
-            for a, _, dense in (ws._off_pairs, ws._diag_pairs):
-                assert dense == (m == 1 or len(a) > 4 * m * m)
-        ws = _Workspace(random_mixed(Register(*self.SHAPES[-1][:2]), rank=2, seed=0),
-                        self.SHAPES[-1][2])
-        assert ws.block_dim == 2 and ws._off_pairs[2] and not ws._diag_pairs[2]
+            m, d_m = ws.block_dim, len(state.rho) // ws.block_dim
+            assert ws._via_sigma == (m == 1 or d_m * (d_m - 1) // 2 > 4 * m * m)
+            routes.append((m, ws._via_sigma))
+        assert routes[0] == (2, False) and routes[-1] == (2, True)
 
     def test_negativity_objective(self):
         for state, measured, ws, params, plans in self.cases(100):
             if ws.block_dim == 1:
                 continue
-            fast = ws.neg_objective(params)
+            fast = composed(ws, "negativity_at")(params)
             assert fast.shape == (len(plans),)
             for value, plan in zip(fast, plans):
                 slow = plan_negativity(state, plan)
@@ -253,7 +258,7 @@ class TestWorkspaceAgainstReferencePath:
         for state, measured, ws, params, plans in self.cases(200):
             if ws.block_dim != 1:
                 continue
-            fast = ws.neg_objective(params)
+            fast = composed(ws, "negativity_at")(params)
             assert fast.shape == (len(plans),)
             for value, plan in zip(fast, plans):
                 slow = plan_negativity(state, plan)
@@ -261,7 +266,7 @@ class TestWorkspaceAgainstReferencePath:
 
     def test_deficit_objective(self):
         for state, measured, ws, params, plans in self.cases(300):
-            fast = ws.deficit_objective(params)
+            fast = composed(ws, "deficit_at")(params)
             assert fast.shape == (len(plans),)
             for value, plan in zip(fast, plans):
                 slow = linalg.von_neumann_entropy(
@@ -269,14 +274,15 @@ class TestWorkspaceAgainstReferencePath:
                 ) - linalg.von_neumann_entropy(state.rho)
                 assert abs(value - slow) <= 1e-10, (state.register.dims, measured)
 
-    @pytest.mark.parametrize("objective", ["neg_objective", "deficit_objective"])
-    def test_rows_independent_of_batch(self, objective):
+    @pytest.mark.parametrize("read", ["negativity_at", "deficit_at"],
+                             ids=["neg_objective", "deficit_objective"])
+    def test_rows_independent_of_batch(self, read):
         # the lockstep optimizer follows each restart's serial path only if
         # a row's value does not depend on the batch that carries it
         rng = make_rng(7)
         for k, (labels, dims, measured) in enumerate(self.SHAPES):
             ws = _Workspace(random_mixed(Register(labels, dims), rank=2, seed=k), measured)
-            fun = getattr(ws, objective)
+            fun = composed(ws, read)
             for rows in (2, 7, 64, 150):
                 params = rng.normal(size=(rows, ws.param_len))
                 batch = fun(params)
@@ -451,20 +457,21 @@ class TestOptimizeAgainstSerialScipy:
     def check_against_serial(self, ws, cfg):
         """Assert _optimize matches the serial reference; return whether a
         restart converged (so a polish ran) and whether it lowered the winner."""
-        value, best_x, restart_values, converged = _optimize(ws.neg_objective, ws.param_len, cfg)
+        objective = composed(ws, "negativity_at")
+        value, best_x, restart_values, converged = _optimize(objective, ws.param_len, cfg)
         # Gao-Han coefficients unless one qubit is measured
         adaptive = ws.param_len > 2
         refs = []
         for r in range(cfg.restarts):
             x0 = np.zeros(ws.param_len) if r == 0 else spawn_rng(cfg.seed, r).normal(size=ws.param_len)
-            refs.append(scipy_nelder_mead(ws.neg_objective, x0, cfg.max_iter, adaptive, cfg.tol))
+            refs.append(scipy_nelder_mead(objective, x0, cfg.max_iter, adaptive, cfg.tol))
         best = min(range(len(refs)), key=lambda r: (refs[r].fun, r))
         expected = [float(ref.fun) for ref in refs]
         expected_x = refs[best].x
         polished = False
         assert converged == any(ref.success for ref in refs)
         if converged:
-            polish = scipy_nelder_mead(ws.neg_objective, refs[best].x, cfg.max_iter, adaptive, cfg.tol)
+            polish = scipy_nelder_mead(objective, refs[best].x, cfg.max_iter, adaptive, cfg.tol)
             polished = bool(polish.fun < refs[best].fun)
             if polished:
                 expected[best], expected_x = float(polish.fun), polish.x
@@ -491,7 +498,7 @@ class TestOptimizeAgainstSerialScipy:
         # max_iter at 0.585, and the polish from its point reaches 0.425
         ws = _Workspace(random_mixed(default_register(2), rank=2, seed=8), ("A", "B"))
         value, _, restart_values, converged = _optimize(
-            ws.neg_objective, ws.param_len, OptimizerConfig(restarts=4, seed=5)
+            composed(ws, "negativity_at"), ws.param_len, OptimizerConfig(restarts=4, seed=5)
         )
         assert converged
         assert value < 0.43
@@ -520,7 +527,7 @@ class TestChunkedRestarts:
     def workspace(self, seed):
         # restart 65 wins; restarts of both chunks converge
         ws = _Workspace(random_mixed(default_register(2), rank=2, seed=39), ("A",))
-        return ws.neg_objective, ws.param_len, 80
+        return composed(ws, "negativity_at"), ws.param_len, 80
 
     @pytest.mark.parametrize("case", ["bowl", "workspace"])
     def test_chunks_match_one_minimize_call(self, case, monkeypatch):
@@ -636,8 +643,8 @@ class TestQNegativity:
         def never(*args):
             raise AssertionError("objective evaluated")
 
-        monkeypatch.setattr(_Workspace, "neg_objective", never)
-        monkeypatch.setattr(_Workspace, "deficit_objective", never)
+        monkeypatch.setattr(_Workspace, "negativity_at", never)
+        monkeypatch.setattr(_Workspace, "deficit_at", never)
         for fn in (q_negativity, deficit):
             with pytest.raises(InvariantError, match="duplicate"):
                 fn(bell_state(), ("A", "A"), FAST)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_oracles import partial_trace
 from qcorr import linalg
 from qcorr.errors import InvariantError
 from qcorr.states import (
@@ -191,7 +192,7 @@ class TestConstructors:
         assert diag[8] == pytest.approx(1 / 3)
 
     def test_w_state_reduced(self):
-        red = linalg.partial_trace(w_state(3).rho, (2, 2, 2), [0])
+        red = partial_trace(w_state(3).rho, (2, 2, 2), [0])
         assert np.allclose(red, np.diag([2 / 3, 1 / 3]), atol=1e-14)
 
     @pytest.mark.parametrize("make", [
@@ -269,5 +270,5 @@ class TestRandom:
         n = 1000
         for k in range(n):
             rho = random_pure(reg, seed=10_000 + k).rho
-            total += linalg.purity(linalg.partial_trace(rho, reg.dims, [0]))
+            total += linalg.purity(partial_trace(rho, reg.dims, [0]))
         assert total / n == pytest.approx(0.8, abs=0.02)

@@ -4,7 +4,8 @@ run them at their contract sizes."""
 import numpy as np
 import pytest
 
-from qcorr.errors import UsageError
+from qcorr import suites
+from qcorr.errors import InvariantError, UsageError
 from qcorr.suites import (
     SUITE_NAMES,
     derive_seed,
@@ -69,6 +70,32 @@ def test_theorem3_smoke():
 def test_run_suite_refuses_bad_inputs(name, kwargs, word):
     with pytest.raises(UsageError, match=word):
         run_suite(name, **kwargs)
+
+
+RUNNERS = [run_theorem1, run_theorem2, run_theorem3, run_locc_undo, run_chain_monotone,
+           run_pure_saturation]
+
+
+@pytest.mark.parametrize("runner", RUNNERS, ids=lambda r: r.__name__)
+@pytest.mark.parametrize("kwargs, word", [({"samples": 0}, "samples"),
+                                          ({"samples": 2.5}, "samples"),
+                                          ({"seed": 1.5}, "seed"), ({"seed": -1}, "seed")])
+def test_runners_refuse_bad_counts(runner, kwargs, word, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(suites, "_result", never)
+    with pytest.raises(InvariantError, match=word):
+        runner(**kwargs)
+
+
+def test_theorem2_worst_margin_nonnegative_on_a_pass():
+    # trial 44 passes with margin_a below zero, within its 1e-9 tolerance
+    result = run_theorem2(samples=45, seed=7)
+    column = result.columns.index("margin_a")
+    assert result.ok
+    assert min(row[column] for row in result.trials) < 0
+    assert result.worst_margin >= 0
 
 
 HEADERS = {
