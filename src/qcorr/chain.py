@@ -10,7 +10,7 @@ The break-point row at level j is the negativity of the final state across
 (systems, apparatuses 1..j):(apparatuses j+1..).  When every link after
 j + 1 measures an apparatus on the right of that cut, those links are
 isometries local to the right block and leave the negativity unchanged, so
-the row is link j + 1's value; otherwise it is computed on the final state.
+the row is link j + 1's value; otherwise it is ``negativity`` of the final state.
 A LabeledState is formed, and checked, only for an "optimized" link, a
 tracked quantumness, a dense break row, or a read of the final state.
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .entanglement import BipartitionCut, _factor, _gme_test, _negativity, _pure_vector
+from .entanglement import BipartitionCut, _factor, _gme_test, negativity
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, _isometry
 from .quantumness import OptimizerConfig, apparatus_negativity, q_negativity
@@ -136,12 +136,12 @@ def _link(reg, f, target, u):
     return out, f
 
 
-def _resolve_basis(reg, f, spec, q_cfg):
+def _resolve_basis(reg, rho, spec, q_cfg):
     if isinstance(spec.basis, LocalBasis):
         return spec.basis
     if spec.basis == FLAG_COPY:
         return computational_basis(spec.target, reg.dim(spec.target))
-    report = q_negativity(LabeledState(reg, f @ linalg.dagger(f)), (spec.target,), q_cfg)
+    report = q_negativity(LabeledState(reg, rho), (spec.target,), q_cfg)
     return report.argmin_bases[0]
 
 
@@ -150,8 +150,9 @@ def run_chain(cfg):
     reg, f = cfg.initial.register, _factor(cfg.initial.rho)
     links = []  # (link, target, apparatus, entanglement, quantumness)
     for j, spec in enumerate(cfg.links, start=1):
-        plan = MeasurementPlan((spec.target,), (_resolve_basis(reg, f, spec, cfg.q_cfg),))
-        e_val = apparatus_negativity(_Dense(reg, f @ linalg.dagger(f)), plan)
+        rho = f @ linalg.dagger(f)
+        plan = MeasurementPlan((spec.target,), (_resolve_basis(reg, rho, spec, cfg.q_cfg),))
+        e_val = apparatus_negativity(_Dense(reg, rho), plan)
         reg, f = _link(reg, f, spec.target, plan.bases[0].vectors)
         q_val = None
         if TRACK_QUANTUMNESS in cfg.track:
@@ -169,16 +170,10 @@ def run_chain(cfg):
         all(spec.target in apparatuses[j:] for spec in cfg.links[j + 1 :])
         for j in range(1, len(links))
     ]
-    state = None if all(from_link) else final["final_state"]
-    psi = None if state is None else _pure_vector(state.rho)
     breaks = []
     for j, local in enumerate(from_link, start=1):
-        if local:
-            breaks.append(links[j][3])
-            continue
         cut = BipartitionCut(tuple(range(n0 + j)), tuple(range(n0 + j, n)))
-        cut.validate(n)
-        breaks.append(_negativity(state, psi, cut))
+        breaks.append(links[j][3] if local else negativity(final["final_state"], cut))
     rows = tuple(ChainRow(*link, brk) for link, brk in zip(links, breaks + [None]))
     return ChainReport(rows, final)
 

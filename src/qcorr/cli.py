@@ -33,7 +33,11 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_USAGE = 64
 
-Q_MEASURES = ("q-negativity", "one-way-deficit", "two-way-deficit")
+Q_MEASURES = {
+    "q-negativity": q_negativity,
+    "one-way-deficit": deficit,
+    "two-way-deficit": deficit,
+}
 E_MEASURES = {
     "negativity": negativity,
     "log-negativity": log_negativity,
@@ -99,10 +103,7 @@ def measure(state_path, measure, cut_spec, measured, restarts, max_iter, tol, se
             raise UsageError(f"measure {measure!r} requires --measured")
         labels = _parse_measured(measured)
         cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
-        if measure == "q-negativity":
-            report = q_negativity(state, labels, cfg)
-        else:
-            report = deficit(state, labels, cfg)
+        report = Q_MEASURES[measure](state, labels, cfg)
         payload = {
             "measure": measure,
             "measured": list(labels),
@@ -133,7 +134,9 @@ def measure(state_path, measure, cut_spec, measured, restarts, max_iter, tol, se
 def quantumness(ctx, measure, **options):
     """Optimized quantumness measures (front-end for the Q measures)."""
     if measure not in Q_MEASURES:
-        raise UsageError(f"unknown quantumness measure {measure!r}; choose from {Q_MEASURES}")
+        raise UsageError(
+            f"unknown quantumness measure {measure!r}; choose from {tuple(Q_MEASURES)}"
+        )
     ctx.invoke(globals()["measure"], measure=measure, cut_spec=None, **options)
 
 

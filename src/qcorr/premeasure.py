@@ -29,6 +29,16 @@ from .states import LabeledState, LocalBasis, apparatus_label
 IMAGE_TOL = 1e-8
 
 
+def _measured_subset(measured):
+    """``measured`` as a tuple, refused unless nonempty and of distinct labels."""
+    measured = tuple(measured)
+    if not measured:
+        raise InvariantError("measured subset must be nonempty")
+    if len(set(measured)) != len(measured):
+        raise InvariantError(f"duplicate measured labels: {measured}")
+    return measured
+
+
 @dataclass(frozen=True)
 class MeasurementPlan:
     """Ordered set of measured labels with one local basis each."""
@@ -37,16 +47,12 @@ class MeasurementPlan:
     bases: tuple
 
     def __post_init__(self):
-        measured = tuple(self.measured)
+        measured = _measured_subset(self.measured)
         bases = tuple(self.bases)
         object.__setattr__(self, "measured", measured)
         object.__setattr__(self, "bases", bases)
-        if not measured:
-            raise InvariantError("measured subset must be nonempty")
         if len(measured) != len(bases):
             raise InvariantError("one basis per measured label required")
-        if len(set(measured)) != len(measured):
-            raise InvariantError(f"duplicate measured labels: {measured}")
         for label, basis in zip(measured, bases):
             if not isinstance(basis, LocalBasis):
                 raise InvariantError(f"basis for {label!r} must be a LocalBasis, got {basis!r}")

@@ -37,6 +37,7 @@ import numpy as np
 from . import linalg
 from .entanglement import CLAMP
 from .errors import InvariantError
+from .premeasure import _measured_subset
 from .states import SYSTEM, LocalBasis, _integer, spawn_rng
 
 NEGATIVITY_OF_QUANTUMNESS = "negativity_of_quantumness"
@@ -195,7 +196,7 @@ class _Workspace:
     def __init__(self, state, measured):
         reg = state.register
         self._state = state
-        self.measured = measured
+        self.measured = measured = _measured_subset(measured)
         measured_idx = [reg.index(lab) for lab in measured]
         self.meas_dims = [reg.dims[i] for i in measured_idx]
         self.param_len = sum(d * (d - 1) for d in self.meas_dims)
@@ -456,17 +457,6 @@ def _optimize(objective, param_len, cfg):
     return float(fun[best]), best_x, tuple(float(v) for v in fun), converged
 
 
-def _check_measured(state, measured):
-    measured = tuple(measured)
-    if not measured:
-        raise InvariantError("measured subset must be nonempty")
-    if len(set(measured)) != len(measured):
-        raise InvariantError(f"duplicate measured labels: {measured}")
-    for lab in measured:
-        state.register.index(lab)
-    return measured
-
-
 def _minimum_over_bases(state, measured, cfg, read, measure):
     """Report of the optimized minimum of ``read``, a ``_Workspace`` read at given bases."""
     ws = _Workspace(state, measured)
@@ -476,7 +466,7 @@ def _minimum_over_bases(state, measured, cfg, read, measure):
     return QuantumnessReport(
         value=0.0 if value <= 0 else value,  # -0.0 and below zero report +0.0; NaN passes
         measure=measure,
-        measured=measured,
+        measured=ws.measured,
         argmin_bases=ws.bases(best_x),
         restart_values=restart_values,
         converged=converged,
@@ -485,7 +475,6 @@ def _minimum_over_bases(state, measured, cfg, read, measure):
 
 def q_negativity(state, measured, cfg=OptimizerConfig()):
     """Upper bound on the minimum system:apparatus negativity over local bases."""
-    measured = _check_measured(state, measured)
     return _minimum_over_bases(
         state, measured, cfg, _Workspace.negativity_at, NEGATIVITY_OF_QUANTUMNESS
     )
@@ -499,7 +488,7 @@ def deficit(state, measured, cfg=OptimizerConfig()):
     or more systems, it is the (two-way) relative entropy of quantumness.
     Product-basis dephasing only; nonnegative by the pinching inequality.
     """
-    measured = _check_measured(state, measured)
+    measured = _measured_subset(measured)
     reg = state.register
     systems = {lab for lab, kind in zip(reg.labels, reg.kinds) if kind == SYSTEM}
     two_way = set(measured) == set(reg.labels) or (len(systems) > 1 and systems <= set(measured))

@@ -173,15 +173,14 @@ def chain_config_from_json(obj, where="chain config", seed=0):
     return ChainConfig(state, tuple(links), track, q_cfg)
 
 
-def load_json(path, where=None):
-    where = where or str(path)
+def load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ParseError(f"{where}: cannot read file ({exc})") from None
+        raise ParseError(f"{path}: cannot read file ({exc})") from None
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
 
 def load_state(path):

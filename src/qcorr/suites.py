@@ -171,8 +171,10 @@ def run_theorem1(samples=50, seed=11):
         ok = verdict["cc"] == expect_cc and oracle == verdict["cc"]
         row = dict(trial=t, expected_cc=expect_cc, classified_cc=verdict["cc"],
                    oracle_cc=oracle, residual=residual, ok=ok)
-        # margin: distance of the residual from the decision threshold
-        return row, THEOREM1_THRESHOLD - residual if expect_cc else residual - THEOREM1_THRESHOLD
+        # margin: distance of the residual from the decision threshold, or -1
+        # when the oracle disagrees with the expected verdict
+        margin = THEOREM1_THRESHOLD - residual if expect_cc else residual - THEOREM1_THRESHOLD
+        return row, margin if oracle == expect_cc else -1.0
 
     return _result("theorem1", map(trial, range(2 * samples)))
 

@@ -238,8 +238,7 @@ class TestRunChain:
         def refuse(*args):
             raise AssertionError("dense break-point negativity")
 
-        monkeypatch.setattr(chain, "_negativity", refuse)
-        monkeypatch.setattr(chain, "_pure_vector", refuse)
+        monkeypatch.setattr(chain, "negativity", refuse)
         for flag_copy in (False, True):
             for state, links in seven_link_chains(flag_copy):
                 report = run_chain(ChainConfig(state, links))
@@ -254,8 +253,8 @@ class TestRunChain:
         state = random_mixed(default_register(2), rank=rank, seed=6)
         links = tuple(LinkSpec(lab, random_basis(lab, 2, rng)) for lab in ("A", "B", "M:A"))
         dense_calls = []
-        real = chain._negativity
-        monkeypatch.setattr(chain, "_negativity", lambda *a: dense_calls.append(a) or real(*a))
+        real = chain.negativity
+        monkeypatch.setattr(chain, "negativity", lambda *a: dense_calls.append(a) or real(*a))
         report = run_chain(ChainConfig(state, links))
         assert len(dense_calls) == 1
         assert report.rows[1].break_negativity == report.rows[2].entanglement

@@ -113,6 +113,7 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
         assert "unknown quantumness measure 'bogus'" in err
+        assert "('q-negativity', 'one-way-deficit', 'two-way-deficit')" in err
         assert out == ""
 
     def test_usage_error_unknown_flag(self, capsys, bell_file):

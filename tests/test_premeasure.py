@@ -107,9 +107,13 @@ class TestPlan:
         with pytest.raises(InvariantError):
             MeasurementPlan(("A",), ())
 
+    def test_empty_labels(self):
+        with pytest.raises(InvariantError, match="measured subset must be nonempty"):
+            MeasurementPlan((), ())
+
     def test_duplicate_labels(self):
         b = computational_basis("A", 2)
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="duplicate measured labels"):
             MeasurementPlan(("A", "A"), (b, b))
 
     def test_basis_label_must_match(self):

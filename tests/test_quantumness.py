@@ -634,10 +634,12 @@ class TestQNegativity:
             assert np.copysign(1.0, value) == 1.0  # +0.0, not -0.0
 
     def test_invalid_measured(self):
-        with pytest.raises(InvariantError):
-            q_negativity(bell_state(), (), FAST)
-        with pytest.raises(InvariantError):
-            q_negativity(bell_state(), ("Z",), FAST)
+        for fn in (q_negativity, deficit):
+            for measured, message in (((), "measured subset must be nonempty"),
+                                      (("A", "A"), "duplicate measured labels"),
+                                      (("Z",), "not in register")):
+                with pytest.raises(InvariantError, match=message):
+                    fn(bell_state(), measured, FAST)
 
     def test_duplicate_measured_rejected_before_optimizing(self, monkeypatch):
         def never(*args):

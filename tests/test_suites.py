@@ -62,6 +62,16 @@ def test_theorem3_smoke():
     assert len(result.trials) == 3
 
 
+def test_theorem1_worst_margin_negative_when_the_oracle_disagrees(monkeypatch):
+    # the classifier still meets its threshold on both trials; only the
+    # oracle fails them, so the margin comes from the oracle's verdict
+    real = suites.cc_commutation_oracle
+    monkeypatch.setattr(suites, "cc_commutation_oracle", lambda *args: not real(*args))
+    result = run_theorem1(samples=1, seed=11)
+    assert result.failures == 2
+    assert result.worst_margin == -1.0
+
+
 @pytest.mark.parametrize("name", ["theorem3", "locc-undo", "chain-monotone"])
 @pytest.mark.parametrize("kwargs, word", [({"samples": 0}, "samples"), ({"samples": -2}, "samples"),
                                           ({"seed": -1}, "seed"), ({"samples": 2.5}, "samples"),
