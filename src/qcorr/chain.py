@@ -37,9 +37,6 @@ OPTIMIZED = "optimized"
 TRACK_NEGATIVITY = "negativity"
 TRACK_QUANTUMNESS = "quantumness"
 
-GENERIC_PROXIMITY = 1e-3
-GENERIC_ATTEMPTS = 20
-
 # Slack below which a link value may fall short of the last and stay monotone.
 _MONOTONE_TOL = 1e-9
 # Apparatus negativity above which a measurement basis counts as entangling.
@@ -178,54 +175,38 @@ def run_chain(cfg):
     return ChainReport(rows, final)
 
 
-def _off_diagonal_mass(rho, basis):
-    """Sum of |entries| of U^dag rho U off its diagonal, U the basis vectors."""
-    u = basis.vectors
-    rotated = linalg.dagger(u) @ rho @ u
-    return float(np.sum(np.abs(rotated - np.diag(np.diag(rotated)))))
-
-
 def eigenbasis_criterion(state, basis):
     """Whether measuring a single-subsystem state in ``basis`` creates entanglement.
 
-    Equivalent to the basis failing to diagonalize the state: the correct
-    condition under spectral degeneracy is nonzero off-diagonal mass of the
-    state in the measurement basis.
+    Equivalent to the basis failing to diagonalize the state, read as nonzero
+    off-diagonal mass of U^dag rho U (U the basis vectors), correct under degeneracy.
     """
     if state.register.n != 1:
         raise InvariantError("eigenbasis_criterion requires a single-subsystem state")
     e_val = apparatus_negativity(state, MeasurementPlan(state.register.labels, (basis,)))
+    rotated = linalg.dagger(basis.vectors) @ state.rho @ basis.vectors
     return {
         "entangling": e_val > _ENTANGLING_TOL,
         "entanglement": e_val,
-        "off_diagonal_mass": _off_diagonal_mass(state.rho, basis),
+        "off_diagonal_mass": float(np.sum(np.abs(rotated - np.diag(np.diag(rotated))))),
     }
 
 
-def _generic_draw(reduced, target, rng):
-    """Seeded random basis for ``target``, resampled while it nearly diagonalizes ``reduced``.
-
-    ``reduced`` is the target's reduced operator.  A draw is generic when it
-    leaves at least GENERIC_PROXIMITY of off-diagonal mass in it.  If that
-    state is (close to) maximally mixed every basis diagonalizes it; after
-    GENERIC_ATTEMPTS draws the last is accepted, which is harmless for
-    multipartite-entanglement propagation.
-    """
-    basis = None
-    for _ in range(GENERIC_ATTEMPTS):
-        basis = random_basis(target, reduced.shape[0], rng)
-        if _off_diagonal_mass(reduced, basis) >= GENERIC_PROXIMITY:
-            break
-    return basis
-
-
 def chain_gme_propagation(initial, links, seed=0):
-    """GME flags after each of ``links`` generic-basis chain links.
+    """GME flags after each of ``links`` chain links, each in one Haar-random basis.
 
     The first link measures the last system subsystem, later links the
     previous apparatus; the first link past the 256 cap is refused.  Pure
     initial states only.  Each link is a ``_link`` step on a factor f, each
     GME test an SVD of f per cut.  Returns "per_step" and a lazy "final_state".
+
+    No flag depends on the basis.  Measuring party X of a pure GME psi gives
+    Psi = sum_i |b_i>_X |phi_i> |i>_M.  A cut with X and M on one side keeps
+    psi's Schmidt spectrum (the isometry is local to it); with M on side
+    S u {M} and X opposite, rho_SM is block-diagonal in the record, so its
+    purity is <= sum_i p_i^2 <= lambda_max(rho_X) < 1, p_i = <b_i|rho_X|b_i>.
+    Every cut's purity deficit stays >= min(psi's least, 1 - lambda_max) at
+    every level; links local to one block keep a biseparable input biseparable.
     """
     if not initial.is_pure():
         raise InvariantError("chain_gme_propagation requires a pure initial state")
@@ -236,8 +217,6 @@ def chain_gme_propagation(initial, links, seed=0):
     flags = []
     for _ in range(links):
         target = reg.labels[-1]
-        m = np.moveaxis(f.reshape(reg.dims + (-1,)), -2, 0).reshape(reg.dims[-1], -1)
-        basis = _generic_draw(m @ linalg.dagger(m), target, rng)
-        reg, f = _link(reg, f, target, basis.vectors)
+        reg, f = _link(reg, f, target, random_basis(target, reg.dims[-1], rng).vectors)
         flags.append(_gme_test(reg.dims, f))
     return _Final(reg, f, per_step=flags)

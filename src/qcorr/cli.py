@@ -156,10 +156,7 @@ def classify(state_path, measured, threshold, restarts, max_iter, tol, seed, out
     cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
     verdict = classify_cc(state, labels, threshold=threshold, cfg=cfg)
     payload = {
-        "cc": verdict["cc"],
-        "residual": verdict["residual"],
-        "negativity_residual": verdict["negativity_residual"],
-        "deficit_residual": verdict["deficit_residual"],
+        **verdict,
         "witness_bases": (
             [serialize.basis_to_json(b) for b in verdict["witness_bases"]]
             if verdict["witness_bases"]

@@ -113,10 +113,10 @@ def run_theorem2(samples=200, seed=7):
         m_a = qa - n_ab
         m_ab = qab - n_ab
         m_order = qab - max(qa, qb)
-        ok = m_a >= -1e-9 and m_ab >= -1e-9 and m_order >= -1e-5
+        margin = float(np.min([m_a + 1e-9, m_ab + 1e-9, m_order + 1e-5]))
         row = dict(trial=t, negativity=n_ab, q_a=qa, q_b=qb, q_ab=qab,
-                   margin_a=m_a, margin_ab=m_ab, margin_order=m_order, ok=ok)
-        return row, min(m_a + 1e-9, m_ab + 1e-9, m_order + 1e-5)
+                   margin_a=m_a, margin_ab=m_ab, margin_order=m_order, ok=margin >= 0)
+        return row, margin
 
     return _result("theorem2", map(trial, range(samples)))
 
@@ -199,10 +199,10 @@ def run_pure_saturation(samples=100, seed=3):
         da = deficit(state, ("A",), cfg).value
         gap_q = abs(qa - n_ab)
         gap_d = abs(da - e_ent)
-        ok = gap_q <= PURE_SATURATION_TOL and gap_d <= PURE_SATURATION_TOL
+        margin = PURE_SATURATION_TOL - float(np.max([gap_q, gap_d]))
         row = dict(trial=t, negativity=n_ab, q_a=qa, entropy_ent=e_ent, deficit_a=da,
-                   gap_negativity=gap_q, gap_deficit=gap_d, ok=ok)
-        return row, PURE_SATURATION_TOL - max(gap_q, gap_d)
+                   gap_negativity=gap_q, gap_deficit=gap_d, ok=margin >= 0)
+        return row, margin
 
     return _result("pure-saturation", map(trial, range(samples)))
 
@@ -236,9 +236,9 @@ def run_locc_undo(samples=100, seed=5):
             for b2 in transcript.branch_outputs[i + 1 :]
         )
         prob_gap = max(abs(p - 1.0 / d) for p in transcript.outcome_probabilities)
-        ok = dist <= 1e-11 and branch_gap <= 1e-11
-        row = dict(kind="undo", trial=t, dim=d, a=dist, b=branch_gap, c=prob_gap, ok=ok)
-        return row, 1e-11 - max(dist, branch_gap)
+        margin = 1e-11 - float(np.max([dist, branch_gap]))
+        row = dict(kind="undo", trial=t, dim=d, a=dist, b=branch_gap, c=prob_gap, ok=margin >= 0)
+        return row, margin
 
     def mono_trial(t):
         state = _random_two_qubit_mixed(seed + 1, t)
@@ -311,11 +311,11 @@ def run_chain_monotone(samples=50, seed=13):
             v_full = negativity(report.final_state, cut_full)
             break_drift = max(break_drift, abs(v_full - v_short))
 
-        ok = mono_margin >= -1e-9 and flag_drift <= 1e-10 and break_drift <= 1e-10
+        margin = float(np.min([mono_margin + 1e-9, 1e-10 - flag_drift, 1e-10 - break_drift]))
         row = dict(trial=t, monotone_margin=mono_margin, flag_drift=flag_drift,
-                   break_drift=break_drift, ok=ok)
+                   break_drift=break_drift, ok=margin >= 0)
         row.update((f"e_link{j + 1}", e) for j, e in enumerate(e_seq))
-        return row, min(mono_margin + 1e-9, 1e-10 - flag_drift, 1e-10 - break_drift)
+        return row, margin
 
     return _result("chain-monotone", map(trial, range(samples)))
 

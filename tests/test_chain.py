@@ -12,11 +12,10 @@ from qcorr.chain import (
     LinkSpec,
     TRACK_QUANTUMNESS,
     chain_gme_propagation,
-    _generic_draw,
     eigenbasis_criterion,
     run_chain,
 )
-from qcorr.entanglement import BipartitionCut, _pure_vector, negativity, pure_gme_test
+from qcorr.entanglement import BipartitionCut, _pure_vector, all_cuts, negativity, pure_gme_test
 from qcorr.errors import InvariantError
 from qcorr.premeasure import MeasurementPlan, premeasure
 from qcorr.quantumness import OptimizerConfig, apparatus_negativity, q_negativity
@@ -427,27 +426,6 @@ class TestDensityChecks:
             out["final"]
 
 
-def draw_on(state, target, rng):
-    """``_generic_draw`` on the target's reduced state."""
-    reduced = partial_trace(state.rho, state.dims, [state.register.index(target)])
-    return _generic_draw(reduced, target, rng)
-
-
-class TestGenericBasis:
-    def test_avoids_eigenbasis(self):
-        state = single_qubit_state(0.75)
-        rng = make_rng(3)
-        for _ in range(5):
-            basis = draw_on(state, "S", rng)
-            out = eigenbasis_criterion(state, basis)
-            assert out["off_diagonal_mass"] >= 1e-3
-
-    def test_degenerate_target_still_returns(self):
-        state = LabeledState(Register(("S",), (2,)), np.eye(2) / 2)
-        basis = draw_on(state, "S", make_rng(4))
-        assert basis.dim == 2
-
-
 class TestGmePropagation:
     def test_ghz_chain(self):
         out = chain_gme_propagation(ghz_state(3), links=2, seed=0)
@@ -537,6 +515,49 @@ class TestGmePropagation:
         assert out["final_state"].register.total_dim == 256
 
 
+def purity_deficits(state):
+    """1 - Tr(rho_p0^2) across every cut, off the dense partial trace."""
+    reduced = (partial_trace(state.rho, state.dims, cut.p0) for cut in all_cuts(state.register.n))
+    return [1.0 - np.trace(r @ r).real for r in reduced]
+
+
+def special_bases(state):
+    """The last label's reduced eigenbasis and its computational basis, with lambda_max."""
+    target, d = state.register.labels[-1], state.dims[-1]
+    w, v = np.linalg.eigh(partial_trace(state.rho, state.dims, [state.register.n - 1]))
+    return target, (LocalBasis(target, v), computational_basis(target, d)), w[-1]
+
+
+class TestAnyBasisPropagates:
+    """A link in any basis keeps every cut's purity deficit above
+    min(the input's least deficit, 1 - lambda_max of the measured party),
+    so no GME verdict depends on the basis drawn."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: ghz_state(3),
+        lambda: w_state(3),
+        lambda: random_pure(default_register(4), 9),
+        lambda: random_pure(Register(("A", "B"), (2, 3)), 10),
+    ])
+    def test_gme_in_the_eigenbasis_and_the_computational_basis(self, make):
+        state = make()
+        target, bases, lam_max = special_bases(state)
+        bound = min(min(purity_deficits(state)), 1.0 - lam_max)
+        assert bound > 0.0
+        for basis in bases:
+            out = premeasure(state, MeasurementPlan((target,), (basis,)))
+            assert pure_gme_test(out)["gme"]
+            assert min(purity_deficits(out)) >= bound - 1e-12
+
+    def test_biseparable_keeps_a_witness(self):
+        state = pure_state(np.kron(np.array([1, 0, 0, 1]) / np.sqrt(2), [1.0, 0.0]),
+                           default_register(3))
+        target, bases, _ = special_bases(state)
+        for basis in bases:
+            verdict = pure_gme_test(premeasure(state, MeasurementPlan((target,), (basis,))))
+            assert not verdict["gme"] and verdict["witness"] is not None
+
+
 def nearly_pure(state, eps=1e-10):
     d = state.register.total_dim
     return LabeledState(state.register, (1 - eps) * state.rho + eps * np.eye(d) / d)
@@ -548,7 +569,7 @@ def dense_gme_replay(initial, links, seed):
     state, flags = initial, []
     for _ in range(links):
         target = state.register.labels[-1]
-        basis = draw_on(state, target, rng)
+        basis = random_basis(target, state.register.dim(target), rng)
         state = premeasure(state, MeasurementPlan((target,), (basis,)))
         flags.append(pure_gme_test(state))
     return flags, state

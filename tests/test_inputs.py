@@ -1,24 +1,33 @@
-"""Counts and tolerances of the wrong type or range get a clean refusal.
+"""Counts and tolerances of the wrong type or range, and arrays of the wrong
+shape, get a clean refusal.
 
-Every library entry point refuses with ``InvariantError``, and a JSON input
-file makes the CLI exit 2 with no traceback.  JSON strings are refused for
-numeric fields even when they would parse as numbers.
+Every library entry point refuses with ``InvariantError`` (a JSON reader with
+``ParseError``), and a JSON input file makes the CLI exit 2 with no traceback.
+JSON strings are refused for numeric fields even when they would parse as
+numbers.
 """
 
 import json
+import re
 
+import numpy as np
 import pytest
 
 from qcorr import serialize
 from qcorr.cli import EXIT_PARSE, main
-from qcorr.errors import InvariantError
+from qcorr.errors import InvariantError, ParseError
 from qcorr.locc import correction_unitary, fourier_unitary
 from qcorr.premeasure import MeasurementPlan
 from qcorr.quantumness import OptimizerConfig, apparatus_negativity, classify_cc
 from qcorr.states import (
+    LocalBasis,
+    Register,
     bell_state,
+    classical_quantum_state,
+    computational_basis,
     default_register,
     ghz_state,
+    pure_state,
     random_mixed,
     random_pure,
     spawn_rng,
@@ -55,6 +64,39 @@ LIBRARY_CASES = {
 def test_library_refusal(case):
     call, message = LIBRARY_CASES[case]
     with pytest.raises(InvariantError, match=message):
+        call()
+
+
+def _cq(probs, conditionals):
+    return lambda: classical_quantum_state(probs, computational_basis("A", 2), conditionals)
+
+
+SHAPE_CASES = {
+    "register-lengths": (lambda: Register(("A",), (2, 2)), InvariantError,
+                         "register labels/dims length mismatch"),
+    "basis-not-square": (lambda: LocalBasis("A", np.ones((2, 3))), InvariantError,
+                         "basis vectors must form a square matrix of columns"),
+    "amplitudes-length": (lambda: pure_state(np.ones(3), default_register(2)), InvariantError,
+                          "amplitude vector length 3 != register dimension 4"),
+    "amplitudes-zero": (lambda: pure_state(np.zeros(4), default_register(2)), InvariantError,
+                        "zero amplitude vector"),
+    "cq-negative-probability": (_cq([1.5, -0.5], [np.eye(2) / 2] * 2), InvariantError,
+                                "probabilities must be nonnegative"),
+    "cq-conditional-dims": (_cq([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3]), InvariantError,
+                            "conditionals have inconsistent dimensions"),
+    "json-re-im-shapes": (
+        lambda: serialize.state_from_json({"labels": ["A"], "dims": [2],
+                                           "re": np.eye(2).tolist(), "im": np.zeros((2, 3)).tolist()}),
+        ParseError,
+        "state: 're' and 'im' must be equal-shape 2-d arrays",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_CASES)
+def test_shape_refusal(case):
+    call, error, message = SHAPE_CASES[case]
+    with pytest.raises(error, match=re.escape(message)):
         call()
 
 

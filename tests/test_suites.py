@@ -1,6 +1,8 @@
 """Small-sample smoke runs of every verification suite; the acceptance tests
 run them at their contract sizes."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,19 @@ def test_theorem2_worst_margin_nonnegative_on_a_pass():
     assert result.ok
     assert min(row[column] for row in result.trials) < 0
     assert result.worst_margin >= 0
+
+
+def test_theorem2_nan_q_ab_fails_its_row(monkeypatch):
+    # a NaN after the first term must not be hidden by the margin's minimum
+    real = suites.q_negativity
+
+    def nan_ab(state, measured, cfg):
+        return SimpleNamespace(value=np.nan) if measured == ("A", "B") else real(state, measured, cfg)
+
+    monkeypatch.setattr(suites, "q_negativity", nan_ab)
+    result = run_theorem2(samples=1, seed=7)
+    assert result.failures == 1 and not result.ok
+    assert np.isnan(result.worst_margin)
 
 
 HEADERS = {
