@@ -9,13 +9,13 @@ identical payloads except for the wall-time field.
 import os
 import sys
 import time
-from dataclasses import astuple, fields
+from dataclasses import asdict
 
 import click
 import numpy as np
 
 from . import serialize
-from .chain import ChainRow, run_chain
+from .chain import run_chain
 from .entanglement import (
     cut_from_labels,
     entropy_of_entanglement,
@@ -56,8 +56,12 @@ def _seed_option(seed):
     return _integer(seed, "the seed", UsageError, low=0)
 
 
-def _parse_measured(measured):
-    return tuple(s.strip() for s in measured.split(",") if s.strip())
+def _parse_measured(measured, measure):
+    """The comma-separated labels of ``measured``; none at all is a usage error."""
+    labels = tuple(s.strip() for s in (measured or "").split(",") if s.strip())
+    if not labels:
+        raise UsageError(f"{measure} requires --measured")
+    return labels
 
 
 def _optimizer_options(command):
@@ -99,9 +103,7 @@ def measure(state_path, measure, cut_spec, measured, restarts, max_iter, tol, se
         value = E_MEASURES[measure](state, cut)
         payload = {"measure": measure, "cut": cut_spec, "value": value}
     elif measure in Q_MEASURES:
-        if not measured:
-            raise UsageError(f"measure {measure!r} requires --measured")
-        labels = _parse_measured(measured)
+        labels = _parse_measured(measured, f"measure {measure!r}")
         cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
         report = Q_MEASURES[measure](state, labels, cfg)
         payload = {
@@ -152,7 +154,7 @@ def classify(state_path, measured, threshold, restarts, max_iter, tol, seed, out
     seed = _seed_option(seed)
     serialize.check_outputs(out_path)
     state = serialize.load_state(state_path)
-    labels = _parse_measured(measured)
+    labels = _parse_measured(measured, "classify")
     cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
     verdict = classify_cc(state, labels, threshold=threshold, cfg=cfg)
     payload = {
@@ -181,13 +183,9 @@ def chain(config_path, seed, out_prefix):
         serialize.load_json(config_path), where=str(config_path), seed=seed
     )
     result = run_chain(cfg)
-    header = tuple(f.name for f in fields(ChainRow))
-    rows = [astuple(r) for r in result.rows]
-    serialize.write_csv(out_prefix + ".csv", header, rows)
-    payload = {
-        "rows": [dict(zip(header, row)) for row in rows],
-        "monotone": result.monotone(),
-    }
+    rows = [asdict(r) for r in result.rows]
+    serialize.write_csv(out_prefix + ".csv", rows)
+    payload = {"rows": rows, "monotone": result.monotone()}
     report = serialize.report(payload, "chain", {"config": config_path}, seed, started)
     serialize.write_json(out_prefix + ".json", report)
     click.echo(f"chain report written to {out_prefix}.csv / {out_prefix}.json")
@@ -207,8 +205,7 @@ def verify(suite, samples, seed, out_prefix):
     prefix = out_prefix or f"verify-{suite}"
     serialize.check_outputs(prefix + ".csv", prefix + ".json")
     result = run_suite(suite, samples=samples, seed=seed)
-    if result.columns:
-        serialize.write_csv(prefix + ".csv", result.columns, result.trials)
+    serialize.write_csv(prefix + ".csv", result.trials)
     payload = {
         "suite": suite,
         "trials": len(result.trials),

@@ -41,6 +41,7 @@ def fourier_unitary(d):
 
 def correction_unitary(k, d):
     """Diagonal phase unitary diag(exp(-2*pi*1j*i*k/d))."""
+    _integer(d, "dimension", low=2)
     if not _integer(k, "correction index", low=0) < d:
         raise InvariantError(f"correction index {k} outside [0, {d})")
     return np.diag(np.exp(-2j * np.pi * np.arange(d) * k / d))

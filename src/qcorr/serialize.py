@@ -240,10 +240,10 @@ def fmt_float(x):
     return str(x)
 
 
-def write_csv(path, header, rows):
-    """Fixed column order; floats at 17 significant digits."""
+def write_csv(path, rows):
+    """Dict rows under their first row's keys, in key order; floats at 17 significant digits."""
     with _output(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([fmt_float(v) for v in row])
+            writer.writerow([fmt_float(v) for v in row.values()])

@@ -127,7 +127,7 @@ class LocalBasis:
 
 
 def computational_basis(subsystem, d):
-    return LocalBasis(subsystem, np.eye(d, dtype=complex))
+    return LocalBasis(subsystem, np.eye(_integer(d, "dimension", low=2), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -298,6 +298,7 @@ def random_mixed(register, rank, seed):
 
 def random_unitary(d, rng):
     """Haar-random unitary via QR of a complex-Gaussian matrix."""
+    _integer(d, "dimension", low=2)
     g = complex_gaussian(rng, (d, d))
     q, r = np.linalg.qr(g)
     # fix the phase convention so the distribution is Haar

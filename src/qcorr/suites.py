@@ -55,7 +55,6 @@ class SuiteResult:
     trials: list
     failures: int
     worst_margin: float
-    columns: tuple = ()
     summary: dict = field(default_factory=dict)
 
     @property
@@ -63,18 +62,15 @@ class SuiteResult:
         return self.failures == 0
 
 
-def _result(name, trials, **summary):
+def _result(name, trials):
     """Run ``trials``, an iterable of ``(row, margin)`` pairs, into the suite's result.
 
-    The columns are the first row's keys, a trial fails wherever its ``ok``
-    column is false, the worst margin is the least, and each summary entry is
-    a function of the list of rows.
+    The rows are kept in trial order, a trial fails wherever its ``ok``
+    column is false, and the worst margin is the least, NaN if any is NaN.
     """
     rows, margins = zip(*trials)
     failures = sum(1 for r in rows if not r["ok"])
-    summary = {key: read(rows) for key, read in summary.items()}
-    values = [tuple(r.values()) for r in rows]
-    return SuiteResult(name, values, failures, min(margins), tuple(rows[0]), summary)
+    return SuiteResult(name, list(rows), failures, float(np.min(margins)))
 
 
 def _check_counts(samples, seed, error=InvariantError):
@@ -250,16 +246,17 @@ def run_locc_undo(samples=100, seed=5):
                    c=gap, ok=step["holds"])
         return row, gap + 1e-9
 
-    return _result(
+    result = _result(
         "locc-undo",
         itertools.chain(map(undo_trial, range(samples)), map(mono_trial, range(5 * samples))),
-        max_trace_distance=lambda rows: max(
-            max(r["a"], r["b"]) for r in rows if r["kind"] == "undo"
-        ),
-        worst_monotonicity_margin=lambda rows: min(
-            r["c"] for r in rows if r["kind"] == "monotonicity"
-        ),
     )
+    result.summary["max_trace_distance"] = max(
+        max(r["a"], r["b"]) for r in result.trials if r["kind"] == "undo"
+    )
+    result.summary["worst_monotonicity_margin"] = min(
+        r["c"] for r in result.trials if r["kind"] == "monotonicity"
+    )
+    return result
 
 
 # ---------------------------------------------------------------------------

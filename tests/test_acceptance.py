@@ -47,9 +47,9 @@ def theorem2_result():
 
 def test_criterion_01_quantumness_dominates_entanglement(theorem2_result):
     # q^(A) >= N(A:B) - 1e-9 and q^(AB) >= N(A:B) - 1e-9 on 200 mixed states
-    rows, columns = theorem2_result.trials, theorem2_result.columns
-    worst_a = min(r[columns.index("margin_a")] for r in rows)
-    worst_ab = min(r[columns.index("margin_ab")] for r in rows)
+    rows = theorem2_result.trials
+    worst_a = min(r["margin_a"] for r in rows)
+    worst_ab = min(r["margin_ab"] for r in rows)
     ok = len(rows) == 200 and worst_a >= -1e-9 and worst_ab >= -1e-9
     report(1, ok, f"200 states, worst q_A margin {worst_a:.3e}, "
                   f"worst q_AB margin {worst_ab:.3e} (tol -1e-9)")
@@ -58,7 +58,7 @@ def test_criterion_01_quantumness_dominates_entanglement(theorem2_result):
 def test_criterion_02_two_sided_dominates_one_sided(theorem2_result):
     # q^(AB) >= max(q^(A), q^(B)) - 1e-5 on the same ensemble, 24 restarts
     rows = theorem2_result.trials
-    worst = min(r[theorem2_result.columns.index("margin_order")] for r in rows)
+    worst = min(r["margin_order"] for r in rows)
     ok = worst >= -1e-5
     report(2, ok, f"worst ordering margin {worst:.3e} (tol -1e-5)")
 
@@ -67,8 +67,8 @@ def test_criterion_03_pure_state_saturation():
     # 100 Haar pure two-qubit states: |q^(A) - N| <= 1e-5 and
     # |deficit^(A) - entropy of entanglement| <= 1e-5
     result = run_pure_saturation(samples=100, seed=3)
-    gap_q = max(r[result.columns.index("gap_negativity")] for r in result.trials)
-    gap_d = max(r[result.columns.index("gap_deficit")] for r in result.trials)
+    gap_q = max(r["gap_negativity"] for r in result.trials)
+    gap_d = max(r["gap_deficit"] for r in result.trials)
     ok = result.failures == 0
     report(3, ok, f"100 states, max |q-N| {gap_q:.3e}, "
                   f"max |deficit-E| {gap_d:.3e} (tol 1e-5)")
@@ -87,8 +87,7 @@ def test_criterion_05_locc_undo_and_monotonicity():
     # channel identity <= 1e-11 (trace distance and branch agreement) on
     # 100 states with d in {2,3}; monotonicity lhs >= rhs - 1e-9 on 500
     result = run_locc_undo(samples=100, seed=5)
-    kind = result.columns.index("kind")
-    n_mono = sum(1 for r in result.trials if r[kind] == "monotonicity")
+    n_mono = sum(1 for r in result.trials if r["kind"] == "monotonicity")
     ok = result.failures == 0 and n_mono == 500
     report(5, ok, f"max trace distance {result.summary['max_trace_distance']:.3e} "
                   f"(tol 1e-11), worst monotonicity margin "

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 
@@ -11,7 +12,8 @@ from qcorr import cli, serialize
 from qcorr.chain import ChainReport, ChainRow
 from qcorr.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from qcorr.states import bell_state, werner_state
-from qcorr.suites import SuiteResult
+from qcorr.suites import SUITE_NAMES, SuiteResult
+from test_suites import HEADERS
 
 
 @pytest.fixture
@@ -143,6 +145,19 @@ class TestExitCodes:
     def test_usage_error_non_positive_samples(self, capsys, samples):
         code, _, _ = run(capsys, "verify", "--suite", "theorem2", "--samples", samples)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("measure", "--measure", "q-negativity", "--measured", ""),
+        ("measure", "--measure", "q-negativity", "--measured", ","),
+        ("quantumness", "--measured", ","),
+        ("classify", "--measured", ""),
+        ("classify", "--measured", ","),
+    ], ids=" ".join)
+    def test_usage_error_empty_measured(self, capsys, bell_file, argv):
+        code, out, err = run(capsys, argv[0], "--state", bell_file, *argv[1:])
+        assert code == EXIT_USAGE
+        assert "requires --measured" in err
+        assert out == ""
 
     def test_invariant_error_duplicate_measured(self, capsys, bell_file):
         code, _, err = run(
@@ -555,6 +570,14 @@ class TestChainCommand:
         assert csv_lines[0] == "link,target,apparatus,entanglement,quantumness,break_negativity"
         assert len(csv_lines) == 4
 
+    def test_json_rows_match_csv_rows(self, capsys, tmp_path, monkeypatch):
+        assert main(["gen", "--out-dir", str(tmp_path)]) == EXIT_OK
+        monkeypatch.chdir(tmp_path)
+        assert main(["chain", "--config", "bell-chain.json", "--out-prefix", "demo"]) == EXIT_OK
+        json_rows = json.loads((tmp_path / "demo.json").read_text())["rows"]
+        with open(tmp_path / "demo.csv", newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        assert csv_rows == [{k: serialize.fmt_float(v) for k, v in r.items()} for r in json_rows]
 
     def test_non_monotone_exits_invariant_after_writing(self, capsys, tmp_path, monkeypatch):
         rows = (ChainRow(1, "B", "M:B", 0.5), ChainRow(2, "M:B", "M:M:B", 0.25))
@@ -601,14 +624,25 @@ class TestVerifyCommand:
         assert report["failures"] == 0
         assert (tmp_path / "v.csv").exists()
 
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_csv_header_and_one_line_per_trial(self, capsys, tmp_path, monkeypatch, suite):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--suite", suite, "--samples", "1", "--out-prefix", "v"]) == EXIT_OK
+        with open(tmp_path / "v.csv", newline="") as fh:
+            header, *lines = csv.reader(fh)
+        assert tuple(header) == HEADERS[suite]
+        assert len(lines) == json.loads((tmp_path / "v.json").read_text())["trials"]
+
     def test_suite_failures_exit_invariant(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        failed = SuiteResult("theorem2", trials=[(0, -1.0)], failures=1, worst_margin=-1.0)
+        failed = SuiteResult("theorem2", trials=[{"trial": 0, "ok": False}], failures=1,
+                             worst_margin=-1.0)
         monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: failed)
         code, out, _ = run(capsys, "verify", "--suite", "theorem2", "--out-prefix", "v")
         assert code == EXIT_INVARIANT
         assert "FAILED" in out
         assert json.loads((tmp_path / "v.json").read_text())["failures"] == 1
+        assert (tmp_path / "v.csv").read_text().splitlines() == ["trial,ok", "0,false"]
 
 
 # -- fuzzing the exit-code contract -------------------------------------------

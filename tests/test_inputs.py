@@ -27,9 +27,12 @@ from qcorr.states import (
     computational_basis,
     default_register,
     ghz_state,
+    make_rng,
     pure_state,
+    random_basis,
     random_mixed,
     random_pure,
+    random_unitary,
     spawn_rng,
     w_state,
     werner_state,
@@ -49,6 +52,16 @@ LIBRARY_CASES = {
     "seed-negative": (lambda: random_pure(default_register(2), -1), "seed must be at least 0"),
     "fourier-float": (lambda: fourier_unitary(2.5), "fourier_unitary d must be an integer"),
     "correction-float": (lambda: correction_unitary(1.5, 3), "correction index must be an integer"),
+    "basis-dim-float": (lambda: computational_basis("A", 2.5), "dimension must be an integer"),
+    "basis-dim-one": (lambda: computational_basis("A", 1), "dimension must be at least 2"),
+    "basis-dim-zero": (lambda: computational_basis("A", 0), "dimension must be at least 2"),
+    "basis-dim-negative": (lambda: computational_basis("A", -1), "dimension must be at least 2"),
+    "random-basis-dim-float": (lambda: random_basis("A", 2.5, make_rng(0)),
+                               "dimension must be an integer"),
+    "unitary-dim-zero": (lambda: random_unitary(0, make_rng(0)), "dimension must be at least 2"),
+    "correction-dim-float": (lambda: correction_unitary(0, 2.5), "dimension must be an integer"),
+    "correction-dim-inf": (lambda: correction_unitary(1, float("inf")),
+                           "dimension must be an integer"),
     "werner-string": (lambda: werner_state("0.5"), "werner parameter must be a real number"),
     "werner-bool": (lambda: werner_state(True), "werner parameter must be a real number"),
     "spawn-seed-negative": (lambda: spawn_rng(-1, 0), "seed must be at least 0"),

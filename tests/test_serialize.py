@@ -191,7 +191,8 @@ class TestFiles:
 
     def test_write_csv_formats_floats(self, tmp_path):
         path = tmp_path / "t.csv"
-        serialize.write_csv(path, ("a", "b", "c"), [(1, 1 / 3, None), (2, 0.5, True)])
+        rows = [{"a": 1, "b": 1 / 3, "c": None}, {"a": 2, "b": 0.5, "c": True}]
+        serialize.write_csv(path, rows)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "a,b,c"
         assert lines[1] == f"1,{1/3:.17g},"

@@ -104,9 +104,8 @@ def test_runners_refuse_bad_counts(runner, kwargs, word, monkeypatch):
 def test_theorem2_worst_margin_nonnegative_on_a_pass():
     # trial 44 passes with margin_a below zero, within its 1e-9 tolerance
     result = run_theorem2(samples=45, seed=7)
-    column = result.columns.index("margin_a")
     assert result.ok
-    assert min(row[column] for row in result.trials) < 0
+    assert min(row["margin_a"] for row in result.trials) < 0
     assert result.worst_margin >= 0
 
 
@@ -120,6 +119,24 @@ def test_theorem2_nan_q_ab_fails_its_row(monkeypatch):
     monkeypatch.setattr(suites, "q_negativity", nan_ab)
     result = run_theorem2(samples=1, seed=7)
     assert result.failures == 1 and not result.ok
+    assert np.isnan(result.worst_margin)
+
+
+def test_theorem2_nan_after_a_finite_margin_is_the_worst(monkeypatch):
+    # the worst margin over trials must not hide a NaN that follows a finite one
+    real = suites.q_negativity
+    calls = []
+
+    def nan_second_ab(state, measured, cfg):
+        if measured == ("A", "B"):
+            calls.append(measured)
+            if len(calls) == 2:
+                return SimpleNamespace(value=np.nan)
+        return real(state, measured, cfg)
+
+    monkeypatch.setattr(suites, "q_negativity", nan_second_ab)
+    result = run_theorem2(samples=2, seed=7)
+    assert result.failures == 1
     assert np.isnan(result.worst_margin)
 
 
@@ -139,8 +156,8 @@ HEADERS = {
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_csv_header(name):
     result = run_suite(name, samples=1)
-    assert result.columns == HEADERS[name]
-    assert all(len(row) == len(HEADERS[name]) for row in result.trials)
+    assert tuple(result.trials[0]) == HEADERS[name]
+    assert all(tuple(row) == HEADERS[name] for row in result.trials)
 
 
 def test_run_suite_dispatch():
