@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .entanglement import BipartitionCut, _factor, _gme_test, negativity
+from .entanglement import MONOTONE_TOL, BipartitionCut, _factor, _gme_test, negativity
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, _isometry
 from .quantumness import OptimizerConfig, apparatus_negativity, q_negativity
@@ -37,8 +37,6 @@ OPTIMIZED = "optimized"
 TRACK_NEGATIVITY = "negativity"
 TRACK_QUANTUMNESS = "quantumness"
 
-# Slack below which a link value may fall short of the last and stay monotone.
-_MONOTONE_TOL = 1e-9
 # Apparatus negativity above which a measurement basis counts as entangling.
 _ENTANGLING_TOL = 1e-9
 
@@ -108,7 +106,7 @@ class ChainReport:
 
     def monotone(self):
         e = self.entanglement_sequence()
-        return all(e[j + 1] >= e[j] - _MONOTONE_TOL for j in range(len(e) - 1))
+        return all(e[j + 1] >= e[j] - MONOTONE_TOL for j in range(len(e) - 1))
 
 
 class _Final(dict):

@@ -23,7 +23,7 @@ from .entanglement import (
     negativity,
 )
 from .errors import InvariantError, ParseError, UsageError
-from .quantumness import OptimizerConfig, classify_cc, deficit, q_negativity
+from .quantumness import CC_THRESHOLD, OptimizerConfig, classify_cc, deficit, q_negativity
 from .states import bell_state, ghz_state, werner_state, classical_quantum_state
 from .states import LocalBasis, _integer
 from .suites import run_suite
@@ -145,7 +145,7 @@ def quantumness(ctx, measure, **options):
 @cli.command()
 @click.option("--state", "state_path", required=True, type=click.Path())
 @click.option("--measured", required=True)
-@click.option("--threshold", default=1e-7, show_default=True)
+@click.option("--threshold", default=CC_THRESHOLD, show_default=True)
 @_optimizer_options
 @click.option("--out", "out_path", default=None, type=click.Path())
 def classify(state_path, measured, threshold, restarts, max_iter, tol, seed, out_path):

@@ -22,6 +22,10 @@ from .errors import InvariantError
 
 CLAMP = 1e-10
 
+# Slack below which an entanglement value may fall short of another it should
+# dominate and still count as monotone (chain links, LOCC transfer steps).
+MONOTONE_TOL = 1e-9
+
 # Reduced purity margin below 1 under which a pure state's cut is entangled.
 _GME_TOL = 1e-8
 

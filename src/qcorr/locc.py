@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .entanglement import BipartitionCut, negativity
+from .entanglement import MONOTONE_TOL, BipartitionCut, negativity
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, _local, _pull_back, premeasure
 from .quantumness import apparatus_negativity
@@ -105,4 +105,4 @@ def verify_monotonicity_step(state, plan):
     # cut: transferred apparatus (last) vs everything else
     rhs_cut = BipartitionCut(tuple(range(out.register.n - 1)), (out.register.n - 1,))
     rhs = negativity(out, rhs_cut)
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs - 1e-9}
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs - MONOTONE_TOL}

@@ -46,6 +46,9 @@ TWO_WAY_DEFICIT = "two_way_deficit"
 
 LOCKSTEP_ROWS = 64  # restarts per minimize call
 
+# Residual below which ``classify_cc`` calls a state classically correlated.
+CC_THRESHOLD = 1e-7
+
 # Largest commutator entry at which ``cc_commutation_oracle`` calls two slices commuting.
 _COMMUTATION_TOL = 1e-9
 
@@ -498,7 +501,7 @@ def deficit(state, measured, cfg=OptimizerConfig()):
     )
 
 
-def classify_cc(state, measured, threshold=1e-7, cfg=OptimizerConfig()):
+def classify_cc(state, measured, threshold=CC_THRESHOLD, cfg=OptimizerConfig()):
     """I-CC classification: both quantumness residuals below ``threshold``.
 
     Returns {"cc", "witness_bases", "residual"}; witness bases are the

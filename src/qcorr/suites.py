@@ -21,11 +21,12 @@ from .chain import (
     chain_gme_propagation,
     run_chain,
 )
-from .entanglement import BipartitionCut, entropy_of_entanglement, negativity
+from .entanglement import MONOTONE_TOL, BipartitionCut, entropy_of_entanglement, negativity
 from .errors import InvariantError, UsageError
 from .locc import locc_undo, verify_monotonicity_step
 from .premeasure import MeasurementPlan, premeasure
 from .quantumness import (
+    CC_THRESHOLD,
     OptimizerConfig,
     cc_commutation_oracle,
     classify_cc,
@@ -124,8 +125,6 @@ def run_theorem2(samples=200, seed=7):
 
 # A sampled state counts as entangled above this A:B negativity.
 MIN_ENTANGLED_NEGATIVITY = 0.05
-# classify_cc calls a state classical below this residual.
-THEOREM1_THRESHOLD = 1e-7
 
 def _random_cc_state(seed, t):
     rng = make_rng(derive_seed(seed, t, 10))
@@ -161,7 +160,7 @@ def run_theorem1(samples=50, seed=11):
             state = _random_entangled_state(seed, t)
             expect_cc = False
         cfg = OptimizerConfig(seed=derive_seed(seed, t, 1))
-        verdict = classify_cc(state, ("A",), threshold=THEOREM1_THRESHOLD, cfg=cfg)
+        verdict = classify_cc(state, ("A",), cfg=cfg)
         oracle = cc_commutation_oracle(state, "A")
         residual = verdict["residual"]
         ok = verdict["cc"] == expect_cc and oracle == verdict["cc"]
@@ -169,7 +168,7 @@ def run_theorem1(samples=50, seed=11):
                    oracle_cc=oracle, residual=residual, ok=ok)
         # margin: distance of the residual from the decision threshold, or -1
         # when the oracle disagrees with the expected verdict
-        margin = THEOREM1_THRESHOLD - residual if expect_cc else residual - THEOREM1_THRESHOLD
+        margin = CC_THRESHOLD - residual if expect_cc else residual - CC_THRESHOLD
         return row, margin if oracle == expect_cc else -1.0
 
     return _result("theorem1", map(trial, range(2 * samples)))
@@ -244,7 +243,7 @@ def run_locc_undo(samples=100, seed=5):
         gap = step["lhs"] - step["rhs"]
         row = dict(kind="monotonicity", trial=t, dim=None, a=step["lhs"], b=step["rhs"],
                    c=gap, ok=step["holds"])
-        return row, gap + 1e-9
+        return row, gap + MONOTONE_TOL
 
     result = _result(
         "locc-undo",
@@ -308,7 +307,7 @@ def run_chain_monotone(samples=50, seed=13):
             v_full = negativity(report.final_state, cut_full)
             break_drift = max(break_drift, abs(v_full - v_short))
 
-        margin = float(np.min([mono_margin + 1e-9, 1e-10 - flag_drift, 1e-10 - break_drift]))
+        margin = float(np.min([mono_margin + MONOTONE_TOL, 1e-10 - flag_drift, 1e-10 - break_drift]))
         row = dict(trial=t, monotone_margin=mono_margin, flag_drift=flag_drift,
                    break_drift=break_drift, ok=margin >= 0)
         row.update((f"e_link{j + 1}", e) for j, e in enumerate(e_seq))

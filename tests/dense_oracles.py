@@ -1,8 +1,12 @@
-"""Dense oracles the library no longer needs: the partial trace of a whole
-density matrix and the negativity off a partial-transpose spectrum.
+"""Dense oracles the library no longer needs and the benchmark's ``oracles``
+lacks: the partial trace of a whole density matrix, and ``dense_negativity``,
+the benchmark's partial-transpose negativity with the library's clamp.
 
-The module is not named ``test_*.py``, so pytest does not collect it;
-``TestPartialTrace`` runs where ``test_linalg`` imports it.
+Every other dense reference the tests use (isometry, pre-measurement,
+pinching, partial-transpose spectra, Bell-diagonal closed forms) comes from
+``bench/oracles.py``, which imports only numpy.  This module is not named
+``test_*.py``, so pytest does not collect it; ``TestPartialTrace`` runs where
+``test_linalg`` imports it.
 """
 
 import math
@@ -10,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from qcorr import linalg
+import oracles
 from qcorr.entanglement import CLAMP
 from qcorr.errors import InvariantError
 
@@ -35,8 +39,7 @@ def partial_trace(rho, dims, keep):
 
 def dense_negativity(state, cut):
     """``negativity(state, cut)`` off the spectrum of the partial transpose on ``cut.p1``."""
-    w = np.linalg.eigvalsh(linalg.partial_transpose(state.rho, state.dims, cut.p1))
-    value = float(np.sum(np.abs(w[w < 0])))
+    value = oracles.negativity(state.rho, state.dims, cut.p1)
     return 0.0 if value < CLAMP else value
 
 

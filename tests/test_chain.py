@@ -3,6 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
+import oracles
 from dense_oracles import dense_negativity, partial_trace
 from qcorr import chain, linalg, serialize
 from qcorr.chain import (
@@ -58,16 +59,7 @@ class TestEigenbasisCriterion:
         out = eigenbasis_criterion(single_qubit_state(0.75), LocalBasis("S", HADAMARD))
         assert out["entangling"] is True
         assert out["off_diagonal_mass"] > 0.1
-        # independent oracle: build sum_ij sigma_ij |ii><jj| with sigma the
-        # state in the measurement basis and diagonalize its partial transpose
-        sigma = HADAMARD.conj().T @ np.diag([0.75, 0.25]) @ HADAMARD
-        rho_t = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                rho_t[3 * i, 3 * j] = sigma[i, j]
-        pt = rho_t.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-        w = np.linalg.eigvalsh(pt)
-        expected = float(-np.sum(w[w < 0]))
+        expected = oracles.q_negativity_at(np.diag([0.75, 0.25]), [2], [0], [HADAMARD])
         assert out["entanglement"] == pytest.approx(expected, abs=1e-12)
         assert out["entanglement"] == pytest.approx(0.25, abs=1e-12)
 

@@ -1,5 +1,6 @@
 """Every name a qcorr module imports, or binds privately, is read in that module,
-and every public function or class without a decorator is read by the package.
+and every public function or class without a decorator is read by the package;
+the benchmark oracles the tests check against import nothing but numpy.
 
 No linter ships with the test dependencies, so the check reads each module's
 syntax tree with the standard library.  ``__init__.py`` is exempt from the
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qcorr"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qcorr"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -116,3 +118,12 @@ def test_checker_flags_unread_public_names():
 def test_every_public_name_has_a_library_reader():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_public_names(sources) == []
+
+
+def test_shared_oracles_import_only_numpy():
+    # the tests check qcorr against bench/oracles.py, an independent check
+    # only while that file shares no code with the library
+    tree = ast.parse((ROOT / "bench" / "oracles.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert all(isinstance(n, ast.Import) for n in imports)
+    assert {alias.name for n in imports for alias in n.names} == {"numpy"}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from dense_oracles import partial_trace
 from qcorr import linalg
 from qcorr.entanglement import BipartitionCut, negativity
@@ -29,67 +30,6 @@ from qcorr.states import (
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-# Dense Kronecker oracle: the measurement isometry and local operators as
-# matrices on the whole register, applied one measured label at a time.
-
-def measurement_isometry(basis):
-    """The (d^2 x d) isometry V with V |b_i> = |b_i> (x) |i>."""
-    d = basis.dim
-    v = np.zeros((d * d, d), dtype=complex)
-    for i in range(d):
-        b = basis.vectors[:, i]
-        v += np.outer(np.kron(b, np.eye(d)[i]), np.conj(b))
-    return v
-
-
-def global_operator(register, label, op):
-    """``op`` acting on ``label``, identity elsewhere."""
-    k = register.index(label)
-    before = int(np.prod(register.dims[:k], dtype=int))
-    after = int(np.prod(register.dims[k + 1 :], dtype=int))
-    return np.kron(np.kron(np.eye(before), op), np.eye(after))
-
-
-def global_isometry(register, label, basis):
-    """Isometry on the full register measuring ``label`` with the apparatus appended."""
-    d = basis.dim
-    w = np.zeros((register.total_dim * d, register.total_dim), dtype=complex)
-    for i in range(d):
-        b = basis.vectors[:, i]
-        proj = global_operator(register, label, np.outer(b, np.conj(b)))
-        w += np.kron(proj, np.eye(d)[:, i : i + 1])
-    return w
-
-
-def dense_premeasure(state, plan):
-    reg, rho = state.register, state.rho
-    for label, basis in zip(plan.measured, plan.bases):
-        w = global_isometry(reg, label, basis)
-        rho = w @ rho @ w.conj().T
-        reg = reg.with_apparatus(label)
-    return rho
-
-
-def dense_dephase(state, plan):
-    rho = state.rho
-    for label, basis in zip(plan.measured, plan.bases):
-        projs = [
-            global_operator(state.register, label, np.outer(b, np.conj(b)))
-            for b in basis.vectors.T
-        ]
-        rho = sum(p @ rho @ p for p in projs)
-    return rho
-
-
-def dense_undo(premeasured, plan):
-    reg, rho = premeasured.register, premeasured.rho
-    for label, basis in zip(reversed(plan.measured), reversed(plan.bases)):
-        reg = reg.drop(reg.labels[-1])
-        w = global_isometry(reg, label, basis)
-        rho = w.conj().T @ rho @ w
-    return rho
 
 
 def single_plan(label, vectors):
@@ -129,7 +69,7 @@ class TestPlan:
 class TestIsometry:
     def test_columns_are_b_tensor_e(self):
         basis = LocalBasis("A", HADAMARD)
-        v = measurement_isometry(basis)
+        v = oracles.isometry(HADAMARD)
         for i in range(2):
             e = np.zeros(2)
             e[i] = 1
@@ -144,21 +84,18 @@ class TestIsometry:
         rng = make_rng(0)
         for d in (2, 3, 4):
             basis = random_basis("A", d, rng)
-            v = measurement_isometry(basis)
+            v = oracles.isometry(basis.vectors)
             assert np.max(np.abs(linalg.dagger(v) @ v - np.eye(d))) <= 1e-12
 
     def test_global_isometry_matches_local(self):
         # measuring the only subsystem reduces to the local isometry
-        reg = Register(("A",), (3,))
-        basis = random_basis("A", 3, make_rng(1))
-        assert np.allclose(
-            global_isometry(reg, "A", basis), measurement_isometry(basis), atol=1e-14
-        )
+        v = oracles.isometry(random_basis("A", 3, make_rng(1)).vectors)
+        assert np.allclose(oracles._embed(v, [3], 0), v, atol=1e-14)
 
     def test_global_isometry_property(self):
         reg = Register(("A", "B", "C"), (2, 3, 2))
         basis = random_basis("B", 3, make_rng(2))
-        w = global_isometry(reg, "B", basis)
+        w = oracles._embed(oracles.isometry(basis.vectors), reg.dims, reg.index("B"))
         assert np.max(np.abs(linalg.dagger(w) @ w - np.eye(12))) <= 1e-12
 
 
@@ -171,7 +108,7 @@ class TestLocal:
         state = random_mixed(reg, rank=2, seed=30)
         d = reg.dim(label)
         op = random_unitary(d, make_rng(31))[: rows or d]
-        big = global_operator(reg, label, op)
+        big = oracles._embed(op, reg.dims, reg.index(label))
         out = _local(state.rho, reg.dims, reg.index(label), op)
         assert out.shape == (reg.total_dim * len(op) // d,) * 2
         assert np.max(np.abs(out - big @ state.rho @ linalg.dagger(big))) <= 1e-14
@@ -208,22 +145,29 @@ class TestAgainstDenseOracle:
         )
         return state, plan
 
+    @staticmethod
+    def dense(oracle, state, plan):
+        """``oracle`` from the benchmark's dense references, applied as ``plan`` says."""
+        measured = [state.register.index(l) for l in plan.measured]
+        return oracle(state.rho, state.dims, measured, [b.vectors for b in plan.bases])
+
     def test_premeasure(self, dims, measured):
         state, plan = self.case(dims, measured)
         out = premeasure(state, plan)
         assert out.register.labels == state.register.labels + tuple("M:" + l for l in measured)
-        assert np.max(np.abs(out.rho - dense_premeasure(state, plan))) <= 1e-12
+        expected = self.dense(oracles.premeasured, state, plan)[0]
+        assert np.max(np.abs(out.rho - expected)) <= 1e-12
 
     def test_dephase(self, dims, measured):
         state, plan = self.case(dims, measured)
-        assert np.max(np.abs(dephase(state, plan).rho - dense_dephase(state, plan))) <= 1e-12
+        expected = self.dense(oracles.pinch, state, plan)
+        assert np.max(np.abs(dephase(state, plan).rho - expected)) <= 1e-12
 
     def test_undo(self, dims, measured):
         state, plan = self.case(dims, measured)
         pm = premeasure(state, plan)
         back = undo_interaction(pm, plan)
         assert back.register == state.register
-        assert np.max(np.abs(back.rho - dense_undo(pm, plan))) <= 1e-12
         assert np.max(np.abs(back.rho - state.rho)) <= 1e-12
 
     def test_undo_rejects_decorrelated_apparatus(self, dims, measured):

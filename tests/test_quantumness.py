@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import minimize as scipy_minimize
 
+import oracles
 from qcorr import linalg, quantumness
 from qcorr.entanglement import CLAMP, BipartitionCut, negativity
 from qcorr.errors import InvariantError
@@ -695,44 +696,31 @@ class TestDeficit:
         assert report.measure == (TWO_WAY_DEFICIT if two_way else ONE_WAY_DEFICIT)
 
 
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]]),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
 class TestBellDiagonalClosedForm:
     """Bell-diagonal states (I + sum_i c_i sigma_i (x) sigma_i)/4, seen in
-    random local frames, at the default optimizer settings.  Q_N^A is the
-    middle |c_i|/2 and D^A = 1 + h((1 + max|c_i|)/2) - S(rho) (Nakano, Piani
-    & Adesso, PRA 88, 012117, 2013)."""
+    random local frames, at the default optimizer settings, against the
+    closed forms of Nakano, Piani & Adesso, PRA 88, 012117 (2013), which
+    ``oracles`` reads off the correlation matrix."""
 
     def states(self):
         # c of |Phi+>, |Phi->, |Psi+>, |Psi->; the mixture with weights p has
-        # c = p @ bell_c and spectrum p
+        # c = p @ bell_c
         bell_c = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
         rng = make_rng(9)
         for _ in range(4):
-            p = rng.dirichlet(np.ones(4))
-            c = p @ bell_c
-            rho = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULI))) / 4
+            c = rng.dirichlet(np.ones(4)) @ bell_c
+            rho = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, oracles.PAULI))) / 4
             u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
-            yield np.abs(c), p, LabeledState(default_register(2), u @ rho @ u.conj().T)
+            yield LabeledState(default_register(2), u @ rho @ u.conj().T)
 
     def test_q_negativity_is_middle_correlation(self):
-        for c, _, state in self.states():
-            report = q_negativity(state, ("A",))
-            assert report.value == pytest.approx(np.sort(c)[1] / 2, abs=1e-6)
+        for state in self.states():
+            expected = oracles.bell_diagonal_q_negativity(state.rho)
+            assert q_negativity(state, ("A",)).value == pytest.approx(expected, abs=1e-6)
 
     def test_one_way_deficit(self):
-        def entropy(probs):
-            probs = probs[probs > 0]
-            return float(-(probs * np.log2(probs)).sum())
-
-        for c, p, state in self.states():
-            half = (1 + c.max()) / 2
-            expected = 1 + entropy(np.array([half, 1 - half])) - entropy(p)
+        for state in self.states():
+            expected = oracles.bell_diagonal_deficit(state.rho)
             assert deficit(state, ("A",)).value == pytest.approx(expected, abs=1e-6)
 
 
