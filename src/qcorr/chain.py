@@ -11,15 +11,15 @@ The break-point row at level j is the negativity of the final state across
 j + 1 measures an apparatus on the right of that cut, those links are
 isometries local to the right block and leave the negativity unchanged, so
 the row is link j + 1's value; otherwise it is ``negativity`` of the final state.
-A LabeledState is formed, and checked, only for an "optimized" link, a
-tracked quantumness, a dense break row, or a read of the final state.
+A LabeledState is formed, and checked, at most once per state: for the
+q_negativity of an "optimized" link or a tracked bound, one call when link
+j + 1 optimizes apparatus j, and for a dense break row or a final-state read.
 
 Basis policies per link: an explicit basis, "optimized" (q_negativity's
 argmin on the current state) or "flag-copy" (computational basis, copying
 the previous record).  ``ChainConfig`` checks every link before any runs.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +40,6 @@ TRACK_QUANTUMNESS = "quantumness"
 # Apparatus negativity above which a measurement basis counts as entangling.
 _ENTANGLING_TOL = 1e-9
 
-# f f^dag for the link-value read: Hermitian and PSD by construction, trace checked by _link
-_Dense = namedtuple("_Dense", "register rho")
-
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -54,7 +51,12 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """A chain to run; each link's basis, target and new register are checked when built."""
+    """A chain to run; each link's basis, target and new register are checked when built.
+
+    ``track`` may hold "quantumness", which adds q_negativity on each new
+    apparatus to its row, and "negativity", which changes nothing: every row
+    carries the link entanglement, which break rows and ``monotone`` read.
+    """
 
     initial: LabeledState
     links: tuple
@@ -69,6 +71,8 @@ class ChainConfig:
         tracks = {TRACK_NEGATIVITY, TRACK_QUANTUMNESS}
         if not isinstance(self.track, (set, frozenset)) or not self.track <= tracks:
             raise InvariantError(f"track must be a set within {sorted(tracks)}, got {self.track!r}")
+        if not isinstance(self.q_cfg, OptimizerConfig):
+            raise InvariantError(f"q_cfg must be an OptimizerConfig, got {self.q_cfg!r}")
         reg = self.initial.register
         for link in self.links:
             if not isinstance(link, LinkSpec):
@@ -131,46 +135,39 @@ def _link(reg, f, target, u):
     return out, f
 
 
-def _resolve_basis(reg, rho, spec, q_cfg):
-    if isinstance(spec.basis, LocalBasis):
-        return spec.basis
-    if spec.basis == FLAG_COPY:
-        return computational_basis(spec.target, reg.dim(spec.target))
-    report = q_negativity(LabeledState(reg, rho), (spec.target,), q_cfg)
-    return report.argmin_bases[0]
-
-
 def run_chain(cfg):
     """Execute the chain and assemble the per-link report."""
     reg, f = cfg.initial.register, _factor(cfg.initial.rho)
-    links = []  # (link, target, apparatus, entanglement, quantumness)
+    tracked = TRACK_QUANTUMNESS in cfg.track
+    links = []  # [link, target, apparatus, entanglement, quantumness, break_negativity]
     for j, spec in enumerate(cfg.links, start=1):
-        rho = f @ linalg.dagger(f)
-        plan = MeasurementPlan((spec.target,), (_resolve_basis(reg, rho, spec, cfg.q_cfg),))
-        e_val = apparatus_negativity(_Dense(reg, rho), plan)
-        reg, f = _link(reg, f, spec.target, plan.bases[0].vectors)
-        q_val = None
-        if TRACK_QUANTUMNESS in cfg.track:
-            state = LabeledState(reg, f @ linalg.dagger(f))
-            q_val = q_negativity(state, (reg.labels[-1],), cfg.q_cfg).value
-        links.append((j, spec.target, reg.labels[-1], e_val, q_val))
+        rho = f @ linalg.dagger(f)  # link j - 1's output, read by its tracked bound and link j
+        labels = [spec.target] if spec.basis == OPTIMIZED else []
+        labels += [reg.labels[-1]] if tracked and links else []
+        if labels:  # one checked state and one q_negativity per label
+            state = LabeledState(reg, rho)
+            reports = {lab: q_negativity(state, (lab,), cfg.q_cfg) for lab in dict.fromkeys(labels)}
+        if tracked and links:
+            links[-1][4] = reports[reg.labels[-1]].value
+        basis = spec.basis
+        if basis == FLAG_COPY:
+            basis = computational_basis(spec.target, reg.dim(spec.target))
+        elif basis == OPTIMIZED:
+            basis = reports[spec.target].argmin_bases[0]
+        e_val = apparatus_negativity(reg, rho, MeasurementPlan((spec.target,), (basis,)))
+        reg, f = _link(reg, f, spec.target, basis.vectors)
+        links.append([j, spec.target, reg.labels[-1], e_val, None])
+    final = _Final(reg, f)
+    if tracked:
+        links[-1][4] = q_negativity(final["final_state"], (reg.labels[-1],), cfg.q_cfg).value
 
-    # break at level j before the last link: systems plus the first j
-    # apparatuses vs the rest, on the final state.  When every link after
-    # j + 1 measures an apparatus right of the cut, those links are isometries
-    # local to the right block, so the row is link j + 1's value.
-    n0, n, final = cfg.initial.register.n, reg.n, _Final(reg, f)
+    n0, n = cfg.initial.register.n, reg.n
     apparatuses = [link[2] for link in links]
-    from_link = [
-        all(spec.target in apparatuses[j:] for spec in cfg.links[j + 1 :])
-        for j in range(1, len(links))
-    ]
-    breaks = []
-    for j, local in enumerate(from_link, start=1):
+    for j in range(1, len(links)):  # level j: link j + 1's value when the later links are local
+        local = all(spec.target in apparatuses[j:] for spec in cfg.links[j + 1 :])
         cut = BipartitionCut(tuple(range(n0 + j)), tuple(range(n0 + j, n)))
-        breaks.append(links[j][3] if local else negativity(final["final_state"], cut))
-    rows = tuple(ChainRow(*link, brk) for link, brk in zip(links, breaks + [None]))
-    return ChainReport(rows, final)
+        links[j - 1].append(links[j][3] if local else negativity(final["final_state"], cut))
+    return ChainReport(tuple(ChainRow(*link) for link in links), final)
 
 
 def eigenbasis_criterion(state, basis):
@@ -181,7 +178,8 @@ def eigenbasis_criterion(state, basis):
     """
     if state.register.n != 1:
         raise InvariantError("eigenbasis_criterion requires a single-subsystem state")
-    e_val = apparatus_negativity(state, MeasurementPlan(state.register.labels, (basis,)))
+    plan = MeasurementPlan(state.register.labels, (basis,))
+    e_val = apparatus_negativity(state.register, state.rho, plan)
     rotated = linalg.dagger(basis.vectors) @ state.rho @ basis.vectors
     return {
         "entangling": e_val > _ENTANGLING_TOL,

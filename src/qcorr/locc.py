@@ -100,7 +100,7 @@ def verify_monotonicity_step(state, plan):
     """
     if len(plan.measured) != 1:
         raise InvariantError("verify_monotonicity_step expects a single measured subsystem")
-    lhs = apparatus_negativity(state, plan)
+    lhs = apparatus_negativity(state.register, state.rho, plan)
     out = locc_undo(premeasure(state, plan), plan, plan.measured[0]).output
     # cut: transferred apparatus (last) vs everything else
     rhs_cut = BipartitionCut(tuple(range(out.register.n - 1)), (out.register.n - 1,))

@@ -30,7 +30,9 @@ IMAGE_TOL = 1e-8
 
 
 def _measured_subset(measured):
-    """``measured`` as a tuple, refused unless nonempty and of distinct labels."""
+    """``measured`` as a tuple, refused if a bare string, empty, or with a repeated label."""
+    if isinstance(measured, str):
+        raise InvariantError(f"measured labels must be a sequence of labels, got {measured!r}")
     measured = tuple(measured)
     if not measured:
         raise InvariantError("measured subset must be nonempty")

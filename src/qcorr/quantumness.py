@@ -138,7 +138,7 @@ def _eigvalsh_2x2(x):
 
 
 class _Workspace:
-    """Precomputed machinery for repeated objective evaluations on one state.
+    """Precomputed machinery for repeated objective evaluations on one density matrix.
 
     Measuring in basis U equals rotating the state by U^dag and recording
     the computational index (see :mod:`qcorr.premeasure`): sigma = G rho
@@ -180,13 +180,15 @@ class _Workspace:
     products per parameter row.  The same route guards memory when the P
     off-diagonal coefficient rows of length D_M^2 would hold more than 4 D^2
     entries, four times sigma (P > 4 m^2: many measured subsystems, few
-    unmeasured).  The route is chosen once per state and both reads take it.
+    unmeasured).  The route is chosen once per workspace and both reads take it.
     It never forms G_M (x) I_m: rho is stored as a (D_M, m^2 D_M) matrix
     with rows kappa and columns (nu, nu', kappa'), and two stacked
     products, G_M times that matrix and then the result, with rows
     (a, nu, nu'), times G_M^dag, put sigma_ab[nu, nu'] at row (a, nu, nu')
-    and column b.  Construction keeps only the layout of rho that the route
-    reads; S(rho) and the grouping of the chart are built on first use.
+    and column b.  Construction takes a register and rho, not a state, and
+    checks nothing of rho; it keeps the layout of rho that the route reads
+    and rho itself, whose S(rho) and the grouping of the chart are built on
+    first use.
 
     ``negativity_at`` and ``deficit_at`` read the two measures at given
     U_k^dag, one (B, d, d) stack per measured subsystem, and return one
@@ -196,22 +198,21 @@ class _Workspace:
     decodes one row through the same exp(iH) call.
     """
 
-    def __init__(self, state, measured):
-        reg = state.register
-        self._state = state
+    def __init__(self, reg, rho, measured):
+        self._matrix = rho
         self.measured = measured = _measured_subset(measured)
         measured_idx = [reg.index(lab) for lab in measured]
         self.meas_dims = [reg.dims[i] for i in measured_idx]
         self.param_len = sum(d * (d - 1) for d in self.meas_dims)
 
         self._records = d_m = math.prod(self.meas_dims)
-        self.block_dim = m = len(state.rho) // d_m
+        self.block_dim = m = len(rho) // d_m
         # sigma rather than coefficient rows when m = 1, or when the off-diagonal
         # coefficient rows would hold more than 4 D^2 entries
         self._via_sigma = m == 1 or d_m * (d_m - 1) // 2 > 4 * m * m
 
         order = measured_idx + [i for i in range(reg.n) if i not in measured_idx]
-        rho = state.rho.reshape(reg.dims * 2).transpose(order + [reg.n + i for i in order])
+        rho = rho.reshape(reg.dims * 2).transpose(order + [reg.n + i for i in order])
         rho = rho.reshape(d_m, m, d_m, m)
         if self._via_sigma:  # rows kappa, columns (nu, nu', kappa')
             self._rho = rho.transpose(0, 1, 3, 2).reshape(d_m, m * m * d_m)
@@ -220,7 +221,7 @@ class _Workspace:
 
     @cached_property
     def base_entropy(self):
-        return linalg.von_neumann_entropy(self._state.rho)
+        return linalg.von_neumann_entropy(self._matrix)
 
     @cached_property
     def _unitary_groups(self):
@@ -293,15 +294,16 @@ class _Workspace:
         return -(probs * np.log2(probs)).sum(axis=1) - self.base_entropy
 
 
-def apparatus_negativity(state, plan):
-    """System:apparatus negativity of ``premeasure(state, plan)``, read off the blocks.
+def apparatus_negativity(reg, rho, plan):
+    """System:apparatus negativity of ``plan``'s pre-measurement of ``rho`` on ``reg``.
 
-    The optimizer's read at the plan bases; no pre-measurement state is
-    formed.  Below ``entanglement.CLAMP`` it reads 0.0, as ``negativity`` does.
+    The optimizer's read at the plan bases, off the blocks; no
+    pre-measurement state is formed and ``rho`` is not checked.  Below
+    ``entanglement.CLAMP`` it reads 0.0, as ``negativity`` does.
     """
-    plan.check_register(state.register)
+    plan.check_register(reg)
     u_dag = [linalg.dagger(b.vectors)[None] for b in plan.bases]
-    value = float(_Workspace(state, plan.measured).negativity_at(u_dag)[0])
+    value = float(_Workspace(reg, rho, plan.measured).negativity_at(u_dag)[0])
     return 0.0 if value < CLAMP else value
 
 
@@ -462,7 +464,7 @@ def _optimize(objective, param_len, cfg):
 
 def _minimum_over_bases(state, measured, cfg, read, measure):
     """Report of the optimized minimum of ``read``, a ``_Workspace`` read at given bases."""
-    ws = _Workspace(state, measured)
+    ws = _Workspace(state.register, state.rho, measured)
     value, best_x, restart_values, converged = _optimize(
         lambda params: read(ws, ws._unitaries_dag(params)), ws.param_len, cfg
     )

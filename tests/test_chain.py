@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from dense_oracles import dense_negativity, partial_trace
-from qcorr import chain, linalg, serialize
+from qcorr import chain, linalg, quantumness, serialize
 from qcorr.chain import (
     ChainConfig,
     FLAG_COPY,
@@ -168,6 +168,13 @@ def oracle_panel():
     yield psi_q_state(), tuple(LinkSpec(lab, random_basis(lab, 2, rng)) for lab in labels), 1e-9
 
 
+def tracked_optimized_chain(n_links):
+    """A tracked chain of ``n_links`` optimized links, each measuring the previous apparatus."""
+    state = random_mixed(Register(("S",), (2,)), rank=2, seed=4)
+    links = tuple(LinkSpec(lab, OPTIMIZED) for lab in chain_labels(n_links))
+    return ChainConfig(state, links, frozenset({TRACK_QUANTUMNESS}), FAST_Q)
+
+
 def dense_final_state(initial, links):
     state = initial
     for spec in links:
@@ -202,12 +209,22 @@ class TestRunChain:
             else:
                 basis = q_negativity(state, (spec.target,), FAST_Q).argmin_bases[0]
             plan = MeasurementPlan((spec.target,), (basis,))
-            assert row.entanglement == pytest.approx(apparatus_negativity(state, plan), abs=1e-9)
+            e_val = apparatus_negativity(state.register, state.rho, plan)
+            assert row.entanglement == pytest.approx(e_val, abs=1e-9)
             state = premeasure(state, plan)
             q = q_negativity(state, (state.register.labels[-1],), FAST_Q).value
             assert row.quantumness == pytest.approx(q, abs=1e-9)
         assert report.rows[0].entanglement > 0.0
         assert report.monotone()
+
+    def test_tracked_optimized_chain_optimizes_each_state_once(self, monkeypatch):
+        # link j's tracked bound is link j + 1's optimization of apparatus j:
+        # L links read L + 1 states, one optimization each
+        calls, real = [], quantumness._optimize
+        monkeypatch.setattr(quantumness, "_optimize", lambda *a: calls.append(a) or real(*a))
+        report = run_chain(tracked_optimized_chain(4))
+        assert len(calls) == 4 + 1
+        assert all(row.quantumness is not None for row in report.rows)
 
     @pytest.mark.parametrize("flag_copy", [False, True])
     def test_link_values_match_dense_oracle(self, flag_copy):
@@ -377,6 +394,13 @@ class TestRunChain:
         with pytest.raises(InvariantError, match=match):
             ChainConfig(initial, (LinkSpec("B", OPTIMIZED), last))
 
+    @pytest.mark.parametrize("q_cfg", [None, {"restarts": 3}])
+    def test_q_cfg_must_be_an_optimizer_config(self, q_cfg):
+        # refused when built, not at the first optimized link
+        links = (LinkSpec("B"), LinkSpec("M:B", OPTIMIZED))
+        with pytest.raises(InvariantError, match="q_cfg must be an OptimizerConfig"):
+            ChainConfig(bell_state(), links, q_cfg=q_cfg)
+
     def test_default_optimizer_matches_chain_json(self):
         # a config with no "optimizer" block optimizes links alike from the
         # library and from the command line
@@ -405,6 +429,16 @@ class TestDensityChecks:
         final = report.final_state
         assert len(calls) == 1 and final.register.total_dim == 256
         assert report.final_state is final and len(calls) == 1
+
+    def test_tracked_optimized_chain_checks_each_state_once(self, monkeypatch):
+        # link j's output is checked once for its tracked bound and link
+        # j + 1's basis; the final state's check serves a later read
+        cfg = tracked_optimized_chain(4)
+        calls = self.counted(monkeypatch)
+        report = run_chain(cfg)
+        assert len(calls) == 4 + 1
+        final = report.final_state
+        assert len(calls) == 4 + 1 and final.register.total_dim == 32
 
     def test_gme_propagation_checks_only_the_final_state_read(self, monkeypatch):
         initial = ghz_state(3)

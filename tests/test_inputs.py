@@ -66,7 +66,7 @@ LIBRARY_CASES = {
     "werner-bool": (lambda: werner_state(True), "werner parameter must be a real number"),
     "spawn-seed-negative": (lambda: spawn_rng(-1, 0), "seed must be at least 0"),
     "plan-empty": (
-        lambda: apparatus_negativity(bell_state(), MeasurementPlan((), ())),
+        lambda s=bell_state(): apparatus_negativity(s.register, s.rho, MeasurementPlan((), ())),
         "measured subset must be nonempty",
     ),
     "plan-basis-none": (lambda: MeasurementPlan(("A",), (None,)), "must be a LocalBasis"),

@@ -54,6 +54,11 @@ def plan_negativity(state, plan):
     return negativity(pm, apparatus_cut(pm, state.register.n))
 
 
+def workspace_on(state, measured):
+    """The optimizer's ``_Workspace`` on ``state``'s register and matrix."""
+    return _Workspace(state.register, state.rho, measured)
+
+
 def composed(ws, read):
     """The optimizer's objective: the ``_Workspace`` read named ``read`` at each parameter row."""
     at = getattr(ws, read)
@@ -180,7 +185,7 @@ class TestParameterization:
         # label; the grouped exp(iH) of the two qubits decodes each block
         # as it would alone
         state = random_mixed(Register(("A", "B", "C"), (2, 3, 2)), rank=2, seed=2)
-        ws = _Workspace(state, ("B", "A", "C"))
+        ws = workspace_on(state, ("B", "A", "C"))
         params = make_rng(5).normal(size=6 + 2 + 2)
         assert ws.param_len == len(params)
         bases = ws.bases(params)
@@ -220,7 +225,7 @@ class TestWorkspaceAgainstReferencePath:
         rng = make_rng(seed)
         for k, (labels, dims, measured) in enumerate(self.SHAPES):
             state = random_mixed(Register(labels, dims), rank=1 + k % 3, seed=seed + k)
-            ws = _Workspace(state, measured)
+            ws = workspace_on(state, measured)
             for _ in range(2):
                 params = rng.normal(size=(3, ws.param_len))
                 plans = [MeasurementPlan(measured, ws.bases(row)) for row in params]
@@ -229,7 +234,7 @@ class TestWorkspaceAgainstReferencePath:
     def test_scalar_blocks_iff_all_measured(self):
         for labels, dims, measured in self.SHAPES:
             state = random_mixed(Register(labels, dims), rank=2, seed=0)
-            ws = _Workspace(state, measured)
+            ws = workspace_on(state, measured)
             assert (ws.block_dim == 1) == (len(measured) == len(dims))
 
     def test_block_routes(self):
@@ -239,7 +244,7 @@ class TestWorkspaceAgainstReferencePath:
         routes = []
         for labels, dims, measured in self.SHAPES:
             state = random_mixed(Register(labels, dims), rank=2, seed=0)
-            ws = _Workspace(state, measured)
+            ws = workspace_on(state, measured)
             m, d_m = ws.block_dim, len(state.rho) // ws.block_dim
             assert ws._via_sigma == (m == 1 or d_m * (d_m - 1) // 2 > 4 * m * m)
             routes.append((m, ws._via_sigma))
@@ -282,7 +287,7 @@ class TestWorkspaceAgainstReferencePath:
         # a row's value does not depend on the batch that carries it
         rng = make_rng(7)
         for k, (labels, dims, measured) in enumerate(self.SHAPES):
-            ws = _Workspace(random_mixed(Register(labels, dims), rank=2, seed=k), measured)
+            ws = workspace_on(random_mixed(Register(labels, dims), rank=2, seed=k), measured)
             fun = composed(ws, read)
             for rows in (2, 7, 64, 150):
                 params = rng.normal(size=(rows, ws.param_len))
@@ -317,7 +322,7 @@ class TestApparatusNegativity:
             bases = [LocalBasis(lab, random_unitary(state.register.dim(lab), rng))
                      for lab in measured]
             plan = MeasurementPlan(measured, bases)
-            value = apparatus_negativity(state, plan)
+            value = apparatus_negativity(state.register, state.rho, plan)
             assert abs(value - plan_negativity(state, plan)) <= 1e-12, (dims, measured, rank)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -326,22 +331,25 @@ class TestApparatusNegativity:
         # rounding size, which the clamp maps to 0.0 as negativity() does
         state = random_mixed(Register(("S",), (d,)), rank=d, seed=d)
         plan = MeasurementPlan(("S",), (LocalBasis("S", np.linalg.eigh(state.rho)[1]),))
-        raw = _Workspace(state, ("S",)).negativity_at([np.conj(plan.bases[0].vectors).T[None]])
+        raw = workspace_on(state, ("S",)).negativity_at([np.conj(plan.bases[0].vectors).T[None]])
         assert 0.0 < raw[0] < CLAMP
-        assert apparatus_negativity(state, plan) == 0.0
+        assert apparatus_negativity(state.register, state.rho, plan) == 0.0
         assert plan_negativity(state, plan) == 0.0
 
     def test_classical_side_reads_exactly_zero(self):
-        assert apparatus_negativity(cc_state(), MeasurementPlan(
+        state = cc_state()
+        assert apparatus_negativity(state.register, state.rho, MeasurementPlan(
             ("A", "B"), (computational_basis("A", 2), computational_basis("B", 2))
         )) == 0.0
 
     def test_checks_plan_against_register(self):
         state = random_mixed(Register(("A", "B"), (2, 3)), rank=2, seed=0)
         with pytest.raises(InvariantError, match="dimension"):
-            apparatus_negativity(state, MeasurementPlan(("B",), (computational_basis("B", 2),)))
+            plan = MeasurementPlan(("B",), (computational_basis("B", 2),))
+            apparatus_negativity(state.register, state.rho, plan)
         with pytest.raises(InvariantError, match="not in register"):
-            apparatus_negativity(state, MeasurementPlan(("C",), (computational_basis("C", 2),)))
+            plan = MeasurementPlan(("C",), (computational_basis("C", 2),))
+            apparatus_negativity(state.register, state.rho, plan)
 
 
 def complex_normal(rng, *shape):
@@ -483,21 +491,21 @@ class TestOptimizeAgainstSerialScipy:
 
     @pytest.mark.parametrize("measured", [("A",), ("A", "B")])
     def test_matches_serial_restarts(self, measured):
-        ws = _Workspace(random_mixed(default_register(2), rank=2, seed=21), measured)
+        ws = workspace_on(random_mixed(default_register(2), rank=2, seed=21), measured)
         converged, polished = self.check_against_serial(ws, OptimizerConfig(restarts=4, seed=5))
         # restarts converge on both; the polish lowers only the Q^AB winner
         assert converged
         assert polished == (len(measured) == 2)
 
     def test_no_polish_without_a_converged_restart(self):
-        ws = _Workspace(random_mixed(default_register(2), rank=2, seed=18), ("A", "B"))
+        ws = workspace_on(random_mixed(default_register(2), rank=2, seed=18), ("A", "B"))
         converged, _ = self.check_against_serial(ws, OptimizerConfig(restarts=4, seed=5))
         assert not converged
 
     def test_polish_lowers_a_winner_cut_at_max_iter(self):
         # restart 2 converges at 0.594; the winner, restart 1, stops at
         # max_iter at 0.585, and the polish from its point reaches 0.425
-        ws = _Workspace(random_mixed(default_register(2), rank=2, seed=8), ("A", "B"))
+        ws = workspace_on(random_mixed(default_register(2), rank=2, seed=8), ("A", "B"))
         value, _, restart_values, converged = _optimize(
             composed(ws, "negativity_at"), ws.param_len, OptimizerConfig(restarts=4, seed=5)
         )
@@ -527,7 +535,7 @@ class TestChunkedRestarts:
 
     def workspace(self, seed):
         # restart 65 wins; restarts of both chunks converge
-        ws = _Workspace(random_mixed(default_register(2), rank=2, seed=39), ("A",))
+        ws = workspace_on(random_mixed(default_register(2), rank=2, seed=39), ("A",))
         return composed(ws, "negativity_at"), ws.param_len, 80
 
     @pytest.mark.parametrize("case", ["bowl", "workspace"])
@@ -641,6 +649,17 @@ class TestQNegativity:
                                       (("Z",), "not in register")):
                 with pytest.raises(InvariantError, match=message):
                     fn(bell_state(), measured, FAST)
+
+    @pytest.mark.parametrize("measured", ["AB", "A", "M:A"])
+    def test_bare_string_measured_refused(self, measured):
+        # "AB" would measure A and B, and "M:A" fail as label 'M' not in register
+        state = premeasure(bell_state(), MeasurementPlan(("A",), (computational_basis("A", 2),)))
+        message = "measured labels must be a sequence of labels"
+        for fn in (q_negativity, deficit):
+            with pytest.raises(InvariantError, match=message):
+                fn(state, measured, FAST)
+        with pytest.raises(InvariantError, match=message):
+            MeasurementPlan(measured, (computational_basis("A", 2),))
 
     def test_duplicate_measured_rejected_before_optimizing(self, monkeypatch):
         def never(*args):
