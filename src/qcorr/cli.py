@@ -82,14 +82,15 @@ def cli():
     """Quantify quantum correlations via measurement-apparatus entanglement."""
 
 
-@cli.command()
+@cli.command("measure")
 @click.option("--state", "state_path", required=True, type=click.Path())
 @click.option("--measure", "measure", required=True)
 @click.option("--cut", "cut_spec", default=None, help='Bipartition like "A:B" or "A,B:C".')
 @click.option("--measured", default=None, help="Comma-separated measured labels (Q measures).")
 @_optimizer_options
 @click.option("--out", "out_path", default=None, type=click.Path())
-def measure(state_path, measure, cut_spec, measured, restarts, max_iter, tol, seed, out_path):
+def measure_command(state_path, measure, cut_spec, measured, restarts, max_iter, tol, seed,
+                    out_path):
     """Evaluate an entanglement or quantumness measure on a state file."""
     started = time.monotonic()
     seed = _seed_option(seed)
@@ -139,7 +140,7 @@ def quantumness(ctx, measure, **options):
         raise UsageError(
             f"unknown quantumness measure {measure!r}; choose from {tuple(Q_MEASURES)}"
         )
-    ctx.invoke(globals()["measure"], measure=measure, cut_spec=None, **options)
+    ctx.invoke(measure_command, measure=measure, cut_spec=None, **options)
 
 
 @cli.command()

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantError
+from .states import _integer
 
 CLAMP = 1e-10
 
@@ -41,8 +42,10 @@ class BipartitionCut:
     p1: tuple
 
     def __post_init__(self):
-        p0 = tuple(sorted(set(self.p0)))
-        p1 = tuple(sorted(set(self.p1)))
+        p0, p1 = tuple(self.p0), tuple(self.p1)
+        for i in p0 + p1:
+            _integer(i, "cut index", low=0)
+        p0, p1 = tuple(sorted(set(p0))), tuple(sorted(set(p1)))
         if 0 in p1:
             p0, p1 = p1, p0
         object.__setattr__(self, "p0", p0)
@@ -76,10 +79,10 @@ def cut_from_labels(register, spec_str):
     return cut
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not be served the cuts of 2
 def all_cuts(n):
     """All 2^(n-1) - 1 nontrivial bipartitions, canonical (0 in p0), sorted; built once per n."""
-    if not 2 <= n <= 8:
+    if not 2 <= _integer(n, "cut enumeration n") <= 8:
         raise InvariantError(f"cut enumeration needs 2 to 8 subsystems, got {n}")
     cuts = []
     for mask in range(1, 2 ** (n - 1)):

@@ -90,6 +90,10 @@ class Register:
 
     def select(self, indices):
         """Register of the entries at ``indices``, in the order given."""
+        indices = tuple(indices)
+        for i in indices:
+            if _integer(i, "register index", low=0) >= self.n:
+                raise InvariantError(f"register index must be below {self.n}, got {i!r}")
         return Register(
             tuple(self.labels[i] for i in indices), tuple(self.dims[i] for i in indices)
         )
@@ -155,11 +159,15 @@ class LabeledState:
         """LabeledState with subsystems reordered according to ``order``."""
         dims = self.dims
         n = len(dims)
+        order = tuple(order)
+        if len(order) != n or set(order) != set(range(n)):
+            raise InvariantError(f"order {order} is not a permutation of range({n})")
+        register = self.register.select(order)  # refuses a non-integer index
         t = self.rho.reshape(list(dims) + list(dims))
         axes = list(order) + [i + n for i in order]
         d = self.register.total_dim
         rho = np.transpose(t, axes).reshape(d, d)
-        return LabeledState(self.register.select(order), rho)
+        return LabeledState(register, rho)
 
 
 def default_register(n, d=2):

@@ -1,5 +1,6 @@
 """Dense oracles the library no longer needs and the benchmark's ``oracles``
-lacks: the partial trace of a whole density matrix, and ``dense_negativity``,
+lacks: the partial trace of a whole density matrix, ``cut_purities``, the
+reduced purity of every cut off that partial trace, and ``dense_negativity``,
 the benchmark's partial-transpose negativity with the library's clamp.
 
 Every other dense reference the tests use (isometry, pre-measurement,
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qcorr.entanglement import CLAMP
+from qcorr.entanglement import CLAMP, all_cuts
 from qcorr.errors import InvariantError
 
 
@@ -35,6 +36,12 @@ def partial_trace(rho, dims, keep):
         t = np.trace(t, axis1=ax, axis2=ax + half)
     d = math.prod(dims[i] for i in keep)
     return t.reshape(d, d)
+
+
+def cut_purities(state):
+    """Tr(rho_p0^2) of ``state`` across each cut of ``all_cuts``, in that order."""
+    reduced = (partial_trace(state.rho, state.dims, cut.p0) for cut in all_cuts(state.register.n))
+    return [float(np.vdot(r, r).real) for r in reduced]
 
 
 def dense_negativity(state, cut):

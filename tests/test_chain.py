@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dense_oracles import dense_negativity, partial_trace
+from dense_oracles import cut_purities, dense_negativity, partial_trace
 from qcorr import chain, linalg, quantumness, serialize
 from qcorr.chain import (
     ChainConfig,
@@ -16,7 +16,7 @@ from qcorr.chain import (
     eigenbasis_criterion,
     run_chain,
 )
-from qcorr.entanglement import BipartitionCut, _pure_vector, all_cuts, negativity, pure_gme_test
+from qcorr.entanglement import BipartitionCut, _pure_vector, negativity, pure_gme_test
 from qcorr.errors import InvariantError
 from qcorr.premeasure import MeasurementPlan, premeasure
 from qcorr.quantumness import OptimizerConfig, apparatus_negativity, q_negativity
@@ -541,12 +541,6 @@ class TestGmePropagation:
         assert out["final_state"].register.total_dim == 256
 
 
-def purity_deficits(state):
-    """1 - Tr(rho_p0^2) across every cut, off the dense partial trace."""
-    reduced = (partial_trace(state.rho, state.dims, cut.p0) for cut in all_cuts(state.register.n))
-    return [1.0 - np.trace(r @ r).real for r in reduced]
-
-
 def special_bases(state):
     """The last label's reduced eigenbasis and its computational basis, with lambda_max."""
     target, d = state.register.labels[-1], state.dims[-1]
@@ -568,12 +562,12 @@ class TestAnyBasisPropagates:
     def test_gme_in_the_eigenbasis_and_the_computational_basis(self, make):
         state = make()
         target, bases, lam_max = special_bases(state)
-        bound = min(min(purity_deficits(state)), 1.0 - lam_max)
+        bound = min(1.0 - max(cut_purities(state)), 1.0 - lam_max)
         assert bound > 0.0
         for basis in bases:
             out = premeasure(state, MeasurementPlan((target,), (basis,)))
             assert pure_gme_test(out)["gme"]
-            assert min(purity_deficits(out)) >= bound - 1e-12
+            assert 1.0 - max(cut_purities(out)) >= bound - 1e-12
 
     def test_biseparable_keeps_a_witness(self):
         state = pure_state(np.kron(np.array([1, 0, 0, 1]) / np.sqrt(2), [1.0, 0.0]),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_oracles import dense_negativity, partial_trace
+from dense_oracles import cut_purities, dense_negativity, partial_trace
 from qcorr import entanglement, linalg
 from qcorr.chain import ChainConfig, LinkSpec, chain_gme_propagation, run_chain
 from qcorr.entanglement import (
@@ -224,14 +224,10 @@ def dense_reduced(state, cut):
     return partial_trace(state.rho, state.dims, cut.p0)
 
 
-def reduced_purity(state, cut):
-    return linalg.purity(dense_reduced(state, cut))
-
-
 def dense_gme(state):
     """``pure_gme_test`` off the dense reduced purities."""
-    for cut in all_cuts(state.register.n):
-        if reduced_purity(state, cut) >= 1.0 - entanglement._GME_TOL:
+    for cut, p in zip(all_cuts(state.register.n), cut_purities(state)):
+        if p >= 1.0 - entanglement._GME_TOL:
             return {"gme": False, "witness": cut}
     return {"gme": True, "witness": None}
 
@@ -269,13 +265,13 @@ class TestPureVectorPath:
         state = PURE_PANEL[name]()
         psi = entanglement._pure_vector(state.rho)
         assert psi is not None
-        for cut in all_cuts(state.register.n):
+        for cut, purity in zip(all_cuts(state.register.n), cut_purities(state)):
             reduced = dense_reduced(state, cut)
             assert abs(negativity(state, cut) - dense_negativity(state, cut)) <= 1e-12
             assert abs(entropy_of_entanglement(state, cut)
                        - linalg.von_neumann_entropy(reduced)) <= 1e-12
             s = entanglement._schmidt(psi, state.dims, cut)
-            assert abs(np.sum(s**4) - linalg.purity(reduced)) <= 1e-12
+            assert abs(np.sum(s**4) - purity) <= 1e-12
         assert pure_gme_test(state) == dense_gme(state)
 
     @pytest.mark.parametrize("make", [

@@ -1,6 +1,7 @@
 """Every name a qcorr module imports, or binds privately, is read in that module,
 and every public function or class without a decorator is read by the package;
-the benchmark oracles the tests check against import nothing but numpy.
+the benchmark oracles the tests check against import nothing but numpy, and the
+acceptance gate takes no linear algebra from ``qcorr.linalg``.
 
 No linter ships with the test dependencies, so the check reads each module's
 syntax tree with the standard library.  ``__init__.py`` is exempt from the
@@ -127,3 +128,31 @@ def test_shared_oracles_import_only_numpy():
     imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert all(isinstance(n, ast.Import) for n in imports)
     assert {alias.name for n in imports for alias in n.names} == {"numpy"}
+
+
+def linalg_imports(source):
+    """Names that ``source`` imports from ``qcorr.linalg``, or ``linalg`` itself."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("qcorr.linalg")]
+        elif isinstance(node, ast.ImportFrom) and node.module == "qcorr.linalg":
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "qcorr":
+            found += [a.name for a in node.names if a.name == "linalg"]
+    return found
+
+
+def test_checker_flags_linalg_imports():
+    source = (
+        "import qcorr.linalg\nfrom qcorr import linalg, states\n"
+        "from qcorr.linalg import purity\nfrom qcorr.states import make_rng\nimport numpy\n"
+    )
+    assert linalg_imports(source) == ["qcorr.linalg", "linalg", "purity"]
+
+
+def test_acceptance_gate_borrows_no_library_linear_algebra():
+    # the acceptance criteria check the library against bench/oracles.py and
+    # tests/dense_oracles.py, not against the library's own linear algebra
+    assert linalg_imports((ROOT / "tests" / "test_acceptance.py").read_text()) == []

@@ -15,6 +15,7 @@ import pytest
 
 from qcorr import serialize
 from qcorr.cli import EXIT_PARSE, main
+from qcorr.entanglement import BipartitionCut, all_cuts, negativity
 from qcorr.errors import InvariantError, ParseError
 from qcorr.locc import correction_unitary, fourier_unitary
 from qcorr.premeasure import MeasurementPlan
@@ -70,6 +71,20 @@ LIBRARY_CASES = {
         "measured subset must be nonempty",
     ),
     "plan-basis-none": (lambda: MeasurementPlan(("A",), (None,)), "must be a LocalBasis"),
+    "cut-index-float": (lambda: negativity(bell_state(), BipartitionCut((0,), (1.0,))),
+                        "cut index must be an integer"),
+    "cut-index-bool": (lambda: negativity(bell_state(), BipartitionCut((0,), (True,))),
+                       "cut index must be an integer"),
+    "cut-index-string": (lambda: BipartitionCut((0, "1"), (2,)), "cut index must be an integer"),
+    "all-cuts-float": (lambda: all_cuts(2.5), "cut enumeration n must be an integer"),
+    "all-cuts-float-after-int": (lambda: (all_cuts(2), all_cuts(2.0)),
+                                 "cut enumeration n must be an integer"),
+    "permuted-repeated": (lambda: bell_state().permuted([0, 0]), "not a permutation of range"),
+    "permuted-short": (lambda: bell_state().permuted([0]), "not a permutation of range"),
+    "select-out-of-range": (lambda: Register(("A", "B"), (2, 2)).select([0, 3]),
+                            "register index must be below 2"),
+    "select-negative": (lambda: Register(("A", "B"), (2, 2)).select([-1]),
+                        "register index must be at least 0"),
 }
 
 
