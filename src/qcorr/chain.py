@@ -4,16 +4,18 @@ Each link couples a fresh apparatus to a target subsystem (the observed
 system for the first link, typically the previous apparatus afterwards).
 Both chain functions carry the state as a factor f of rho = f f^dag, one
 ``_link`` step per link.  Per link the simulator records the entanglement
-across (everything else):(new apparatus), read off the pre-link state's
-measured blocks, and, optionally, a quantumness bound for the new apparatus.
+across (everything else):(new apparatus), read off f by the factor layout of
+``quantumness._Workspace``, and, optionally, a quantumness bound for the new
+apparatus.
 The break-point row at level j is the negativity of the final state across
 (systems, apparatuses 1..j):(apparatuses j+1..).  When every link after
 j + 1 measures an apparatus on the right of that cut, those links are
 isometries local to the right block and leave the negativity unchanged, so
 the row is link j + 1's value; otherwise it is ``negativity`` of the final state.
-A LabeledState is formed, and checked, at most once per state: for the
-q_negativity of an "optimized" link or a tracked bound, one call when link
-j + 1 optimizes apparatus j, and for a dense break row or a final-state read.
+rho = f f^dag is formed, as a checked LabeledState, only where a state is
+read whole, and at most once per state: for the q_negativity of an
+"optimized" link or a tracked bound, one call when link j + 1 optimizes
+apparatus j, and for a dense break row or a final-state read.
 
 Basis policies per link: an explicit basis, "optimized" (q_negativity's
 argmin on the current state) or "flag-copy" (computational basis, copying
@@ -28,7 +30,13 @@ from . import linalg
 from .entanglement import MONOTONE_TOL, BipartitionCut, _factor, _gme_test, negativity
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, _isometry
-from .quantumness import OptimizerConfig, apparatus_negativity, q_negativity
+from .quantumness import (
+    OptimizerConfig,
+    _negativity_at_plan,
+    _Workspace,
+    apparatus_negativity,
+    q_negativity,
+)
 from .states import LabeledState, LocalBasis, _integer, computational_basis, random_basis, spawn_rng
 
 FLAG_COPY = "flag-copy"
@@ -141,11 +149,10 @@ def run_chain(cfg):
     tracked = TRACK_QUANTUMNESS in cfg.track
     links = []  # [link, target, apparatus, entanglement, quantumness, break_negativity]
     for j, spec in enumerate(cfg.links, start=1):
-        rho = f @ linalg.dagger(f)  # link j - 1's output, read by its tracked bound and link j
         labels = [spec.target] if spec.basis == OPTIMIZED else []
         labels += [reg.labels[-1]] if tracked and links else []
         if labels:  # one checked state and one q_negativity per label
-            state = LabeledState(reg, rho)
+            state = LabeledState(reg, f @ linalg.dagger(f))
             reports = {lab: q_negativity(state, (lab,), cfg.q_cfg) for lab in dict.fromkeys(labels)}
         if tracked and links:
             links[-1][4] = reports[reg.labels[-1]].value
@@ -154,7 +161,8 @@ def run_chain(cfg):
             basis = computational_basis(spec.target, reg.dim(spec.target))
         elif basis == OPTIMIZED:
             basis = reports[spec.target].argmin_bases[0]
-        e_val = apparatus_negativity(reg, rho, MeasurementPlan((spec.target,), (basis,)))
+        plan = MeasurementPlan((spec.target,), (basis,))
+        e_val = _negativity_at_plan(_Workspace(reg, None, plan.measured, factor=f), plan)
         reg, f = _link(reg, f, spec.target, basis.vectors)
         links.append([j, spec.target, reg.labels[-1], e_val, None])
     final = _Final(reg, f)

@@ -17,7 +17,7 @@ from .entanglement import MONOTONE_TOL, BipartitionCut, negativity
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, _local, _pull_back, premeasure
 from .quantumness import apparatus_negativity
-from .states import LabeledState, _integer, apparatus_label
+from .states import LabeledState, _integer, _permuted, apparatus_label
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,11 @@ def _check_premeasured(premeasured, plan, label):
     reg = premeasured.register
     m = reg.index(apparatus_label(label))
     basis = plan.basis_for(label)
-    # move the apparatus to the end so the isometry check applies directly
+    # move the apparatus to the end so the isometry check applies directly;
+    # the permuted matrix is that of a checked state, so it is not checked again
     order = [i for i in range(reg.n) if i != m] + [m]
-    _pull_back(premeasured.permuted(order), MeasurementPlan((label,), (basis,)))
+    rho = _permuted(premeasured.rho, reg.dims, order)
+    _pull_back(reg.select(order), rho, MeasurementPlan((label,), (basis,)))
     return basis
 
 

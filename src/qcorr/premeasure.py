@@ -153,15 +153,15 @@ def dephase(state, plan):
     return LabeledState(reg, _rotate(sigma.reshape(reg.total_dim, -1), reg.dims, idx, us))
 
 
-def _pull_back(premeasured, plan):
+def _pull_back(reg, rho, plan):
     """V^dag rho V for the plan isometry V: (register without apparatuses, rho).
 
-    The last len(plan.measured) labels must be the plan's apparatuses in plan
-    order, and ``rho`` must lie in the image of V: half the trace norm of
+    ``rho`` is a matrix on ``reg``, not checked here.  The last
+    len(plan.measured) labels must be the plan's apparatuses in plan order,
+    and ``rho`` must lie in the image of V: half the trace norm of
     rho - V (V^dag rho V) V^dag, its part outside the image, may not exceed
     IMAGE_TOL.
     """
-    reg = premeasured.register
     n = reg.n - len(plan.measured)
     apparatuses = tuple(apparatus_label(label) for label in plan.measured)
     if reg.labels[n:] != apparatuses:
@@ -174,11 +174,11 @@ def _pull_back(premeasured, plan):
         raise InvariantError(
             f"apparatus dimensions {reg.dims[n:]} do not match the measured subsystems"
         )
-    block = premeasured.rho
+    block = rho
     for j in reversed(range(len(idx))):
         level, k, u = reg.dims[: n + j], idx[j], us[j]
         block = _isometry_dag(linalg.dagger(_isometry_dag(block, level, k, u)), level, k, u)
-    outside = premeasured.rho - _conjugate(block, reg.dims, n, idx, us)
+    outside = rho - _conjugate(block, reg.dims, n, idx, us)
     residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(outside)))
     if residual > IMAGE_TOL:
         raise InvariantError(
@@ -194,4 +194,4 @@ def undo_interaction(premeasured, plan):
     The input must lie in the image of the pre-measurement isometry; a
     residual weight above 1e-8 outside the image is an error.
     """
-    return LabeledState(*_pull_back(premeasured, plan))
+    return LabeledState(*_pull_back(premeasured.register, premeasured.rho, plan))

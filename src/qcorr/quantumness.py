@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-from .entanglement import CLAMP
+from .entanglement import CLAMP, _pure_vector
 from .errors import InvariantError
 from .premeasure import _measured_subset
 from .states import SYSTEM, LocalBasis, _integer, spawn_rng
@@ -51,6 +51,9 @@ CC_THRESHOLD = 1e-7
 
 # Largest commutator entry at which ``cc_commutation_oracle`` calls two slices commuting.
 _COMMUTATION_TOL = 1e-9
+
+# Largest sum of dropped eigenvalues at which the optimizer reads rho off a factor.
+_FACTOR_GUARD = 1e-13
 
 
 def _positive(value, what):
@@ -137,6 +140,48 @@ def _eigvalsh_2x2(x):
     return ((p + r)[..., None] + width[..., None] * _MINUS_PLUS) * 0.5
 
 
+def _measured_unitary(u_dag):
+    """G_M = (x) U_k^dag, the Kronecker product over the measured subsystems: (B, D_M, D_M)."""
+    g, *rest = u_dag
+    for u in rest:
+        (n, ra, ca), (_, rb, cb) = g.shape, u.shape
+        g = (g[:, :, None, :, None] * u[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
+    return g
+
+
+def _trace_norm_sums(blocks):
+    """sum of ||X||_1 over the square blocks X of each row of ``blocks`` (B, P, k, k).
+
+    Each row's terms are summed as one C-ordered row, so that the sum does
+    not depend on the memory layout of the batch that carries the row.
+    """
+    if blocks.shape[-1] == 1:
+        return np.abs(blocks).reshape(len(blocks), -1).sum(axis=1)
+    if blocks.shape[-1] == 2:
+        return _trace_norm_2x2(blocks).sum(axis=1)
+    return np.linalg.svd(blocks, compute_uv=False).reshape(len(blocks), -1).sum(axis=1)
+
+
+def _entropy_of_spectra(blocks):
+    """Entropy in bits of the eigenvalues of the Hermitian blocks of each row (B, P, k, k).
+
+    Eigenvalues at or below EIG_ZERO are dropped.
+    """
+    if blocks.shape[-1] == 1:
+        probs = blocks.real.reshape(len(blocks), -1)
+    elif blocks.shape[-1] == 2:
+        probs = _eigvalsh_2x2(blocks).reshape(len(blocks), -1)
+    else:
+        probs = np.linalg.eigvalsh(blocks).reshape(len(blocks), -1)
+    probs = np.where(probs > linalg.EIG_ZERO, probs, 1.0)
+    return -(probs * np.log2(probs)).sum(axis=1)
+
+
+def _dagger(x):
+    """Conjugate transpose of each matrix in a stack (..., p, q)."""
+    return np.conj(x).swapaxes(-1, -2)
+
+
 class _Workspace:
     """Precomputed machinery for repeated objective evaluations on one density matrix.
 
@@ -158,37 +203,55 @@ class _Workspace:
     Adesso, PRA 88, 012117, 2013).  Each block is m x m, with m the product
     of the unmeasured dimensions.
 
-    Construction permutes the tensor axes of rho once, measured subsystems
-    first in measurement order, then the unmeasured ones in register order,
-    so that an index is (kappa, nu): the record kappa < D_M, D_M the
-    product of the measured dimensions, and the unmeasured index nu < m.
-    Only the measured factor G_M = (x) U_k^dag of G then varies, and
+    Construction permutes the tensor axes once, measured subsystems first
+    in measurement order, then the unmeasured ones in register order, so
+    that an index is (kappa, nu): the record kappa < D_M, D_M the product of
+    the measured dimensions, and the unmeasured index nu < m.  Only the
+    measured factor G_M = (x) U_k^dag of G then varies.  The workspace keeps
+    one of two layouts, chosen by its caller:
+
+    - the block layout, of rho itself, in which
 
         sigma_ab[nu, nu'] = sum_{kappa, kappa'} G_M[a, kappa]
-                            rho[(kappa, nu), (kappa', nu')] conj(G_M[b, kappa']).
+                            rho[(kappa, nu), (kappa', nu')] conj(G_M[b, kappa']);
 
-    rho is stored as R, a (D_M^2, m^2) matrix with rows (kappa, kappa') and
-    columns (nu, nu'); the coefficient row of a pair (a, b) is G_M[a, :]
-    (x) conj(G_M[b, :]), and one stacked product per call gives every block
-    of every parameter row.  It stays a stack of one (P, D_M^2) x
-    (D_M^2, m^2) product per row, so a row's blocks do not depend on the
-    batch it is in.  2x2 blocks have closed-form trace norms and spectra;
-    larger ones go to ``svd`` and ``eigvalsh``.
+    - the factor layout, of a (D, r) F with rho = F F^dag, permuted to a
+      (D_M, m r) matrix with rows kappa and columns (nu, j).  One product
+      X = G_M F gives each record a an (m, r) matrix X_a with
+      sigma_ab = X_a X_b^dag.  With the QR X_a = Q_a R_a, R_a of shape
+      (k, r), k = min(m, r), ||sigma_ab||_1 = ||R_a R_b^dag||_1 and sigma_aa
+      has the nonzero spectrum of R_a R_a^dag: k x k blocks in place of
+      m x m.  At r = 1, R_a = ||x_a||.  A row costs D_M D r plus P k^3
+      against P m^3, so the factor pays when r is small against m.
 
-    When every subsystem is measured (m = 1), sigma = G_M rho G_M^dag is
-    formed and its entries gathered: P coefficient rows would cost P D_M^2
-    products per parameter row.  The same route guards memory when the P
-    off-diagonal coefficient rows of length D_M^2 would hold more than 4 D^2
-    entries, four times sigma (P > 4 m^2: many measured subsystems, few
-    unmeasured).  The route is chosen once per workspace and both reads take it.
-    It never forms G_M (x) I_m: rho is stored as a (D_M, m^2 D_M) matrix
-    with rows kappa and columns (nu, nu', kappa'), and two stacked
-    products, G_M times that matrix and then the result, with rows
-    (a, nu, nu'), times G_M^dag, put sigma_ab[nu, nu'] at row (a, nu, nu')
-    and column b.  Construction takes a register and rho, not a state, and
-    checks nothing of rho; it keeps the layout of rho that the route reads
-    and rho itself, whose S(rho) and the grouping of the chart are built on
-    first use.
+    In the block layout, rho is stored as R, a (D_M^2, m^2) matrix with
+    rows (kappa, kappa') and columns (nu, nu'); the coefficient row of a
+    pair (a, b) is G_M[a, :] (x) conj(G_M[b, :]), and one stacked product
+    per call gives every block of every parameter row.  It stays a stack of
+    one (P, D_M^2) x (D_M^2, m^2) product per row, so a row's blocks do not
+    depend on the batch it is in; so does the factor layout's G_M F.
+    Whatever the layout, 1x1 and 2x2 blocks have closed-form trace norms
+    and spectra, and larger ones go to ``svd`` and ``eigvalsh``.
+
+    When every subsystem is measured (m = 1), the block layout forms
+    sigma = G_M rho G_M^dag and gathers its entries: P coefficient rows
+    would cost P D_M^2 products per parameter row.  The same route guards
+    memory when the P off-diagonal coefficient rows of length D_M^2 would
+    hold more than 4 D^2 entries, four times sigma (P > 4 m^2: many
+    measured subsystems, few unmeasured).  The route is chosen once per
+    workspace and both reads take it.  It never forms G_M (x) I_m: rho is
+    stored as a (D_M, m^2 D_M) matrix with rows kappa and columns (nu, nu',
+    kappa'), and two stacked products, G_M times that matrix and then the
+    result, with rows (a, nu, nu'), times G_M^dag, put sigma_ab[nu, nu'] at
+    row (a, nu, nu') and column b.
+
+    Construction takes a register and rho, or a register and F, not a
+    state, and checks neither.  Given ``factor`` it keeps the factor layout
+    and does not read ``rho``, which may be None; S(rho) is then read off
+    F^dag F, which has the nonzero spectrum of F F^dag.  The grouping of the
+    chart and S(rho) are built on first use.  ``_minimum_over_bases``
+    chooses the layout by ``_low_rank_factor``; every other caller holding
+    only rho keeps the block layout, which is the oracle of the factor's.
 
     ``negativity_at`` and ``deficit_at`` read the two measures at given
     U_k^dag, one (B, d, d) stack per measured subsystem, and return one
@@ -198,20 +261,25 @@ class _Workspace:
     decodes one row through the same exp(iH) call.
     """
 
-    def __init__(self, reg, rho, measured):
-        self._matrix = rho
+    def __init__(self, reg, rho, measured, factor=None):
         self.measured = measured = _measured_subset(measured)
         measured_idx = [reg.index(lab) for lab in measured]
         self.meas_dims = [reg.dims[i] for i in measured_idx]
         self.param_len = sum(d * (d - 1) for d in self.meas_dims)
 
         self._records = d_m = math.prod(self.meas_dims)
-        self.block_dim = m = len(rho) // d_m
+        self.block_dim = m = reg.total_dim // d_m
+        order = measured_idx + [i for i in range(reg.n) if i not in measured_idx]
+        if factor is not None:  # rows kappa, columns (nu, j)
+            r = factor.shape[1]
+            self._matrix = linalg.dagger(factor) @ factor
+            self._factor = factor.reshape(reg.dims + (r,)).transpose(order + [reg.n])
+            self._factor = self._factor.reshape(d_m, m * r)
+            return
+        self._matrix, self._factor = rho, None
         # sigma rather than coefficient rows when m = 1, or when the off-diagonal
         # coefficient rows would hold more than 4 D^2 entries
         self._via_sigma = m == 1 or d_m * (d_m - 1) // 2 > 4 * m * m
-
-        order = measured_idx + [i for i in range(reg.n) if i not in measured_idx]
         rho = rho.reshape(reg.dims * 2).transpose(order + [reg.n + i for i in order])
         rho = rho.reshape(d_m, m, d_m, m)
         if self._via_sigma:  # rows kappa, columns (nu, nu', kappa')
@@ -258,10 +326,7 @@ class _Workspace:
 
     def _blocks(self, u_dag, a, b):
         """sigma_ab for each record pair (a[i], b[i]) at each row of ``u_dag``: (B, P, m, m)."""
-        g, *rest = u_dag
-        for u in rest:  # G_M, the Kronecker product over the measured subsystems
-            (n, ra, ca), (_, rb, cb) = g.shape, u.shape
-            g = (g[:, :, None, :, None] * u[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
+        g = _measured_unitary(u_dag)
         n, d_m, m = len(g), g.shape[1], self.block_dim
         if self._via_sigma:  # sigma_ab[nu, nu'] at rows (a, nu, nu') and column b
             sigma = (g @ self._rho).reshape(n, d_m * m * m, d_m) @ np.conj(g).swapaxes(1, 2)
@@ -270,41 +335,82 @@ class _Workspace:
         coeffs = g.take(a, axis=1)[:, :, :, None] * np.conj(g.take(b, axis=1))[:, :, None, :]
         return (coeffs.reshape(n, len(a), -1) @ self._rho).reshape(n, len(a), m, m)
 
+    def _factor_r(self, u_dag):
+        """R_a of the QR X_a = Q_a R_a for each record a at each row of ``u_dag``: (B, D_M, k, r)."""
+        g = _measured_unitary(u_dag)
+        n = len(g)
+        x = (g @ self._factor).reshape(n, self._records, self.block_dim, -1)
+        if x.shape[-1] == 1:  # R_a = ||x_a||, real
+            x = x.reshape(n, self._records, -1).view(float)
+            return np.sqrt((x * x).sum(axis=2)).reshape(n, self._records, 1, 1)
+        return np.linalg.qr(x, mode="r")
+
     def negativity_at(self, u_dag):
         """sum_{a<b} ||sigma_ab||_1 at each row of ``u_dag``, one (B, d, d) stack per U_k^dag."""
-        blocks = self._blocks(u_dag, *_upper_slots(self._records))
-        if self.block_dim == 1:
-            return np.abs(blocks).reshape(len(blocks), -1).sum(axis=1)
-        if self.block_dim == 2:
-            return _trace_norm_2x2(blocks).sum(axis=1)
-        return np.linalg.svd(blocks, compute_uv=False).sum(axis=(1, 2))
+        a, b = _upper_slots(self._records)
+        if self._factor is None:
+            return _trace_norm_sums(self._blocks(u_dag, a, b))
+        r = self._factor_r(u_dag)
+        ra, rb = r[:, a], r[:, b]
+        return _trace_norm_sums(ra * rb if r.shape[-1] == 1 else ra @ _dagger(rb))
 
     def deficit_at(self, u_dag):
         """S of the dephased state less S(rho), in bits, at each row of ``u_dag``."""
-        records = np.arange(self._records)
-        blocks = self._blocks(u_dag, records, records)
-        if self.block_dim == 1:
-            probs = blocks.real.reshape(len(blocks), -1)
-        elif self.block_dim == 2:
-            probs = _eigvalsh_2x2(blocks).reshape(len(blocks), -1)
+        if self._factor is None:
+            records = np.arange(self._records)
+            blocks = self._blocks(u_dag, records, records)
         else:
-            probs = np.linalg.eigvalsh(blocks).reshape(len(blocks), -1)
-        # entropy in bits with eigenvalues at or below EIG_ZERO dropped
-        probs = np.where(probs > linalg.EIG_ZERO, probs, 1.0)
-        return -(probs * np.log2(probs)).sum(axis=1) - self.base_entropy
+            r = self._factor_r(u_dag)
+            blocks = r * r if r.shape[-1] == 1 else r @ _dagger(r)
+        return _entropy_of_spectra(blocks) - self.base_entropy
 
 
 def apparatus_negativity(reg, rho, plan):
     """System:apparatus negativity of ``plan``'s pre-measurement of ``rho`` on ``reg``.
 
-    The optimizer's read at the plan bases, off the blocks; no
-    pre-measurement state is formed and ``rho`` is not checked.  Below
-    ``entanglement.CLAMP`` it reads 0.0, as ``negativity`` does.
+    The optimizer's read at the plan bases, off the blocks of ``rho``: a
+    one-shot read factors nothing.  No pre-measurement state is formed and
+    ``rho`` is not checked.  Below ``entanglement.CLAMP`` it reads 0.0, as
+    ``negativity`` does.
     """
     plan.check_register(reg)
+    return _negativity_at_plan(_Workspace(reg, rho, plan.measured), plan)
+
+
+def _negativity_at_plan(ws, plan):
+    """The negativity read of ``ws`` at the plan bases, 0.0 below ``entanglement.CLAMP``."""
     u_dag = [linalg.dagger(b.vectors)[None] for b in plan.bases]
-    value = float(_Workspace(reg, rho, plan.measured).negativity_at(u_dag)[0])
+    value = float(ws.negativity_at(u_dag)[0])
     return 0.0 if value < CLAMP else value
+
+
+def _low_rank_factor(rho, m):
+    """A (D, r) factor F of rho for the optimizer to read, or None for the block read.
+
+    m is the workspace's unmeasured dimension, and F is returned when
+    2r <= m + 1: the k x k blocks of the factor layout, k = min(m, r), then
+    cost less per parameter row than the m x m blocks of rho (P k^3 plus
+    D_M D r for G_M F, against P m^3), and at m = 3, r = 2 the factor's 2 x 2
+    blocks take closed forms where rho's 3 x 3 ones go to LAPACK.
+
+    A pure rho gives its vector, at any m: ``_pure_vector`` costs O(D^2) and
+    no eigendecomposition.  Otherwise a rank r >= 2 can pass only when
+    m >= 3, and only then one ``eigh`` runs.  Its r largest eigenvalues w
+    are kept, r the least rank whose dropped eigenvalues sum to at most
+    ``_FACTOR_GUARD`` in absolute value, and F is their eigenvectors scaled
+    by sqrt(w), not renormalized, so F F^dag differs from rho by the dropped
+    part alone.
+    """
+    psi = _pure_vector(rho)
+    if psi is not None:
+        return psi[:, None]
+    if m < 3:
+        return None
+    w, v = np.linalg.eigh(rho)  # ascending
+    r = len(w) - np.count_nonzero(np.cumsum(np.abs(w)) <= _FACTOR_GUARD)
+    if 2 * r > m + 1 or w[-r] <= 0:
+        return None
+    return v[:, -r:] * np.sqrt(w[-r:])
 
 
 @dataclass(frozen=True)
@@ -463,8 +569,15 @@ def _optimize(objective, param_len, cfg):
 
 
 def _minimum_over_bases(state, measured, cfg, read, measure):
-    """Report of the optimized minimum of ``read``, a ``_Workspace`` read at given bases."""
-    ws = _Workspace(state.register, state.rho, measured)
+    """Report of the optimized minimum of ``read``, a ``_Workspace`` read at given bases.
+
+    The workspace reads ``state`` through ``_low_rank_factor`` where that
+    returns a factor, else off the blocks of rho.
+    """
+    reg, rho = state.register, state.rho
+    measured = _measured_subset(measured)
+    m = reg.total_dim // math.prod(reg.dim(lab) for lab in measured)
+    ws = _Workspace(reg, rho, measured, factor=_low_rank_factor(rho, m))
     value, best_x, restart_values, converged = _optimize(
         lambda params: read(ws, ws._unitaries_dag(params)), ws.param_len, cfg
     )

@@ -163,11 +163,14 @@ class LabeledState:
         if len(order) != n or set(order) != set(range(n)):
             raise InvariantError(f"order {order} is not a permutation of range({n})")
         register = self.register.select(order)  # refuses a non-integer index
-        t = self.rho.reshape(list(dims) + list(dims))
-        axes = list(order) + [i + n for i in order]
-        d = self.register.total_dim
-        rho = np.transpose(t, axes).reshape(d, d)
-        return LabeledState(register, rho)
+        return LabeledState(register, _permuted(self.rho, dims, order))
+
+
+def _permuted(rho, dims, order):
+    """``rho`` on ``dims`` with its subsystems reordered as ``order`` says; nothing is checked."""
+    n = len(dims)
+    t = rho.reshape(list(dims) * 2)
+    return np.transpose(t, list(order) + [i + n for i in order]).reshape(rho.shape)
 
 
 def default_register(n, d=2):

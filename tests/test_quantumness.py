@@ -4,7 +4,9 @@ from scipy.linalg import expm
 from scipy.optimize import minimize as scipy_minimize
 
 import oracles
-from qcorr import linalg, quantumness
+from test_premeasure import ORACLE_SHAPES
+from qcorr import chain, linalg, quantumness
+from qcorr.chain import ChainConfig, LinkSpec, run_chain
 from qcorr.entanglement import CLAMP, BipartitionCut, negativity
 from qcorr.errors import InvariantError
 from qcorr.premeasure import MeasurementPlan, dephase, premeasure
@@ -350,6 +352,114 @@ class TestApparatusNegativity:
         with pytest.raises(InvariantError, match="not in register"):
             plan = MeasurementPlan(("C",), (computational_basis("C", 2),))
             apparatus_negativity(state.register, state.rho, plan)
+
+
+def exact_factor(rho, rank):
+    """The (D, rank) factor of ``rho``'s ``rank`` largest eigenvalues, scaled by their roots."""
+    w, v = np.linalg.eigh(rho)
+    return v[:, -rank:] * np.sqrt(w[-rank:])
+
+
+def chain_register(links):
+    """The register of a one-qubit chain after ``links`` links, each on the last label."""
+    reg = Register(("S",), (2,))
+    for _ in range(links):
+        reg = reg.with_apparatus(reg.labels[-1])
+    return reg
+
+
+class TestFactorRead:
+    """The factor layout of ``_Workspace`` against its block layout and the dense oracles."""
+
+    @staticmethod
+    def assert_agree(reg, rho, f, measured, rows):
+        block = _Workspace(reg, rho, measured)
+        factor = _Workspace(reg, None, measured, factor=f)
+        params = make_rng(reg.total_dim + f.shape[1]).normal(size=(rows, block.param_len))
+        u_dag = block._unitaries_dag(params)
+        idx = [reg.index(lab) for lab in measured]
+        for read, oracle in (("negativity_at", oracles.q_negativity_at),
+                             ("deficit_at", oracles.deficit_at)):
+            fast = getattr(factor, read)(u_dag)
+            assert np.max(np.abs(fast - getattr(block, read)(u_dag))) <= 1e-12, read
+            for value, row in zip(fast, params):
+                dense = oracle(rho, list(reg.dims), idx, [b.vectors for b in block.bases(row)])
+                assert abs(value - dense) <= 1e-12, read
+
+    @pytest.mark.parametrize("dims, measured", ORACLE_SHAPES)
+    def test_every_rank_on_oracle_shapes(self, dims, measured):
+        reg = Register(tuple("ABCDEFG"[: len(dims)]), dims)
+        for rank in sorted({1, 2, 3, reg.total_dim // 2, reg.total_dim}):
+            rho = random_mixed(reg, rank=rank, seed=rank).rho
+            self.assert_agree(reg, rho, exact_factor(rho, rank), tuple(measured), 2)
+
+    def test_chain_states_up_to_the_cap(self):
+        # the factor a chain carries, from a rank-2 qubit up to 256 dims,
+        # read on its last apparatus and on the system
+        reg, f = chain_register(0), exact_factor(random_mixed(chain_register(0), 2, seed=4).rho, 2)
+        for _ in range(7):
+            reg, f = chain._link(reg, f, reg.labels[-1], random_unitary(2, make_rng(reg.n)))
+            for measured in ((reg.labels[-1],), ("S",)):
+                self.assert_agree(reg, f @ linalg.dagger(f), f, measured, 1)
+
+    @pytest.mark.parametrize("eps, takes_factor", [(1e-14, True), (1e-11, False)])
+    def test_purity_guard(self, eps, takes_factor):
+        # rho = (1 - eps) psi psi^dag + eps I / D: the optimizer reads a factor
+        # only when what it drops is within the guard, and either read agrees
+        reg = Register(("A", "B", "C"), (2, 2, 2))
+        psi = random_pure(reg, 6).rho
+        rho = (1 - eps) * psi + eps * np.eye(8) / 8
+        f = quantumness._low_rank_factor(rho, 4)
+        assert (f is not None) == takes_factor
+        self.assert_agree(reg, rho, f if takes_factor else exact_factor(rho, 8), ("A",), 3)
+
+    @pytest.mark.parametrize("read", ["negativity_at", "deficit_at"])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_rows_independent_of_batch(self, read, rank):
+        rng = make_rng(8)
+        for dims, measured in (((3, 3), "A"), ((2, 2, 2, 2), "A"), ((2, 3, 2), "CA")):
+            reg = Register(tuple("ABCD"[: len(dims)]), dims)
+            rho = random_mixed(reg, rank=rank, seed=rank).rho
+            ws = _Workspace(reg, None, tuple(measured), factor=exact_factor(rho, rank))
+            fun = composed(ws, read)
+            for rows in (2, 7, 64):
+                params = rng.normal(size=(rows, ws.param_len))
+                alone = np.array([fun(row[None])[0] for row in params])
+                assert np.array_equal(fun(params), alone), (dims, measured, rows)
+
+
+class TestRoutes:
+    """``_minimum_over_bases`` reads low-rank inputs off a factor and the rest off the blocks."""
+
+    CFG = OptimizerConfig(restarts=2, max_iter=20)
+
+    @staticmethod
+    def never(*args, **kwargs):
+        raise AssertionError("this read must not run")
+
+    def run_both(self, state, measured):
+        for measure in (q_negativity, deficit):
+            assert np.isfinite(measure(state, measured, self.CFG).value)
+
+    def test_low_rank_inputs_skip_the_blocks(self, monkeypatch):
+        monkeypatch.setattr(_Workspace, "_blocks", self.never)
+        self.run_both(random_pure(Register(("A", "B"), (3, 3)), 4), ("A",))
+        self.run_both(random_mixed(default_register(7), rank=2, seed=5), ("G",))
+
+    def test_full_and_high_rank_inputs_keep_the_blocks(self, monkeypatch):
+        monkeypatch.setattr(_Workspace, "_factor_r", self.never)
+        self.run_both(random_mixed(default_register(2), rank=4, seed=5), ("A",))
+        self.run_both(random_mixed(Register(("A", "B"), (3, 3)), rank=4, seed=5), ("A",))
+
+    def test_untracked_chain_reads_link_values_off_its_factor(self, monkeypatch):
+        # neither a block read nor a checked state: no rho = f f^dag is built
+        reg = chain_register(6)
+        links = tuple(LinkSpec(lab) for lab in reg.labels)
+        cfg = ChainConfig(random_mixed(chain_register(0), rank=2, seed=6), links)
+        monkeypatch.setattr(_Workspace, "_blocks", self.never)
+        monkeypatch.setattr(chain, "LabeledState", self.never)
+        report = run_chain(cfg)
+        assert len(report.rows) == 7 and report.rows[0].entanglement > 0
 
 
 def complex_normal(rng, *shape):
