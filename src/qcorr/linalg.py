@@ -22,8 +22,8 @@ EIG_ZERO = 1e-12
 
 
 def dagger(a):
-    """Conjugate transpose."""
-    return np.conj(a).T
+    """Conjugate transpose, of a matrix or of each matrix in a stack (..., p, q)."""
+    return np.conj(a).swapaxes(-1, -2)
 
 
 def check_density(rho, dims=None):

@@ -177,11 +177,6 @@ def _entropy_of_spectra(blocks):
     return -(probs * np.log2(probs)).sum(axis=1)
 
 
-def _dagger(x):
-    """Conjugate transpose of each matrix in a stack (..., p, q)."""
-    return np.conj(x).swapaxes(-1, -2)
-
-
 class _Workspace:
     """Precomputed machinery for repeated objective evaluations on one density matrix.
 
@@ -352,7 +347,7 @@ class _Workspace:
             return _trace_norm_sums(self._blocks(u_dag, a, b))
         r = self._factor_r(u_dag)
         ra, rb = r[:, a], r[:, b]
-        return _trace_norm_sums(ra * rb if r.shape[-1] == 1 else ra @ _dagger(rb))
+        return _trace_norm_sums(ra * rb if r.shape[-1] == 1 else ra @ linalg.dagger(rb))
 
     def deficit_at(self, u_dag):
         """S of the dephased state less S(rho), in bits, at each row of ``u_dag``."""
@@ -361,7 +356,7 @@ class _Workspace:
             blocks = self._blocks(u_dag, records, records)
         else:
             r = self._factor_r(u_dag)
-            blocks = r * r if r.shape[-1] == 1 else r @ _dagger(r)
+            blocks = r * r if r.shape[-1] == 1 else r @ linalg.dagger(r)
         return _entropy_of_spectra(blocks) - self.base_entropy
 
 
