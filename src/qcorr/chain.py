@@ -202,7 +202,8 @@ def chain_gme_propagation(initial, links, seed=0):
     The first link measures the last system subsystem, later links the
     previous apparatus; the first link past the 256 cap is refused.  Pure
     initial states only.  Each link is a ``_link`` step on a factor f, each
-    GME test an SVD of f per cut.  Returns "per_step" and a lazy "final_state".
+    GME test the reduced purity of every cut off stacked Gram products of f
+    (``entanglement._purities``).  Returns "per_step" and a lazy "final_state".
 
     No flag depends on the basis.  Measuring party X of a pure GME psi gives
     Psi = sum_i |b_i>_X |phi_i> |i>_M.  A cut with X and M on one side keeps

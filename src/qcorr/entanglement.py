@@ -6,9 +6,12 @@ A zero negativity certifies separability only where PPT is sufficient
 lower-bound witness.
 
 Pure inputs (see ``_pure_vector``) are read off the Schmidt coefficients of
-their vector, one SVD per cut; mixed inputs take the dense partial transpose
-of rho.  The pure-state measures (entropy of entanglement, the GME test) read
-the singular values of a factor of rho (see ``_factor``) and nothing else.
+their vector; mixed inputs take the dense partial transpose of rho.  The
+pure-state measures (entropy of entanglement, the GME test) read a factor f
+of rho (see ``_factor``) and nothing else.  Readers of every cut take f
+reshaped across all cuts of one shape as one stack (see ``_cut_stacks``):
+``e_min_max`` takes one SVD per stack, and the GME test no SVD at all, since
+a cut's reduced purity is the squared Frobenius norm of a Gram matrix.
 """
 
 import math
@@ -140,15 +143,52 @@ def _schmidt(f, dims, cut):
     return np.linalg.svd(m, compute_uv=False)
 
 
+@lru_cache(maxsize=None)
+def _cut_gathers(dims):
+    """The cuts of ``all_cuts`` grouped by shape, built once per ``dims``.
+
+    Each group is (d0, positions in ``all_cuts``, a (k, D) row order): f[order]
+    reshaped to (k, d0, D/d0 * r) is what ``_schmidt`` reshapes f to, cut by
+    cut.  The order is stored in the smallest integer type that holds D - 1.
+    """
+    cuts, size = all_cuts(len(dims)), math.prod(dims)
+    rows = np.arange(size, dtype=np.min_scalar_type(size - 1)).reshape(dims)
+    groups = {}
+    for i, cut in enumerate(cuts):
+        groups.setdefault(math.prod(dims[j] for j in cut.p0), []).append(i)
+    orders = [rows.transpose(cut.p0 + cut.p1).ravel() for cut in cuts]
+    return tuple(
+        (d0, np.array(pos), np.stack([orders[i] for i in pos])) for d0, pos in groups.items()
+    )
+
+
+def _cut_stacks(dims, f):
+    """(positions in ``all_cuts``, stack) for a factor f reshaped across every cut.
+
+    A stack holds the (d0, D/d0 * r) matrices of cuts of one shape, entry for
+    entry those of ``_schmidt``; a shape's cuts are split so that no stack
+    holds more than D^2 entries, the size of rho.
+    """
+    chunk = max(1, f.shape[0] ** 2 // f.size)
+    for d0, pos, order in _cut_gathers(dims):
+        for i in range(0, len(pos), chunk):
+            m = np.take(f, order[i : i + chunk], axis=0)
+            yield pos[i : i + chunk], m.reshape(-1, d0, f.size // d0)
+
+
+def _pure_negativity(schmidt_sum):
+    """(||(psi psi^dag)^T_p1||_1 - 1)/2 = ((sum s)^2 - 1)/2 (Vidal & Werner), clamped."""
+    value = (float(schmidt_sum) ** 2 - 1.0) / 2.0
+    return 0.0 if value < CLAMP else value
+
+
 def _negativity(state, psi, cut):
     """Negativity across ``cut``, off the Schmidt coefficients when psi is given."""
-    if psi is None:
-        pt = linalg.partial_transpose(state.rho, state.dims, cut.p1)
-        w = np.linalg.eigvalsh(pt)
-        value = float(np.sum(np.abs(w[w < 0])))
-    else:
-        # (||(psi psi^dag)^T_p1||_1 - 1)/2 = ((sum s)^2 - 1)/2 (Vidal & Werner)
-        value = (float(np.sum(_schmidt(psi, state.dims, cut))) ** 2 - 1.0) / 2.0
+    if psi is not None:
+        return _pure_negativity(np.sum(_schmidt(psi, state.dims, cut)))
+    pt = linalg.partial_transpose(state.rho, state.dims, cut.p1)
+    w = np.linalg.eigvalsh(pt)
+    value = float(np.sum(np.abs(w[w < 0])))
     return 0.0 if value < CLAMP else value
 
 
@@ -186,11 +226,21 @@ def e_min_max(state):
 
     Returns (emin, emax, argmin cut, argmax cut).  Values within
     ``linalg.TOL_STRUCT`` of an extremum are tied, and a tie goes to the
-    first cut in ``all_cuts`` order, so rounding noise does not pick it.
+    first cut in ``all_cuts`` order, so rounding noise does not pick it.  A
+    pure input takes one SVD per stack of ``_cut_stacks``; numpy runs the same
+    LAPACK routine on each matrix of a stack, so every value is the bits of
+    the single-cut ``negativity``.
     """
     cuts = all_cuts(state.register.n)
     psi = _pure_vector(state.rho)
-    values = [_negativity(state, psi, cut) for cut in cuts]
+    if psi is None:
+        values = [_negativity(state, None, cut) for cut in cuts]
+    else:
+        values = [None] * len(cuts)
+        for pos, m in _cut_stacks(state.dims, psi):
+            sums = np.sum(np.linalg.svd(m, compute_uv=False), axis=1)
+            for i, total in zip(pos, sums):
+                values[i] = _pure_negativity(total)
     emin, emax = min(values), max(values)
     cmin = next(c for c, v in zip(cuts, values) if v <= emin + linalg.TOL_STRUCT)
     cmax = next(c for c, v in zip(cuts, values) if v >= emax - linalg.TOL_STRUCT)
@@ -208,9 +258,28 @@ def pure_gme_test(state):
     return _gme_test(state.dims, _factor(state.rho))
 
 
+def _purities(dims, f):
+    """Tr(rho_p0^2) across each cut of ``all_cuts``, in that order, with no SVD.
+
+    f reshaped across a cut to M gives rho_p0 = M M^dag, so Tr(rho_p0^2) is
+    ||G||_F^2 for the Gram matrix G of M's smaller side (M M^dag or M^dag M):
+    one batched product per stack of ``_cut_stacks``.
+    """
+    purity = np.empty(len(all_cuts(len(dims))))
+    for pos, m in _cut_stacks(dims, f):
+        if m.shape[1] > m.shape[2]:
+            m = linalg.dagger(m)
+        g = (m @ linalg.dagger(m)).reshape(len(m), -1).view(np.float64)  # re, im pairs
+        purity[pos] = np.einsum("ki,ki->k", g, g)
+    return purity
+
+
 def _gme_test(dims, f):
-    """``pure_gme_test`` off a factor f of rho = f f^dag: Tr(rho_p0^2) is the sum of s^4."""
-    for cut in all_cuts(len(dims)):
-        if np.sum(_schmidt(f, dims, cut) ** 4) >= 1.0 - _GME_TOL:
-            return {"gme": False, "witness": cut}
+    """``pure_gme_test`` off a factor f of rho = f f^dag, read off ``_purities``.
+
+    The witness is the first cut in ``all_cuts`` order at or above 1 - _GME_TOL.
+    """
+    product = np.flatnonzero(_purities(dims, f) >= 1.0 - _GME_TOL)
+    if product.size:
+        return {"gme": False, "witness": all_cuts(len(dims))[product[0]]}
     return {"gme": True, "witness": None}

@@ -11,7 +11,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from importlib import metadata
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,10 +27,16 @@ from .errors import InvariantError, ParseError, UsageError
 from .quantumness import OptimizerConfig
 from .states import LabeledState, LocalBasis, Register, _integer
 
-try:
-    VERSION = metadata.version("qcorr")
-except metadata.PackageNotFoundError:  # running from a source tree
-    VERSION = "0.0.0+src"
+
+@lru_cache(maxsize=None)
+def _version():
+    """The installed qcorr version, looked up when the first report is written."""
+    from importlib import metadata  # ~15 ms of import, paid only by commands that report
+
+    try:
+        return metadata.version("qcorr")
+    except metadata.PackageNotFoundError:  # running from a source tree
+        return "0.0.0+src"
 
 
 def _object(obj, where, keys=None):
@@ -197,7 +203,7 @@ def report(payload, command, config, seed, started):
         "command": command,
         "config": config,
         "seed": seed,
-        "version": VERSION,
+        "version": _version(),
         "wall_time_s": time.monotonic() - started,
     }
     return {**payload, "manifest": manifest}

@@ -362,3 +362,140 @@ def test_min_max_ties_go_to_first_canonical_cut(n, path, monkeypatch):
     assert cmax == cuts[sizes.index(max(sizes))]
     assert emin == pytest.approx(np.sqrt(n - 1) / n, abs=1e-12)
     assert emax == pytest.approx(np.sqrt(max(sizes) * (n - max(sizes))) / n, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Readers of every cut take the factor as stacks of cuts of one shape:
+# e_min_max one SVD per stack, with the bits of the per-cut SVD, and the GME
+# test the Gram purities, with no SVD.
+# ---------------------------------------------------------------------------
+
+def stacked_schmidt(dims, f):
+    """The singular values of every cut of ``all_cuts``, in that order, off the stacks."""
+    values = [None] * len(all_cuts(len(dims)))
+    for pos, m in entanglement._cut_stacks(dims, f):
+        for i, s in zip(pos, np.linalg.svd(m, compute_uv=False)):
+            values[i] = s
+    return values
+
+
+def random_factor(dims, r, seed):
+    rng = make_rng(seed)
+    size = int(np.prod(dims))
+    f = rng.normal(size=(size, r)) + 1j * rng.normal(size=(size, r))
+    return f / np.linalg.norm(f)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls to ``np.linalg.<name>`` from here on."""
+    calls, real = [], getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def product_panel():
+    """Pure states with product cuts, not all of them first in ``all_cuts`` order."""
+    bell, zero = np.array([1, 0, 0, 1]) / np.sqrt(2), np.array([1.0, 0.0])
+    ghz3 = np.zeros(8)
+    ghz3[[0, 7]] = 1 / np.sqrt(2)
+    return {
+        "bell-x-bell": pure_state(np.kron(bell, bell), default_register(4)),
+        "zero-x-ghz3": pure_state(np.kron(zero, ghz3), default_register(4)),
+        "ghz3-x-zero": pure_state(np.kron(ghz3, zero), default_register(4)),
+        "bell-x-zero-x-zero": pure_state(np.kron(np.kron(bell, zero), zero), default_register(4)),
+        "product": pure_state(np.kron(np.kron(zero, zero), np.kron(zero, zero)), default_register(4)),
+    }
+
+
+class TestCutStacks:
+    @pytest.mark.parametrize("name", sorted(PURE_PANEL))
+    def test_stacked_svd_is_bit_identical_on_pure_panel(self, name):
+        state = PURE_PANEL[name]()
+        psi = entanglement._pure_vector(state.rho)
+        stacked = stacked_schmidt(state.dims, psi)
+        for cut, s in zip(all_cuts(state.register.n), stacked):
+            assert np.array_equal(s, entanglement._schmidt(psi, state.dims, cut))
+
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    @pytest.mark.parametrize("dims", [(2,) * n for n in range(2, 9)] + [(2, 3, 4), (3, 3, 3)])
+    def test_stacked_svd_is_bit_identical_on_random_factors(self, dims, r):
+        f = random_factor(dims, r, seed=len(dims) + 10 * r)
+        stacked = stacked_schmidt(dims, f)
+        for cut, s in zip(all_cuts(len(dims)), stacked):
+            assert np.array_equal(s, entanglement._schmidt(f, dims, cut))
+
+    @pytest.mark.parametrize("name", sorted(PURE_PANEL))
+    def test_e_min_max_equals_per_cut_negativity(self, name):
+        state = PURE_PANEL[name]()
+        cuts = all_cuts(state.register.n)
+        values = [negativity(state, cut) for cut in cuts]
+        emin, emax, cmin, cmax = e_min_max(state)
+        assert (emin, emax) == (min(values), max(values))
+        assert cmin == next(c for c, v in zip(cuts, values) if v <= emin + linalg.TOL_STRUCT)
+        assert cmax == next(c for c, v in zip(cuts, values) if v >= emax - linalg.TOL_STRUCT)
+
+    def test_stacks_hold_at_most_rho_entries(self):
+        # r = 256 columns: every shape is split into stacks of one cut
+        dims = (2,) * 8
+        f = random_factor(dims, 256, seed=3)
+        seen = []
+        for pos, m in entanglement._cut_stacks(dims, f):
+            assert m.size <= 256**2
+            seen.extend(pos)
+        assert sorted(seen) == list(range(len(all_cuts(8))))
+
+
+class TestGramPurities:
+    @pytest.mark.parametrize("name", sorted(PURE_PANEL))
+    def test_match_dense_purities(self, name):
+        state = PURE_PANEL[name]()
+        purity = entanglement._purities(state.dims, entanglement._factor(state.rho))
+        assert np.max(np.abs(purity - cut_purities(state))) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(product_panel()))
+    def test_witness_is_first_product_cut(self, name):
+        state = product_panel()[name]
+        verdict = pure_gme_test(state)
+        assert verdict == dense_gme(state)
+        assert verdict["gme"] is False
+
+    def test_witnesses_of_several_product_cuts(self):
+        panel = product_panel()
+        cuts = all_cuts(4)
+        assert pure_gme_test(panel["product"])["witness"] == cuts[0]
+        assert pure_gme_test(panel["bell-x-bell"])["witness"] == BipartitionCut((0, 1), (2, 3))
+        # Bell on AB, C and D in |0>: AB:CD comes before ABC:D and ABD:C
+        assert pure_gme_test(panel["bell-x-zero-x-zero"])["witness"] == BipartitionCut((0, 1), (2, 3))
+
+    def test_chunked_wide_factor_matches_dense(self):
+        # (1 - eps) psi psi^dag + eps I/256: a full-rank factor of 256 columns
+        eps, pure = 1e-10, random_pure(default_register(8), 91)
+        state = LabeledState(pure.register, (1 - eps) * pure.rho + eps * np.eye(256) / 256)
+        assert entanglement._factor(state.rho).shape == (256, 256)
+        assert pure_gme_test(state) == dense_gme(state)
+
+
+class TestCallCounts:
+    def test_e_min_max_takes_one_svd_per_cut_shape(self, monkeypatch):
+        state = random_pure(default_register(7), 71)
+        calls = count_calls(monkeypatch, "svd")
+        e_min_max(state)
+        assert len(calls) <= 6
+
+    def test_pure_gme_test_takes_no_svd_or_spectrum(self, monkeypatch):
+        state = random_pure(default_register(7), 71)
+        calls = [count_calls(monkeypatch, "svd"), count_calls(monkeypatch, "eigvalsh")]
+        assert pure_gme_test(state)["gme"] is True
+        assert calls == [[], []]
+
+    def test_gme_propagation_takes_no_svd_or_spectrum(self, monkeypatch):
+        ghz = ghz_state(3)
+        calls = [count_calls(monkeypatch, "svd"), count_calls(monkeypatch, "eigvalsh")]
+        flags = chain_gme_propagation(ghz, 5, seed=2)["per_step"]
+        assert all(step["gme"] for step in flags)
+        assert calls == [[], []]
