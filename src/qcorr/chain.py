@@ -12,10 +12,12 @@ The break-point row at level j is the negativity of the final state across
 j + 1 measures an apparatus on the right of that cut, those links are
 isometries local to the right block and leave the negativity unchanged, so
 the row is link j + 1's value; otherwise it is ``negativity`` of the final state.
-rho = f f^dag is formed, as a checked LabeledState, only where a state is
-read whole, and at most once per state: for the q_negativity of an
-"optimized" link or a tracked bound, one call when link j + 1 optimizes
-apparatus j, and for a dense break row or a final-state read.
+The q_negativity of an "optimized" link or a tracked bound is optimized
+over f itself, once per state and label, so one run serves both when link
+j + 1 optimizes apparatus j; rho = f f^dag is formed, unchecked, only where
+the optimizer takes the block layout.  It is formed as a checked
+LabeledState only for the final state, once, where a dense break row or the
+caller reads it.
 
 Basis policies per link: an explicit basis, "optimized" (q_negativity's
 argmin on the current state) or "flag-copy" (computational basis, copying
@@ -31,11 +33,12 @@ from .entanglement import MONOTONE_TOL, BipartitionCut, _factor, _gme_test, nega
 from .errors import InvariantError
 from .premeasure import MeasurementPlan, _isometry
 from .quantumness import (
+    NEGATIVITY_OF_QUANTUMNESS,
     OptimizerConfig,
+    _minimum_over_bases,
     _negativity_at_plan,
     _Workspace,
     apparatus_negativity,
-    q_negativity,
 )
 from .states import LabeledState, LocalBasis, _integer, computational_basis, random_basis, spawn_rng
 
@@ -143,6 +146,13 @@ def _link(reg, f, target, u):
     return out, f
 
 
+def _q_negativity(reg, f, label, cfg):
+    """``q_negativity`` of rho = f f^dag on ``reg`` measured on ``label``, optimized over f."""
+    return _minimum_over_bases(
+        reg, None, f, (label,), cfg, _Workspace.negativity_at, NEGATIVITY_OF_QUANTUMNESS
+    )
+
+
 def run_chain(cfg):
     """Execute the chain and assemble the per-link report."""
     reg, f = cfg.initial.register, _factor(cfg.initial.rho)
@@ -151,9 +161,7 @@ def run_chain(cfg):
     for j, spec in enumerate(cfg.links, start=1):
         labels = [spec.target] if spec.basis == OPTIMIZED else []
         labels += [reg.labels[-1]] if tracked and links else []
-        if labels:  # one checked state and one q_negativity per label
-            state = LabeledState(reg, f @ linalg.dagger(f))
-            reports = {lab: q_negativity(state, (lab,), cfg.q_cfg) for lab in dict.fromkeys(labels)}
+        reports = {lab: _q_negativity(reg, f, lab, cfg.q_cfg) for lab in dict.fromkeys(labels)}
         if tracked and links:
             links[-1][4] = reports[reg.labels[-1]].value
         basis = spec.basis
@@ -167,7 +175,7 @@ def run_chain(cfg):
         links.append([j, spec.target, reg.labels[-1], e_val, None])
     final = _Final(reg, f)
     if tracked:
-        links[-1][4] = q_negativity(final["final_state"], (reg.labels[-1],), cfg.q_cfg).value
+        links[-1][4] = _q_negativity(reg, f, reg.labels[-1], cfg.q_cfg).value
 
     n0, n = cfg.initial.register.n, reg.n
     apparatuses = [link[2] for link in links]

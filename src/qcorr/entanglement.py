@@ -8,7 +8,8 @@ lower-bound witness.
 Pure inputs (see ``_pure_vector``) are read off the Schmidt coefficients of
 their vector; mixed inputs take the dense partial transpose of rho.  The
 pure-state measures (entropy of entanglement, the GME test) read a factor f
-of rho (see ``_factor``) and nothing else.  Readers of every cut take f
+of rho and nothing else; ``_factor`` is the one rule by which rho becomes f,
+here, in the optimizer and in the chains.  Readers of every cut take f
 reshaped across all cuts of one shape as one stack (see ``_cut_stacks``):
 ``e_min_max`` takes one SVD per stack, and the GME test no SVD at all, since
 a cut's reduced purity is the squared Frobenius norm of a Gram matrix.
@@ -35,6 +36,9 @@ _GME_TOL = 1e-8
 
 # Largest ||rho - psi psi^dag||_F at which a state is read off its vector psi.
 _PURE_GUARD = 1e-13
+
+# Largest sum of positive eigenvalues that ``_factor`` drops.
+_FACTOR_GUARD = 1e-13
 
 
 @dataclass(frozen=True)
@@ -116,18 +120,21 @@ def _pure_vector(rho):
 
 
 def _factor(rho):
-    """A unit-norm (D, r) matrix f with rho = f f^dag, up to rho's negative part.
+    """A unit-norm (D, r) matrix f with rho = f f^dag, exact up to rho's negative part.
 
-    f is the vector psi when the purity guard accepts it, else the
-    eigenvectors of rho's positive eigenvalues w, scaled by sqrt(w) and
-    renormalized: ``check_density`` admits eigenvalues down to -1e-10, so the
-    positive ones may sum to slightly more than 1.
+    The one rule by which rho becomes a factor.  f is the vector psi when the
+    purity guard accepts it, else one ``eigh`` runs: the nonpositive
+    eigenvalues are dropped, and so are the smallest positive ones whose sum
+    stays within ``_FACTOR_GUARD``, so r is the rank of rho and not of its
+    rounding noise.  f is the eigenvectors of the kept eigenvalues w, scaled
+    by sqrt(w) and renormalized: ``check_density`` admits eigenvalues down to
+    -1e-10, so the positive ones may sum to slightly more than 1.
     """
     psi = _pure_vector(rho)
     if psi is not None:
         return psi[:, None]
-    w, v = np.linalg.eigh(rho)
-    keep = w > 0
+    w, v = np.linalg.eigh(rho)  # ascending: the nonpositive ones first
+    keep = np.cumsum(np.maximum(w, 0.0)) > _FACTOR_GUARD
     return v[:, keep] * np.sqrt(w[keep] / np.sum(w[keep]))
 
 

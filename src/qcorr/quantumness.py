@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-from .entanglement import CLAMP, _pure_vector
+from .entanglement import CLAMP, _factor
 from .errors import InvariantError
 from .premeasure import _measured_subset
 from .states import SYSTEM, LocalBasis, _integer, spawn_rng
@@ -51,9 +51,6 @@ CC_THRESHOLD = 1e-7
 
 # Largest commutator entry at which ``cc_commutation_oracle`` calls two slices commuting.
 _COMMUTATION_TOL = 1e-9
-
-# Largest sum of dropped eigenvalues at which the optimizer reads rho off a factor.
-_FACTOR_GUARD = 1e-13
 
 
 def _positive(value, what):
@@ -228,25 +225,25 @@ class _Workspace:
     Whatever the layout, 1x1 and 2x2 blocks have closed-form trace norms
     and spectra, and larger ones go to ``svd`` and ``eigvalsh``.
 
-    When every subsystem is measured (m = 1), the block layout forms
-    sigma = G_M rho G_M^dag and gathers its entries: P coefficient rows
-    would cost P D_M^2 products per parameter row.  The same route guards
-    memory when the P off-diagonal coefficient rows of length D_M^2 would
-    hold more than 4 D^2 entries, four times sigma (P > 4 m^2: many
-    measured subsystems, few unmeasured).  The route is chosen once per
-    workspace and both reads take it.  It never forms G_M (x) I_m: rho is
-    stored as a (D_M, m^2 D_M) matrix with rows kappa and columns (nu, nu',
-    kappa'), and two stacked products, G_M times that matrix and then the
-    result, with rows (a, nu, nu'), times G_M^dag, put sigma_ab[nu, nu'] at
-    row (a, nu, nu') and column b.
+    As a memory guard, the block layout forms sigma = G_M rho G_M^dag and
+    gathers its entries when the P off-diagonal coefficient rows of length
+    D_M^2 would hold more than 4 D^2 entries, four times sigma (P > 4 m^2:
+    many measured subsystems, few unmeasured; at D_M >= 4 this holds for
+    every m = 1).  The route is chosen once per workspace and both reads
+    take it.  It never forms G_M (x) I_m: rho is stored as a (D_M, m^2 D_M)
+    matrix with rows kappa and columns (nu, nu', kappa'), and two stacked
+    products, G_M times that matrix and then the result, with rows (a, nu,
+    nu'), times G_M^dag, put sigma_ab[nu, nu'] at row (a, nu, nu') and
+    column b.
 
     Construction takes a register and rho, or a register and F, not a
     state, and checks neither.  Given ``factor`` it keeps the factor layout
     and does not read ``rho``, which may be None; S(rho) is then read off
     F^dag F, which has the nonzero spectrum of F F^dag.  The grouping of the
     chart and S(rho) are built on first use.  ``_minimum_over_bases``
-    chooses the layout by ``_low_rank_factor``; every other caller holding
-    only rho keeps the block layout, which is the oracle of the factor's.
+    chooses the layout by the width of ``entanglement._factor``'s F; every
+    other caller holding only rho keeps the block layout, which is the
+    oracle of the factor's.
 
     ``negativity_at`` and ``deficit_at`` read the two measures at given
     U_k^dag, one (B, d, d) stack per measured subsystem, and return one
@@ -272,9 +269,9 @@ class _Workspace:
             self._factor = self._factor.reshape(d_m, m * r)
             return
         self._matrix, self._factor = rho, None
-        # sigma rather than coefficient rows when m = 1, or when the off-diagonal
-        # coefficient rows would hold more than 4 D^2 entries
-        self._via_sigma = m == 1 or d_m * (d_m - 1) // 2 > 4 * m * m
+        # sigma rather than coefficient rows when the off-diagonal coefficient
+        # rows would hold more than 4 D^2 entries
+        self._via_sigma = d_m * (d_m - 1) // 2 > 4 * m * m
         rho = rho.reshape(reg.dims * 2).transpose(order + [reg.n + i for i in order])
         rho = rho.reshape(d_m, m, d_m, m)
         if self._via_sigma:  # rows kappa, columns (nu, nu', kappa')
@@ -377,35 +374,6 @@ def _negativity_at_plan(ws, plan):
     u_dag = [linalg.dagger(b.vectors)[None] for b in plan.bases]
     value = float(ws.negativity_at(u_dag)[0])
     return 0.0 if value < CLAMP else value
-
-
-def _low_rank_factor(rho, m):
-    """A (D, r) factor F of rho for the optimizer to read, or None for the block read.
-
-    m is the workspace's unmeasured dimension, and F is returned when
-    2r <= m + 1: the k x k blocks of the factor layout, k = min(m, r), then
-    cost less per parameter row than the m x m blocks of rho (P k^3 plus
-    D_M D r for G_M F, against P m^3), and at m = 3, r = 2 the factor's 2 x 2
-    blocks take closed forms where rho's 3 x 3 ones go to LAPACK.
-
-    A pure rho gives its vector, at any m: ``_pure_vector`` costs O(D^2) and
-    no eigendecomposition.  Otherwise a rank r >= 2 can pass only when
-    m >= 3, and only then one ``eigh`` runs.  Its r largest eigenvalues w
-    are kept, r the least rank whose dropped eigenvalues sum to at most
-    ``_FACTOR_GUARD`` in absolute value, and F is their eigenvectors scaled
-    by sqrt(w), not renormalized, so F F^dag differs from rho by the dropped
-    part alone.
-    """
-    psi = _pure_vector(rho)
-    if psi is not None:
-        return psi[:, None]
-    if m < 3:
-        return None
-    w, v = np.linalg.eigh(rho)  # ascending
-    r = len(w) - np.count_nonzero(np.cumsum(np.abs(w)) <= _FACTOR_GUARD)
-    if 2 * r > m + 1 or w[-r] <= 0:
-        return None
-    return v[:, -r:] * np.sqrt(w[-r:])
 
 
 @dataclass(frozen=True)
@@ -563,16 +531,24 @@ def _optimize(objective, param_len, cfg):
     return float(fun[best]), best_x, tuple(float(v) for v in fun), converged
 
 
-def _minimum_over_bases(state, measured, cfg, read, measure):
+def _minimum_over_bases(reg, rho, f, measured, cfg, read, measure):
     """Report of the optimized minimum of ``read``, a ``_Workspace`` read at given bases.
 
-    The workspace reads ``state`` through ``_low_rank_factor`` where that
-    returns a factor, else off the blocks of rho.
+    The state on ``reg`` is rho = f f^dag, f of shape (D, r) from
+    ``entanglement._factor``; ``rho`` may be None.  The workspace reads f
+    when 2r <= m + 1, m the unmeasured dimension: its k x k blocks, k =
+    min(m, r), then cost less per parameter row than the m x m blocks of
+    rho (P k^3 plus D_M D r for G_M F, against P m^3), and at m = 3, r = 2
+    its 2 x 2 blocks take closed forms where rho's 3 x 3 ones go to LAPACK.
+    Otherwise it reads the blocks of ``rho``, formed as f f^dag, unchecked,
+    when None.
     """
-    reg, rho = state.register, state.rho
     measured = _measured_subset(measured)
     m = reg.total_dim // math.prod(reg.dim(lab) for lab in measured)
-    ws = _Workspace(reg, rho, measured, factor=_low_rank_factor(rho, m))
+    if 2 * f.shape[1] <= m + 1:
+        ws = _Workspace(reg, None, measured, factor=f)
+    else:
+        ws = _Workspace(reg, f @ linalg.dagger(f) if rho is None else rho, measured)
     value, best_x, restart_values, converged = _optimize(
         lambda params: read(ws, ws._unitaries_dag(params)), ws.param_len, cfg
     )
@@ -589,7 +565,8 @@ def _minimum_over_bases(state, measured, cfg, read, measure):
 def q_negativity(state, measured, cfg=OptimizerConfig()):
     """Upper bound on the minimum system:apparatus negativity over local bases."""
     return _minimum_over_bases(
-        state, measured, cfg, _Workspace.negativity_at, NEGATIVITY_OF_QUANTUMNESS
+        state.register, state.rho, _factor(state.rho), measured, cfg,
+        _Workspace.negativity_at, NEGATIVITY_OF_QUANTUMNESS,
     )
 
 
@@ -606,7 +583,7 @@ def deficit(state, measured, cfg=OptimizerConfig()):
     systems = {lab for lab, kind in zip(reg.labels, reg.kinds) if kind == SYSTEM}
     two_way = set(measured) == set(reg.labels) or (len(systems) > 1 and systems <= set(measured))
     return _minimum_over_bases(
-        state, measured, cfg, _Workspace.deficit_at,
+        reg, state.rho, _factor(state.rho), measured, cfg, _Workspace.deficit_at,
         TWO_WAY_DEFICIT if two_way else ONE_WAY_DEFICIT,
     )
 

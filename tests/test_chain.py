@@ -367,9 +367,9 @@ class TestRunChain:
 
     def test_dimension_cap_before_optimizing(self, monkeypatch):
         def never(*args):
-            raise AssertionError("q_negativity called")
+            raise AssertionError("optimizer called")
 
-        monkeypatch.setattr(chain, "q_negativity", never)
+        monkeypatch.setattr(chain, "_minimum_over_bases", never)
         state = random_mixed(Register(("A", "B", "C"), (4, 4, 4)), rank=1, seed=2)
         with pytest.raises(InvariantError, match=r"'M:C', 'M:M:C'\).*exceed total dimension 256"):
             ChainConfig(initial=state, links=(LinkSpec("C"), LinkSpec("M:C", OPTIMIZED)))
@@ -386,9 +386,9 @@ class TestRunChain:
     ])
     def test_bad_link_refused_before_any_runs(self, monkeypatch, last, match):
         def never(*args):
-            raise AssertionError("q_negativity called")
+            raise AssertionError("optimizer called")
 
-        monkeypatch.setattr(chain, "q_negativity", never)
+        monkeypatch.setattr(chain, "_minimum_over_bases", never)
         # each last link is valid but for one fault: a record of A would reach 64 * 16 > 256
         initial = random_mixed(Register(("A", "B"), (16, 2)), rank=1, seed=2)
         with pytest.raises(InvariantError, match=match):
@@ -431,14 +431,15 @@ class TestDensityChecks:
         assert report.final_state is final and len(calls) == 1
 
     def test_tracked_optimized_chain_checks_each_state_once(self, monkeypatch):
-        # link j's output is checked once for its tracked bound and link
-        # j + 1's basis; the final state's check serves a later read
+        # tracked bounds and optimized bases are read off the chain's factor,
+        # so no state is checked in the run; the final state is, once, when read
         cfg = tracked_optimized_chain(4)
         calls = self.counted(monkeypatch)
         report = run_chain(cfg)
-        assert len(calls) == 4 + 1
+        assert len(calls) == 0
         final = report.final_state
-        assert len(calls) == 4 + 1 and final.register.total_dim == 32
+        assert len(calls) == 1 and final.register.total_dim == 32
+        assert report.final_state is final and len(calls) == 1
 
     def test_gme_propagation_checks_only_the_final_state_read(self, monkeypatch):
         initial = ghz_state(3)

@@ -312,6 +312,14 @@ class TestPureVectorPath:
         assert pure_gme_test(state) == dense_gme(state)
         assert abs(entropy_of_entanglement(state, AB) - entropy_of_entanglement(pure, AB)) <= 1e-12
 
+    def test_factor_has_the_rank_not_the_rounding_noise(self):
+        # the eigenvalues past the rank are rounding noise; dropping at most
+        # 1e-13 of eigenvalue mass leaves the rank's columns alone
+        rho = random_mixed(default_register(7), 2, seed=4).rho
+        f = entanglement._factor(rho)
+        assert f.shape == (128, 2)
+        assert np.max(np.abs(f @ linalg.dagger(f) - rho)) <= 1e-14
+
     def test_pure_seven_qubits_take_no_dense_spectrum(self, monkeypatch):
         state = random_pure(default_register(7), 71)
 

@@ -5,8 +5,8 @@ from scipy.optimize import minimize as scipy_minimize
 
 import oracles
 from test_premeasure import ORACLE_SHAPES
-from qcorr import chain, linalg, quantumness
-from qcorr.chain import ChainConfig, LinkSpec, run_chain
+from qcorr import chain, entanglement, linalg, quantumness
+from qcorr.chain import OPTIMIZED, TRACK_QUANTUMNESS, ChainConfig, LinkSpec, run_chain
 from qcorr.entanglement import CLAMP, BipartitionCut, negativity
 from qcorr.errors import InvariantError
 from qcorr.premeasure import MeasurementPlan, dephase, premeasure
@@ -218,15 +218,19 @@ class TestWorkspaceAgainstReferencePath:
         # 28 off-diagonal 2x2 blocks: both reads form sigma instead of
         # coefficient rows (test_block_routes)
         (("A", "B", "C", "D"), (2, 2, 2, 2), ("A", "B", "C")),
+        # one subsystem measured whole: coefficient rows of 1x1 blocks
+        (("S",), (2,), ("S",)),
+        (("S",), (3,), ("S",)),
     ]
 
     def cases(self, seed):
-        # ranks 1..3 in turn; rank 1 puts zero singular values and
-        # eigenvalues at the EIG_ZERO cutoff.  Each case is a batch of three
-        # parameter rows, evaluated in one objective call.
+        # ranks 1..3 in turn, capped at D; rank 1 puts zero singular values
+        # and eigenvalues at the EIG_ZERO cutoff.  Each case is a batch of
+        # three parameter rows, evaluated in one objective call.
         rng = make_rng(seed)
         for k, (labels, dims, measured) in enumerate(self.SHAPES):
-            state = random_mixed(Register(labels, dims), rank=1 + k % 3, seed=seed + k)
+            rank = min(1 + k % 3, int(np.prod(dims)))
+            state = random_mixed(Register(labels, dims), rank=rank, seed=seed + k)
             ws = workspace_on(state, measured)
             for _ in range(2):
                 params = rng.normal(size=(3, ws.param_len))
@@ -240,17 +244,21 @@ class TestWorkspaceAgainstReferencePath:
             assert (ws.block_dim == 1) == (len(measured) == len(dims))
 
     def test_block_routes(self):
-        # one route per state: sigma is formed when m = 1, or when the
-        # off-diagonal coefficient rows would hold more than 4 D^2 entries
-        # (P > 4 m^2); the first and last shapes cover both routes at m = 2
-        routes = []
+        # one route per state: sigma is formed only when the off-diagonal
+        # coefficient rows would hold more than 4 D^2 entries (P > 4 m^2);
+        # (2,2)/A and (2,2,2,2)/ABC cover both routes at m = 2, and a qubit
+        # or qutrit measured whole takes coefficient rows
+        routes = {}
         for labels, dims, measured in self.SHAPES:
             state = random_mixed(Register(labels, dims), rank=2, seed=0)
             ws = workspace_on(state, measured)
             m, d_m = ws.block_dim, len(state.rho) // ws.block_dim
-            assert ws._via_sigma == (m == 1 or d_m * (d_m - 1) // 2 > 4 * m * m)
-            routes.append((m, ws._via_sigma))
-        assert routes[0] == (2, False) and routes[-1] == (2, True)
+            assert ws._via_sigma == (d_m * (d_m - 1) // 2 > 4 * m * m)
+            routes[dims, measured] = (m, ws._via_sigma)
+        assert routes[(2, 2), ("A",)] == (2, False)
+        assert routes[(2, 2, 2, 2), ("A", "B", "C")] == (2, True)
+        assert routes[(3, 3), ("A", "B")] == (1, True)
+        assert routes[(2,), ("S",)] == routes[(3,), ("S",)] == (1, False)
 
     def test_negativity_objective(self):
         for state, measured, ws, params, plans in self.cases(100):
@@ -403,15 +411,35 @@ class TestFactorRead:
                 self.assert_agree(reg, f @ linalg.dagger(f), f, measured, 1)
 
     @pytest.mark.parametrize("eps, takes_factor", [(1e-14, True), (1e-11, False)])
-    def test_purity_guard(self, eps, takes_factor):
-        # rho = (1 - eps) psi psi^dag + eps I / D: the optimizer reads a factor
-        # only when what it drops is within the guard, and either read agrees
+    def test_purity_guard(self, monkeypatch, eps, takes_factor):
+        # rho = (1 - eps) psi psi^dag + eps I / D: the factor drops eigenvalues
+        # only within the guard, either read of it agrees, and the optimizer
+        # reads it only when 2r <= m + 1 (m = 4 here)
         reg = Register(("A", "B", "C"), (2, 2, 2))
         psi = random_pure(reg, 6).rho
         rho = (1 - eps) * psi + eps * np.eye(8) / 8
-        f = quantumness._low_rank_factor(rho, 4)
-        assert (f is not None) == takes_factor
-        self.assert_agree(reg, rho, f if takes_factor else exact_factor(rho, 8), ("A",), 3)
+        f = entanglement._factor(rho)
+        assert f.shape == (8, 1 if takes_factor else 8)
+        self.assert_agree(reg, rho, f, ("A",), 3)
+        monkeypatch.setattr(_Workspace, "_blocks" if takes_factor else "_factor_r", TestRoutes.never)
+        TestRoutes().run_both(LabeledState(reg, rho), ("A",))
+
+    def test_negative_part_is_all_the_factor_drops(self):
+        # rho = (1 + d) psi psi^dag - d phi phi^dag, phi orthogonal to psi: an
+        # eigenvalue of -d, which check_density admits, and f = psi
+        reg, d = Register(("A", "B", "C"), (2, 2, 2)), 5e-11
+        psi, phi = np.linalg.qr(make_rng(9).normal(size=(8, 2)) + 0j)[0].T
+        rho = (1 + d) * np.outer(psi, psi.conj()) - d * np.outer(phi, phi.conj())
+        state = LabeledState(reg, rho)
+        assert np.linalg.eigvalsh(state.rho)[0] < -4e-11
+        f = entanglement._factor(state.rho)
+        assert f.shape == (8, 1)
+        block = _Workspace(reg, rho, ("A",))
+        factor = _Workspace(reg, None, ("A",), factor=f)
+        u_dag = block._unitaries_dag(make_rng(10).normal(size=(4, block.param_len)))
+        for read in ("negativity_at", "deficit_at"):
+            fast, slow = getattr(factor, read)(u_dag), getattr(block, read)(u_dag)
+            assert np.max(np.abs(fast - slow)) <= 1e-9, read
 
     @pytest.mark.parametrize("read", ["negativity_at", "deficit_at"])
     @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -451,15 +479,27 @@ class TestRoutes:
         self.run_both(random_mixed(default_register(2), rank=4, seed=5), ("A",))
         self.run_both(random_mixed(Register(("A", "B"), (3, 3)), rank=4, seed=5), ("A",))
 
-    def test_untracked_chain_reads_link_values_off_its_factor(self, monkeypatch):
-        # neither a block read nor a checked state: no rho = f f^dag is built
+    @pytest.mark.parametrize("tracked", [False, True], ids=["untracked", "tracked-optimized"])
+    def test_chain_reads_its_factor(self, monkeypatch, tracked):
+        # no checked state, and no eigh but the initial factor's (exp(iH) at
+        # d = 2 is closed form).  Untracked link values take no block read;
+        # a tracked chain's optimizer forms f f^dag, unchecked, only where it
+        # takes the block layout (2r > m + 1 at the first two links)
         reg = chain_register(6)
-        links = tuple(LinkSpec(lab) for lab in reg.labels)
-        cfg = ChainConfig(random_mixed(chain_register(0), rank=2, seed=6), links)
-        monkeypatch.setattr(_Workspace, "_blocks", self.never)
+        initial = random_mixed(chain_register(0), rank=2, seed=6)
+        if tracked:
+            links = tuple(LinkSpec(lab, OPTIMIZED) for lab in reg.labels)
+            cfg = ChainConfig(initial, links, frozenset({TRACK_QUANTUMNESS}), self.CFG)
+        else:
+            cfg = ChainConfig(initial, tuple(LinkSpec(lab) for lab in reg.labels))
+            monkeypatch.setattr(_Workspace, "_blocks", self.never)
         monkeypatch.setattr(chain, "LabeledState", self.never)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a) or eigh(*a))
         report = run_chain(cfg)
         assert len(report.rows) == 7 and report.rows[0].entanglement > 0
+        assert len(calls) == 1
+        assert (report.rows[-1].quantumness is not None) == tracked
 
 
 def complex_normal(rng, *shape):
