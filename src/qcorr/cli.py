@@ -1,15 +1,18 @@
 """Command-line surface: state I/O, measures, classification, chains, suites.
 
 Exit codes are a stable contract: 0 success/verified, 2 parse failure,
-3 invariant violation, 64 usage error (unknown measure/suite/flags).
-Reports embed a run manifest; identical command and seed reproduce
-identical payloads except for the wall-time field.
+3 invariant violation, 64 usage error (unknown measure/suite/flags); each
+error class carries its own.  The optimizer flags are ``OptimizerConfig``'s
+fields, and ``--seed`` falls back to ``QCORR_SEED``, then 0.  Reports embed
+a run manifest whose config is the command's parsed options, less the seed
+and the output paths; identical command and seed reproduce identical
+payloads except for the wall-time field.
 """
 
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import click
 import numpy as np
@@ -22,16 +25,16 @@ from .entanglement import (
     log_negativity,
     negativity,
 )
-from .errors import InvariantError, ParseError, UsageError
+from .errors import InvariantError, ParseError, QcorrError, UsageError
 from .quantumness import CC_THRESHOLD, OptimizerConfig, classify_cc, deficit, q_negativity
 from .states import bell_state, ghz_state, werner_state, classical_quantum_state
-from .states import LocalBasis, _integer
+from .states import LocalBasis
 from .suites import run_suite
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_INVARIANT = 3
-EXIT_USAGE = 64
+EXIT_PARSE = ParseError.exit_code
+EXIT_INVARIANT = InvariantError.exit_code
+EXIT_USAGE = UsageError.exit_code
 
 Q_MEASURES = {
     "q-negativity": q_negativity,
@@ -44,16 +47,8 @@ E_MEASURES = {
     "entropy-of-entanglement": entropy_of_entanglement,
 }
 
-
-def _seed_option(seed):
-    """Explicit --seed wins; QCORR_SEED is the fallback; default 0."""
-    if seed is None:
-        env = os.environ.get("QCORR_SEED") or "0"
-        try:
-            seed = int(env)
-        except ValueError:
-            raise UsageError(f"QCORR_SEED must be an integer, got {env!r}") from None
-    return _integer(seed, "the seed", UsageError, low=0)
+_seed = click.option("--seed", type=click.IntRange(min=0), default=0, envvar="QCORR_SEED",
+                     show_envvar=True)
 
 
 def _parse_measured(measured, measure):
@@ -65,16 +60,20 @@ def _parse_measured(measured, measure):
 
 
 def _optimizer_options(command):
-    """--restarts, --max-iter, --tol and --seed, defaulting to OptimizerConfig's."""
-    options = (
-        click.option("--restarts", default=OptimizerConfig.restarts, show_default=True),
-        click.option("--max-iter", default=OptimizerConfig.max_iter, show_default=True),
-        click.option("--tol", default=OptimizerConfig.tol, show_default=True),
-        click.option("--seed", default=None, type=int),
-    )
-    for option in reversed(options):
+    """One option per ``OptimizerConfig`` field at the dataclass default; the seed is ``--seed``."""
+    for field in reversed(fields(OptimizerConfig)):
+        flag = "--" + field.name.replace("_", "-")
+        option = _seed if field.name == "seed" else click.option(
+            flag, default=field.default, show_default=True)
         command = option(command)
     return command
+
+
+def _report(payload, started):
+    """``payload`` with the current command's manifest, its config the options it was given."""
+    ctx = click.get_current_context()
+    config = {k: v for k, v in ctx.params.items() if k not in ("seed", "out", "out_prefix")}
+    return serialize.report(payload, ctx.command.name, config, ctx.params["seed"], started)
 
 
 @click.group()
@@ -83,30 +82,26 @@ def cli():
 
 
 @cli.command("measure")
-@click.option("--state", "state_path", required=True, type=click.Path())
-@click.option("--measure", "measure", required=True)
-@click.option("--cut", "cut_spec", default=None, help='Bipartition like "A:B" or "A,B:C".')
+@click.option("--state", required=True, type=click.Path())
+@click.option("--measure", required=True)
+@click.option("--cut", default=None, help='Bipartition like "A:B" or "A,B:C".')
 @click.option("--measured", default=None, help="Comma-separated measured labels (Q measures).")
 @_optimizer_options
-@click.option("--out", "out_path", default=None, type=click.Path())
-def measure_command(state_path, measure, cut_spec, measured, restarts, max_iter, tol, seed,
-                    out_path):
+@click.option("--out", default=None, type=click.Path())
+def measure_command(state, measure, cut, measured, out, **optimizer):
     """Evaluate an entanglement or quantumness measure on a state file."""
     started = time.monotonic()
-    seed = _seed_option(seed)
-    serialize.check_outputs(out_path)
-    state = serialize.load_state(state_path)
+    serialize.check_outputs(out)
+    labeled = serialize.load_state(state)
 
     if measure in E_MEASURES:
-        if not cut_spec:
+        if not cut:
             raise UsageError(f"measure {measure!r} requires --cut")
-        cut = cut_from_labels(state.register, cut_spec)
-        value = E_MEASURES[measure](state, cut)
-        payload = {"measure": measure, "cut": cut_spec, "value": value}
+        value = E_MEASURES[measure](labeled, cut_from_labels(labeled.register, cut))
+        payload = {"measure": measure, "cut": cut, "value": value}
     elif measure in Q_MEASURES:
         labels = _parse_measured(measured, f"measure {measure!r}")
-        cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
-        report = Q_MEASURES[measure](state, labels, cfg)
+        report = Q_MEASURES[measure](labeled, labels, OptimizerConfig(**optimizer))
         payload = {
             "measure": measure,
             "measured": list(labels),
@@ -121,18 +116,15 @@ def measure_command(state_path, measure, cut_spec, measured, restarts, max_iter,
             f"unknown measure {measure!r}; choose from "
             f"{', '.join(sorted(E_MEASURES) + list(Q_MEASURES))}"
         )
-
-    config = {"state": state_path, "measure": measure, "cut": cut_spec, "measured": measured,
-              "restarts": restarts, "max_iter": max_iter, "tol": tol}
-    _emit(serialize.report(payload, "measure", config, seed, started), out_path)
+    _emit(_report(payload, started), out)
 
 
 @cli.command()
-@click.option("--state", "state_path", required=True, type=click.Path())
+@click.option("--state", required=True, type=click.Path())
 @click.option("--measured", required=True, help="Comma-separated measured labels.")
-@click.option("--measure", "measure", default="q-negativity", show_default=True)
+@click.option("--measure", default="q-negativity", show_default=True)
 @_optimizer_options
-@click.option("--out", "out_path", default=None, type=click.Path())
+@click.option("--out", default=None, type=click.Path())
 @click.pass_context
 def quantumness(ctx, measure, **options):
     """Optimized quantumness measures (front-end for the Q measures)."""
@@ -140,24 +132,22 @@ def quantumness(ctx, measure, **options):
         raise UsageError(
             f"unknown quantumness measure {measure!r}; choose from {tuple(Q_MEASURES)}"
         )
-    ctx.invoke(measure_command, measure=measure, cut_spec=None, **options)
+    ctx.invoke(measure_command, measure=measure, cut=None, **options)
 
 
 @cli.command()
-@click.option("--state", "state_path", required=True, type=click.Path())
+@click.option("--state", required=True, type=click.Path())
 @click.option("--measured", required=True)
 @click.option("--threshold", default=CC_THRESHOLD, show_default=True)
 @_optimizer_options
-@click.option("--out", "out_path", default=None, type=click.Path())
-def classify(state_path, measured, threshold, restarts, max_iter, tol, seed, out_path):
+@click.option("--out", default=None, type=click.Path())
+def classify(state, measured, threshold, out, **optimizer):
     """Classify a state as classically correlated on the measured subsystems."""
     started = time.monotonic()
-    seed = _seed_option(seed)
-    serialize.check_outputs(out_path)
-    state = serialize.load_state(state_path)
+    serialize.check_outputs(out)
+    labeled = serialize.load_state(state)
     labels = _parse_measured(measured, "classify")
-    cfg = OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
-    verdict = classify_cc(state, labels, threshold=threshold, cfg=cfg)
+    verdict = classify_cc(labeled, labels, threshold=threshold, cfg=OptimizerConfig(**optimizer))
     payload = {
         **verdict,
         "witness_bases": (
@@ -166,29 +156,25 @@ def classify(state_path, measured, threshold, restarts, max_iter, tol, seed, out
             else None
         ),
     }
-    config = {"state": state_path, "measured": measured, "threshold": threshold,
-              "restarts": restarts, "max_iter": max_iter, "tol": tol}
-    _emit(serialize.report(payload, "classify", config, seed, started), out_path)
+    _emit(_report(payload, started), out)
 
 
 @cli.command()
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--seed", default=None, type=int)
+@click.option("--config", required=True, type=click.Path())
+@_seed
 @click.option("--out-prefix", default="chain", show_default=True)
-def chain(config_path, seed, out_prefix):
+def chain(config, seed, out_prefix):
     """Run a von Neumann chain config; emits CSV and JSON reports."""
     started = time.monotonic()
-    seed = _seed_option(seed)
     serialize.check_outputs(out_prefix + ".csv", out_prefix + ".json")
     cfg = serialize.chain_config_from_json(
-        serialize.load_json(config_path), where=str(config_path), seed=seed
+        serialize.load_json(config), where=str(config), seed=seed
     )
     result = run_chain(cfg)
     rows = [asdict(r) for r in result.rows]
     serialize.write_csv(out_prefix + ".csv", rows)
     payload = {"rows": rows, "monotone": result.monotone()}
-    report = serialize.report(payload, "chain", {"config": config_path}, seed, started)
-    serialize.write_json(out_prefix + ".json", report)
+    serialize.write_json(out_prefix + ".json", _report(payload, started))
     click.echo(f"chain report written to {out_prefix}.csv / {out_prefix}.json")
     if not result.monotone():
         sys.exit(EXIT_INVARIANT)
@@ -197,12 +183,11 @@ def chain(config_path, seed, out_prefix):
 @cli.command()
 @click.option("--suite", required=True, type=str)
 @click.option("--samples", default=None, type=click.IntRange(min=1))
-@click.option("--seed", default=None, type=int)
+@_seed
 @click.option("--out-prefix", default=None)
 def verify(suite, samples, seed, out_prefix):
     """Run a named property suite; exit 0 iff zero failures."""
     started = time.monotonic()
-    seed = _seed_option(seed)
     prefix = out_prefix or f"verify-{suite}"
     serialize.check_outputs(prefix + ".csv", prefix + ".json")
     result = run_suite(suite, samples=samples, seed=seed)
@@ -214,9 +199,7 @@ def verify(suite, samples, seed, out_prefix):
         "worst_margin": result.worst_margin,
     }
     payload.update(result.summary)
-    config = {"suite": suite, "samples": samples}
-    report = serialize.report(payload, "verify", config, seed, started)
-    serialize.write_json(prefix + ".json", report)
+    serialize.write_json(prefix + ".json", _report(payload, started))
     status = "ok" if result.ok else "FAILED"
     click.echo(
         f"suite {suite}: {len(result.trials)} trials, {result.failures} failures, "
@@ -275,17 +258,11 @@ def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        click.echo(f"{UsageError.prefix}: {exc.format_message()}", err=True)
         return EXIT_USAGE
-    except UsageError as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        return EXIT_USAGE
-    except ParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        return EXIT_PARSE
-    except InvariantError as exc:
-        click.echo(f"invariant violation: {exc}", err=True)
-        return EXIT_INVARIANT
+    except QcorrError as exc:
+        click.echo(f"{exc.prefix}: {exc}", err=True)
+        return exc.exit_code
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except SystemExit as exc:

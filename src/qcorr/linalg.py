@@ -42,11 +42,11 @@ def check_density(rho, dims=None):
             raise InvariantError(
                 f"matrix dimension {rho.shape[0]} != product of subsystem dims {d}"
             )
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf are refused below
         herm = np.max(np.abs(rho - dagger(rho)))
+        tr = np.trace(rho)
     if not herm <= TOL_STRUCT:
         raise InvariantError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-    tr = np.trace(rho)
     if not abs(tr - 1.0) <= TOL_STRUCT:
         raise InvariantError(f"trace {tr} differs from 1 beyond tolerance")
     wmin = float(np.min(np.linalg.eigvalsh(rho)))

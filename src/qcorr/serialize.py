@@ -6,6 +6,7 @@ are printed with 17 significant digits so reruns diff cleanly.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -137,12 +138,14 @@ def _number(val, what, kind=float):
 
 
 def optimizer_from_json(obj, seed_default=0):
-    obj = _object({} if obj is None else obj, "optimizer", ("restarts", "max_iter", "tol", "seed"))
-    restarts = _number(obj.get("restarts", OptimizerConfig.restarts), "optimizer: 'restarts'", int)
-    max_iter = _number(obj.get("max_iter", OptimizerConfig.max_iter), "optimizer: 'max_iter'", int)
-    seed = _number(obj.get("seed", seed_default), "optimizer: 'seed'", int)
-    tol = _number(obj.get("tol", OptimizerConfig.tol), "optimizer: 'tol'")
-    return OptimizerConfig(restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
+    """An ``OptimizerConfig`` from its JSON block: a key per field, a number of the field's type."""
+    fields = dataclasses.fields(OptimizerConfig)
+    obj = _object({} if obj is None else obj, "optimizer", tuple(f.name for f in fields))
+    defaults = {f.name: f.default for f in fields} | {"seed": seed_default}
+    return OptimizerConfig(**{
+        f.name: _number(obj.get(f.name, defaults[f.name]), f"optimizer: {f.name!r}", f.type)
+        for f in fields
+    })
 
 
 def chain_config_from_json(obj, where="chain config", seed=0):

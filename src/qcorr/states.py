@@ -120,7 +120,7 @@ class LocalBasis:
         object.__setattr__(self, "vectors", v)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InvariantError("basis vectors must form a square matrix of columns")
-        with np.errstate(invalid="ignore"):  # inf * 0 is NaN, refused below
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf are refused below
             gram = linalg.dagger(v) @ v
         if not np.max(np.abs(gram - np.eye(v.shape[0]))) <= 1e-10:  # also refuses NaN
             raise InvariantError(f"basis for {self.subsystem!r} is not orthonormal")
@@ -212,7 +212,8 @@ def pure_state(amplitudes, register):
         raise InvariantError(
             f"amplitude vector length {psi.size} != register dimension {register.total_dim}"
         )
-    norm = float(np.linalg.norm(psi))
+    with np.errstate(over="ignore"):  # an infinite norm is refused below
+        norm = float(np.linalg.norm(psi))
     if norm == 0.0:
         raise InvariantError("zero amplitude vector")
     if not abs(norm - 1.0) <= 1e-6:  # also refuses NaN

@@ -66,6 +66,14 @@ def test_criterion_02_two_sided_dominates_one_sided(theorem2_result):
     report(2, ok, f"worst ordering margin {worst:.3e} (tol -1e-5)")
 
 
+def test_theorem2_worst_margin_nonnegative_on_a_pass(theorem2_result):
+    # trial 44 passes with margin_a below zero, within its 1e-9 tolerance
+    result = theorem2_result
+    assert result.ok
+    assert min(row["margin_a"] for row in result.trials) < 0
+    assert result.worst_margin >= 0
+
+
 def test_criterion_03_pure_state_saturation():
     # 100 Haar pure two-qubit states: |q^(A) - N| <= 1e-5 and
     # |deficit^(A) - entropy of entanglement| <= 1e-5

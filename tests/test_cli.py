@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from qcorr import cli, serialize
 from qcorr.chain import ChainReport, ChainRow
 from qcorr.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from qcorr.errors import InvariantError, ParseError, UsageError
+from qcorr.quantumness import OptimizerConfig
 from qcorr.states import bell_state, werner_state
 from qcorr.suites import SUITE_NAMES, SuiteResult
 from test_suites import HEADERS
@@ -97,6 +100,33 @@ class TestExitCodes:
         assert code == EXIT_INVARIANT
         assert "exceed total dimension 256" in err
         assert "Traceback" not in out + err
+
+    def test_invariant_error_overflowing_state(self, capsys, tmp_path):
+        re = (np.eye(4) / 4).tolist()
+        re[0][1], re[1][0] = 1e308, -1e308  # finite, but rho - rho^dag overflows
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"labels": ["A", "B"], "dims": [2, 2], "re": re,
+                                    "im": np.zeros((4, 4)).tolist()}))
+        code, out, err = run(
+            capsys, "measure", "--state", str(path), "--measure", "negativity", "--cut", "A:B"
+        )
+        assert code == EXIT_INVARIANT
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("invariant violation:")
+
+    def test_invariant_error_overflowing_chain_basis(self, capsys, tmp_path):
+        basis = {"subsystem": "B", "re": [[1e200, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+        config = tmp_path / "chain.json"
+        config.write_text(json.dumps({
+            "state": serialize.state_to_json(bell_state()),
+            "links": [{"target": "B", "basis": basis}],
+        }))
+        code, out, err = run(
+            capsys, "chain", "--config", str(config), "--out-prefix", str(tmp_path / "c")
+        )
+        assert code == EXIT_INVARIANT
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("invariant violation:")
 
     def test_usage_error_unknown_measure(self, capsys, bell_file):
         code, _, err = run(
@@ -643,6 +673,91 @@ class TestVerifyCommand:
         assert "FAILED" in out
         assert json.loads((tmp_path / "v.json").read_text())["failures"] == 1
         assert (tmp_path / "v.csv").read_text().splitlines() == ["trial,ok", "0,false"]
+
+
+class TestContracts:
+    """Each CLI contract is read off the one place that states it."""
+
+    @pytest.mark.parametrize("command", ["measure", "classify"])
+    def test_help_lists_optimizer_fields(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == EXIT_OK
+        params = {p.name: p for p in cli.cli.commands[command].params}
+        for field in fields(OptimizerConfig):
+            flag = "--" + field.name.replace("_", "-")
+            [line] = [line for line in out.splitlines() if line.split()[:1] == [flag]]
+            assert params[field.name].default == field.default
+            if field.name == "seed":
+                assert "env var: QCORR_SEED" in line
+            else:
+                assert f"default: {field.default}]" in line
+
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--config", "{chain}", "--out-prefix", "out"],
+        ["verify", "--suite", "locc-undo", "--samples", "1", "--out-prefix", "out"],
+    ], ids=["chain", "verify"])
+    def test_env_seed_seeds_chain_and_verify(self, capsys, tmp_path, monkeypatch, argv):
+        argv = [a.format(chain=_demo_chain_config(tmp_path / "chain.json")) for a in argv]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("QCORR_SEED", "5")
+        assert run(capsys, *argv)[0] == EXIT_OK
+        from_env = payload_without_wall_time(str(tmp_path / "out.json"))
+        monkeypatch.delenv("QCORR_SEED")
+        assert run(capsys, *argv, "--seed", "5")[0] == EXIT_OK
+        assert from_env["manifest"]["seed"] == 5
+        assert payload_without_wall_time(str(tmp_path / "out.json")) == from_env
+
+    @pytest.mark.parametrize("case", ["measure", "quantumness", "classify", "chain", "verify"])
+    def test_manifest_config_is_the_options(self, capsys, bell_file, tmp_path, monkeypatch,
+                                            case):
+        chain = _demo_chain_config(tmp_path / "chain.json")
+        optimizer = {"restarts": 2, "max_iter": 300, "tol": 1e-8}
+        argv, config = {
+            "measure": (["measure", "--state", bell_file, "--measure", "q-negativity",
+                         "--measured", "A", "--restarts", "2", "--seed", "3"],
+                        {"state": bell_file, "measure": "q-negativity", "cut": None,
+                         "measured": "A", **optimizer}),
+            "quantumness": (["quantumness", "--state", bell_file, "--measured", "A",
+                             "--restarts", "2", "--out", "out.json"],
+                            {"state": bell_file, "measure": "q-negativity", "cut": None,
+                             "measured": "A", **optimizer}),
+            "classify": (["classify", "--state", bell_file, "--measured", "A",
+                          "--restarts", "2", "--threshold", "1e-6"],
+                         {"state": bell_file, "measured": "A", "threshold": 1e-6, **optimizer}),
+            "chain": (["chain", "--config", chain, "--out-prefix", "out", "--seed", "1"],
+                      {"config": chain}),
+            "verify": (["verify", "--suite", "locc-undo", "--samples", "1",
+                        "--out-prefix", "out"],
+                       {"suite": "locc-undo", "samples": 1}),
+        }[case]
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        manifest = json.loads(out if argv[0] in ("measure", "classify") else
+                              (tmp_path / "out.json").read_text())["manifest"]
+        assert manifest["config"] == config
+        command = "measure" if case == "quantumness" else case
+        assert manifest["command"] == command
+        options = {p.name for p in cli.cli.commands[command].params}
+        assert set(config) == options - {"seed", "out", "out_prefix"}
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ParseError, 2, "parse error"),
+        (InvariantError, 3, "invariant violation"),
+        (UsageError, 64, "usage error"),
+    ])
+    def test_main_reports_each_error_class(self, capsys, tmp_path, monkeypatch, error, code,
+                                           prefix):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "run_suite", fail)
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "verify", "--suite", "theorem2") == (code, "", f"{prefix}: boom\n")
+        assert error.exit_code == code
+
+    def test_exit_code_constants(self):
+        assert (EXIT_OK, EXIT_PARSE, EXIT_INVARIANT, EXIT_USAGE) == (0, 2, 3, 64)
 
 
 # -- fuzzing the exit-code contract -------------------------------------------

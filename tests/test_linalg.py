@@ -32,6 +32,16 @@ class TestCheckDensity:
         with pytest.raises(InvariantError):
             linalg.check_density(rho)
 
+    def test_refuses_overflowing_asymmetry(self):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[0, 1], rho[1, 0] = 1e308, -1e308  # finite, but rho - rho^dag overflows
+        with pytest.raises(InvariantError, match="not Hermitian"):
+            linalg.check_density(rho)
+
+    def test_refuses_overflowing_trace(self):
+        with pytest.raises(InvariantError, match="trace"):
+            linalg.check_density(np.diag([1.7e308, 1.7e308]))
+
     @staticmethod
     def with_least_eigenvalue(w):
         """A Hermitian unit-trace 3x3 matrix with eigenvalues 0.5 - w, 0.5 and w."""

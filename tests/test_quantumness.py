@@ -865,6 +865,48 @@ class TestDeficit:
         assert report.measure == (TWO_WAY_DEFICIT if two_way else ONE_WAY_DEFICIT)
 
 
+class TestLocalInvariances:
+    """Q and D on (2,2)/A at the default settings hold three exact invariances.
+
+    Both measures are invariant under a local frame U_A (x) U_B, under a
+    reordering of the register, and under an unmeasured product ancilla.
+    Any spread in the reported values is optimizer slack; on (2,2)/A it
+    stays below 5e-9 for Q in a new frame and 1e-13 otherwise.
+    """
+
+    SEEDS = range(6)  # ranks 1, 2, 3, 4, 1, 2
+
+    @pytest.fixture(scope="class", params=SEEDS)
+    def case(self, request):
+        s = request.param
+        state = random_mixed(default_register(2), 1 + s % 4, s)
+        values = {m: m(state, ("A",), OptimizerConfig()).value for m in (q_negativity, deficit)}
+        return s, state, values
+
+    def check(self, state, values, q_tol, tol=1e-12):
+        for measure, value in values.items():
+            reading = measure(state, ("A",), OptimizerConfig()).value
+            assert reading == pytest.approx(value, abs=q_tol if measure is q_negativity else tol)
+
+    def test_local_frame(self, case):
+        s, state, values = case
+        rng = make_rng(100 + s)
+        for _ in range(2):
+            u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+            self.check(LabeledState(state.register, u @ state.rho @ u.conj().T), values, 1e-7)
+
+    def test_register_reordered(self, case):
+        _, state, values = case
+        swapped = state.permuted([1, 0])
+        assert swapped.register.labels == ("B", "A")
+        self.check(swapped, values, 1e-12)
+
+    def test_unmeasured_ancilla(self, case):
+        _, state, values = case
+        ancilla = np.diag([1.0, 0.0])
+        self.check(LabeledState(default_register(3), np.kron(state.rho, ancilla)), values, 1e-12)
+
+
 class TestBellDiagonalClosedForm:
     """Bell-diagonal states (I + sum_i c_i sigma_i (x) sigma_i)/4, seen in
     random local frames, at the default optimizer settings, against the

@@ -105,6 +105,10 @@ class TestLocalBasis:
         with pytest.raises(InvariantError, match="not orthonormal"):
             LocalBasis("A", np.full((2, 2), entry))
 
+    def test_rejects_overflowing_vectors(self):
+        with pytest.raises(InvariantError, match="not orthonormal"):
+            LocalBasis("A", np.array([[1e200, 0.0], [0.0, 1.0]]))  # v^dag v overflows
+
     def test_hadamard_ok(self):
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         assert LocalBasis("A", h).dim == 2
@@ -161,6 +165,10 @@ class TestConstructors:
     def test_pure_state_rejects_non_finite_amplitude(self, entry):
         with pytest.raises(InvariantError, match="norm"):
             pure_state([entry, 1.0], default_register(1))
+
+    def test_pure_state_rejects_overflowing_norm(self):
+        with pytest.raises(InvariantError, match="norm inf"):
+            pure_state([1e200, 0, 0, 0], default_register(2))
 
     def test_labeled_state_rejects_nan(self):
         with pytest.raises(InvariantError, match="not Hermitian"):

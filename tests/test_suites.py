@@ -101,14 +101,6 @@ def test_runners_refuse_bad_counts(runner, kwargs, word, monkeypatch):
         runner(**kwargs)
 
 
-def test_theorem2_worst_margin_nonnegative_on_a_pass():
-    # trial 44 passes with margin_a below zero, within its 1e-9 tolerance
-    result = run_theorem2(samples=45, seed=7)
-    assert result.ok
-    assert min(row["margin_a"] for row in result.trials) < 0
-    assert result.worst_margin >= 0
-
-
 def test_theorem2_nan_q_ab_fails_its_row(monkeypatch):
     # a NaN after the first term must not be hidden by the margin's minimum
     real = suites.q_negativity
