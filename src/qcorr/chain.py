@@ -148,9 +148,7 @@ def _link(reg, f, target, u):
 
 def _q_negativity(reg, f, label, cfg):
     """``q_negativity`` of rho = f f^dag on ``reg`` measured on ``label``, optimized over f."""
-    return _minimum_over_bases(
-        reg, None, f, (label,), cfg, _Workspace.negativity_at, NEGATIVITY_OF_QUANTUMNESS
-    )
+    return _minimum_over_bases(reg, None, f, (label,), cfg, NEGATIVITY_OF_QUANTUMNESS)
 
 
 def run_chain(cfg):

@@ -91,20 +91,25 @@ def trace_distance(rho, sigma):
     """Half the trace norm of the difference of two Hermitian operators.
 
     Raises InvariantError if the difference deviates from Hermiticity by
-    more than ``TOL_PSD``.
+    more than ``TOL_PSD`` (which NaN and infinite entries do), or if its
+    trace norm overflows.
     """
     rho = np.asarray(rho)
     sigma = np.asarray(sigma)
     if rho.shape != sigma.shape:
         raise InvariantError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    h = np.asarray(rho - sigma, dtype=complex)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf are refused below
+        h = np.asarray(rho - sigma, dtype=complex)
         dev = np.max(np.abs(h - dagger(h))) if h.size else 0.0
     if not dev <= TOL_PSD:  # also refuses NaN
         raise InvariantError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     # eigh, not eigvalsh: eigvalsh would move the last bits of reported distances
     w, _ = np.linalg.eigh(h)
-    return 0.5 * float(np.sum(np.abs(w)))
+    with np.errstate(over="ignore"):
+        norm = float(np.sum(np.abs(w)))
+    if not math.isfinite(norm):
+        raise InvariantError(f"trace norm of the difference overflows: {norm}")
+    return 0.5 * norm
 
 
 def purity(rho):

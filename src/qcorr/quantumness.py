@@ -87,19 +87,26 @@ def _upper_slots(d):
     return np.triu_indices(d, 1)
 
 
+def _qubit_chart(params):
+    """cos r and w = i z sin(r) / r at each row (b, c) of ``params`` (B, 2), z = b + ic, r = |z|.
+
+    H = [[0, z], [conj z, 0]] squares to r^2 I, so exp(iH) = cos(r) I +
+    i sin(r)/r H = [[cos r, w], [-conj w, cos r]].
+    """
+    z = np.ascontiguousarray(params).view(complex)[:, 0]
+    r = np.abs(z)
+    # at r = 0, z = 0 and any finite sin(r)/r gives exp(iH) = I
+    return np.cos(r), z * (1j * np.sin(r) / np.maximum(r, 1e-300))
+
+
 def _exp_ih(params, d):
     """exp(iH) for each row of ``params`` (B, d(d-1)): an array (B, d, d)."""
     if d == 2:
-        # H = [[0, z], [conj z, 0]] with z = b + ic squares to r^2 I, r = |z|,
-        # so exp(iH) = cos(r) I + i sin(r)/r H
-        z = np.ascontiguousarray(params).view(complex)[:, 0]
-        r = np.abs(z)
-        # at r = 0, z = 0 and any finite sin(r)/r gives exp(iH) = I
-        iz = z * (1j * np.sin(r) / np.maximum(r, 1e-300))
+        c, w = _qubit_chart(params)
         u = np.empty((len(params), 2, 2), dtype=complex)
-        u[:, 0, 0] = u[:, 1, 1] = np.cos(r)
-        u[:, 0, 1] = iz
-        u[:, 1, 0] = -iz.conj()
+        u[:, 0, 0] = u[:, 1, 1] = c
+        u[:, 0, 1] = w
+        u[:, 1, 0] = -w.conj()
         return u
     # eigh reads the lower triangle: the zero diagonal, then the conjugate
     # of the strict upper triangle, whose row-major order is the params'
@@ -248,9 +255,19 @@ class _Workspace:
     ``negativity_at`` and ``deficit_at`` read the two measures at given
     U_k^dag, one (B, d, d) stack per measured subsystem, and return one
     value per row; ``apparatus_negativity`` reads the first at fixed bases.
-    The optimizer composes a read with ``_unitaries_dag``, which decodes a
-    batch of parameter rows (B, param_len) into the U_k^dag; ``bases``
-    decodes one row through the same exp(iH) call.
+    ``objective`` gives the optimizer either read at parameter rows (B,
+    param_len), and the chart's shape sets how.  A chart of one measured
+    qubit, the shape of most optimizations, takes a fused step: each row
+    (b, c) gives cos r and w = i z sin(r)/r once (``_qubit_chart``), and
+    G_M = U^dag = [[cos r, -w], [conj w, cos r]] is written from them.  The
+    block layout forms its coefficient rows straight from G_M and conj(G_M),
+    the pair (0, 1) for the negativity and the pairs (0, 0) and (1, 1) for
+    the deficit; the factor layout multiplies F by G_M.  No list of U_k^dag
+    and no Kronecker product is formed.  Every other chart (qudits, two or
+    more measured subsystems, the sigma route) composes a read with
+    ``_unitaries_dag``, which decodes a batch into the U_k^dag: the general
+    path, which the fused step matches bit for bit.  ``bases`` decodes one
+    row through the same exp(iH) call.
     """
 
     def __init__(self, reg, rho, measured, factor=None):
@@ -316,20 +333,55 @@ class _Workspace:
             LocalBasis(label, linalg.dagger(u[0])) for label, u in zip(self.measured, u_dag)
         )
 
-    def _blocks(self, u_dag, a, b):
-        """sigma_ab for each record pair (a[i], b[i]) at each row of ``u_dag``: (B, P, m, m)."""
-        g = _measured_unitary(u_dag)
+    def objective(self, negativity):
+        """The optimizer's objective: the negativity read, or the deficit read
+        when not ``negativity``, at each parameter row of a (B, param_len) array.
+
+        A chart of one measured qubit takes the fused ``_qubit_read``; every
+        other decodes the rows with ``_unitaries_dag`` and reads at the U_k^dag.
+        """
+        if self.meas_dims == [2]:
+            return lambda params: self._qubit_read(params, negativity)
+        read = self.negativity_at if negativity else self.deficit_at
+        return lambda params: read(self._unitaries_dag(params))
+
+    def _qubit_read(self, params, negativity):
+        """The read at each row (b, c) of ``params`` (B, 2) of a chart of one measured qubit.
+
+        conj(G_M) = U^T is written from ``_qubit_chart`` and G_M is its
+        conjugate, entry for entry the G_M of ``_unitaries_dag``.  The block
+        layout takes the coefficient rows of its pairs off the two, the
+        factor layout takes G_M; a qubit never takes the sigma route.
+        """
+        c, w = _qubit_chart(params)
+        ut = np.empty((len(c), 2, 2), dtype=complex)
+        ut[:, 0, 0] = ut[:, 1, 1] = c
+        ut[:, 0, 1] = -w.conj()
+        ut[:, 1, 0] = w
+        g = np.conj(ut)
+        if self._factor is not None:
+            return self._read(g, negativity)
+        if negativity:  # G_M[0, :] (x) conj(G_M[1, :])
+            return self._read(g, True, g[:, :1, :, None] * ut[:, 1:, None, :])
+        return self._read(g, False, g[:, :, :, None] * ut[:, :, None, :])  # pairs (0, 0), (1, 1)
+
+    def _blocks(self, g, a, b):
+        """sigma_ab for each record pair (a[i], b[i]) at each G_M of ``g`` (B, D_M, D_M): (B, P, m, m)."""
         n, d_m, m = len(g), g.shape[1], self.block_dim
         if self._via_sigma:  # sigma_ab[nu, nu'] at rows (a, nu, nu') and column b
             sigma = (g @ self._rho).reshape(n, d_m * m * m, d_m) @ np.conj(g).swapaxes(1, 2)
             sigma = sigma.reshape(n, d_m, m * m, d_m).swapaxes(2, 3).reshape(n, d_m**2, m, m)
             return sigma.take(a * d_m + b, axis=1)
         coeffs = g.take(a, axis=1)[:, :, :, None] * np.conj(g.take(b, axis=1))[:, :, None, :]
-        return (coeffs.reshape(n, len(a), -1) @ self._rho).reshape(n, len(a), m, m)
+        return self._stacked(coeffs)
 
-    def _factor_r(self, u_dag):
-        """R_a of the QR X_a = Q_a R_a for each record a at each row of ``u_dag``: (B, D_M, k, r)."""
-        g = _measured_unitary(u_dag)
+    def _stacked(self, coeffs):
+        """sigma_ab off the coefficient rows (B, P, D_M, D_M) of P pairs: (B, P, m, m)."""
+        n, p, m = len(coeffs), coeffs.shape[1], self.block_dim
+        return (coeffs.reshape(n, p, -1) @ self._rho).reshape(n, p, m, m)
+
+    def _factor_r(self, g):
+        """R_a of the QR X_a = Q_a R_a for each record a at each G_M of ``g``: (B, D_M, k, r)."""
         n = len(g)
         x = (g @ self._factor).reshape(n, self._records, self.block_dim, -1)
         if x.shape[-1] == 1:  # R_a = ||x_a||, real
@@ -337,24 +389,37 @@ class _Workspace:
             return np.sqrt((x * x).sum(axis=2)).reshape(n, self._records, 1, 1)
         return np.linalg.qr(x, mode="r")
 
+    def _read(self, g, negativity, coeffs=None):
+        """The negativity read, or the deficit read when not ``negativity``, at each G_M of ``g``.
+
+        The negativity reads the pairs a < b, the deficit the pairs (a, a).
+        In the block layout, ``coeffs``, when given, are their coefficient
+        rows, and ``g`` is not read.
+        """
+        if coeffs is not None:
+            blocks = self._stacked(coeffs)
+        elif self._factor is None:
+            a = b = np.arange(self._records)
+            if negativity:
+                a, b = _upper_slots(self._records)
+            blocks = self._blocks(g, a, b)
+        else:
+            r = ra = rb = self._factor_r(g)
+            if negativity:
+                a, b = _upper_slots(self._records)
+                ra, rb = r[:, a], r[:, b]
+            blocks = ra * rb if r.shape[-1] == 1 else ra @ linalg.dagger(rb)
+        if negativity:
+            return _trace_norm_sums(blocks)
+        return _entropy_of_spectra(blocks) - self.base_entropy
+
     def negativity_at(self, u_dag):
         """sum_{a<b} ||sigma_ab||_1 at each row of ``u_dag``, one (B, d, d) stack per U_k^dag."""
-        a, b = _upper_slots(self._records)
-        if self._factor is None:
-            return _trace_norm_sums(self._blocks(u_dag, a, b))
-        r = self._factor_r(u_dag)
-        ra, rb = r[:, a], r[:, b]
-        return _trace_norm_sums(ra * rb if r.shape[-1] == 1 else ra @ linalg.dagger(rb))
+        return self._read(_measured_unitary(u_dag), True)
 
     def deficit_at(self, u_dag):
         """S of the dephased state less S(rho), in bits, at each row of ``u_dag``."""
-        if self._factor is None:
-            records = np.arange(self._records)
-            blocks = self._blocks(u_dag, records, records)
-        else:
-            r = self._factor_r(u_dag)
-            blocks = r * r if r.shape[-1] == 1 else r @ linalg.dagger(r)
-        return _entropy_of_spectra(blocks) - self.base_entropy
+        return self._read(_measured_unitary(u_dag), False)
 
 
 def apparatus_negativity(reg, rho, plan):
@@ -531,8 +596,9 @@ def _optimize(objective, param_len, cfg):
     return float(fun[best]), best_x, tuple(float(v) for v in fun), converged
 
 
-def _minimum_over_bases(reg, rho, f, measured, cfg, read, measure):
-    """Report of the optimized minimum of ``read``, a ``_Workspace`` read at given bases.
+def _minimum_over_bases(reg, rho, f, measured, cfg, measure):
+    """Report of the optimized minimum of ``measure``: the negativity read of
+    ``_Workspace`` for the negativity of quantumness, else the deficit read.
 
     The state on ``reg`` is rho = f f^dag, f of shape (D, r) from
     ``entanglement._factor``; ``rho`` may be None.  The workspace reads f
@@ -550,7 +616,7 @@ def _minimum_over_bases(reg, rho, f, measured, cfg, read, measure):
     else:
         ws = _Workspace(reg, f @ linalg.dagger(f) if rho is None else rho, measured)
     value, best_x, restart_values, converged = _optimize(
-        lambda params: read(ws, ws._unitaries_dag(params)), ws.param_len, cfg
+        ws.objective(measure == NEGATIVITY_OF_QUANTUMNESS), ws.param_len, cfg
     )
     return QuantumnessReport(
         value=0.0 if value <= 0 else value,  # -0.0 and below zero report +0.0; NaN passes
@@ -565,8 +631,7 @@ def _minimum_over_bases(reg, rho, f, measured, cfg, read, measure):
 def q_negativity(state, measured, cfg=OptimizerConfig()):
     """Upper bound on the minimum system:apparatus negativity over local bases."""
     return _minimum_over_bases(
-        state.register, state.rho, _factor(state.rho), measured, cfg,
-        _Workspace.negativity_at, NEGATIVITY_OF_QUANTUMNESS,
+        state.register, state.rho, _factor(state.rho), measured, cfg, NEGATIVITY_OF_QUANTUMNESS
     )
 
 
@@ -583,7 +648,7 @@ def deficit(state, measured, cfg=OptimizerConfig()):
     systems = {lab for lab, kind in zip(reg.labels, reg.kinds) if kind == SYSTEM}
     two_way = set(measured) == set(reg.labels) or (len(systems) > 1 and systems <= set(measured))
     return _minimum_over_bases(
-        reg, state.rho, _factor(state.rho), measured, cfg, _Workspace.deficit_at,
+        reg, state.rho, _factor(state.rho), measured, cfg,
         TWO_WAY_DEFICIT if two_way else ONE_WAY_DEFICIT,
     )
 

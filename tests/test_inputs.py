@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from qcorr import serialize
+from qcorr import linalg, serialize
 from qcorr.cli import EXIT_PARSE, main
 from qcorr.entanglement import BipartitionCut, all_cuts, negativity
 from qcorr.errors import InvariantError, ParseError
@@ -85,6 +85,19 @@ LIBRARY_CASES = {
                             "register index must be below 2"),
     "select-negative": (lambda: Register(("A", "B"), (2, 2)).select([-1]),
                         "register index must be at least 0"),
+    # huge finite entries whose arithmetic overflows: refused with no RuntimeWarning
+    "trace-distance-deviation-overflow": (
+        lambda: linalg.trace_distance(np.array([[0, 1e308], [-1e308, 0]]), np.zeros((2, 2))),
+        "matrix is not Hermitian",
+    ),
+    "trace-distance-norm-overflow": (
+        lambda: linalg.trace_distance(np.diag([1.7e308, 1.7e308]), np.zeros((2, 2))),
+        "trace norm of the difference overflows",
+    ),
+    "trace-distance-infinite": (
+        lambda: linalg.trace_distance(np.diag([np.inf, 0.0]), np.diag([np.inf, 0.0])),
+        "matrix is not Hermitian",
+    ),
 }
 
 

@@ -62,7 +62,7 @@ def workspace_on(state, measured):
 
 
 def composed(ws, read):
-    """The optimizer's objective: the ``_Workspace`` read named ``read`` at each parameter row."""
+    """The general objective: the ``_Workspace`` read named ``read`` at each decoded parameter row."""
     at = getattr(ws, read)
     return lambda params: at(ws._unitaries_dag(params))
 
@@ -456,8 +456,36 @@ class TestFactorRead:
                 assert np.array_equal(fun(params), alone), (dims, measured, rows)
 
 
+class TestFusedQubitStep:
+    """On a chart of one measured qubit the optimizer's objective is the fused
+    step, equal to the general decode-then-read, bit for bit, in both layouts."""
+
+    SHAPES = [((2,), "S"), ((2, 2), "A"), ((2, 2), "B"), ((2, 3), "A"),
+              ((2, 2, 2), "A"), ((2, 2, 2), "B"), ((2, 2, 2), "C")]
+
+    @pytest.mark.parametrize("dims, measured", SHAPES)
+    def test_matches_the_general_read(self, dims, measured):
+        reg = Register(("S",) if len(dims) == 1 else tuple("ABC"[: len(dims)]), dims)
+        rng = make_rng(reg.total_dim)
+        for rank in range(1, reg.total_dim + 1):
+            rho = random_mixed(reg, rank=rank, seed=rank).rho
+            factor = _Workspace(reg, None, (measured,), factor=exact_factor(rho, rank))
+            for ws in (_Workspace(reg, rho, (measured,)), factor):
+                params = rng.normal(size=(5, 2))
+                params[0] = 0.0  # z = 0, exp(iH) = I
+                params[1, 1] = params[2, 0] = 0.0  # z real, z imaginary
+                for read in ("negativity_at", "deficit_at"):
+                    fused = ws.objective(read == "negativity_at")
+                    values = fused(params)
+                    alone = np.array([fused(row[None])[0] for row in params])
+                    where = (rank, ws._factor is not None, read)
+                    assert np.array_equal(values, composed(ws, read)(params)), where
+                    assert np.array_equal(values, alone), where
+
+
 class TestRoutes:
-    """``_minimum_over_bases`` reads low-rank inputs off a factor and the rest off the blocks."""
+    """``_minimum_over_bases`` reads low-rank inputs off a factor and the rest
+    off the blocks, and one measured qubit through the fused step."""
 
     CFG = OptimizerConfig(restarts=2, max_iter=20)
 
@@ -478,6 +506,38 @@ class TestRoutes:
         monkeypatch.setattr(_Workspace, "_factor_r", self.never)
         self.run_both(random_mixed(default_register(2), rank=4, seed=5), ("A",))
         self.run_both(random_mixed(Register(("A", "B"), (3, 3)), rank=4, seed=5), ("A",))
+
+    def test_one_measured_qubit_skips_the_decode(self, monkeypatch):
+        # the optimizer reads a chart of one measured qubit without
+        # _unitaries_dag, off block rows or the factor; every other chart
+        # still decodes.  bases() decodes the winner after the optimization,
+        # so the decode is refused only inside _optimize
+        optimize = quantumness._optimize
+
+        def no_decode(*args):
+            with monkeypatch.context() as m:
+                m.setattr(_Workspace, "_unitaries_dag", self.never)
+                return optimize(*args)
+
+        monkeypatch.setattr(quantumness, "_optimize", no_decode)
+        fused = [
+            (random_mixed(default_register(2), rank=4, seed=5), ("A",), "_factor_r"),
+            (random_mixed(default_register(2), rank=4, seed=5), ("B",), "_factor_r"),
+            (random_mixed(default_register(3), rank=4, seed=5), ("B",), "_factor_r"),
+            (random_pure(default_register(2), 4), ("A",), "_stacked"),
+        ]
+        for state, measured, other_layout in fused:
+            with monkeypatch.context() as m:
+                m.setattr(_Workspace, other_layout, self.never)
+                self.run_both(state, measured)
+        decoded = [
+            (random_mixed(default_register(2), rank=4, seed=5), ("A", "B")),
+            (random_mixed(Register(("A", "B"), (3, 3)), rank=4, seed=5), ("A",)),
+        ]
+        for state, measured in decoded:
+            for measure in (q_negativity, deficit):
+                with pytest.raises(AssertionError, match="must not run"):
+                    measure(state, measured, self.CFG)
 
     @pytest.mark.parametrize("tracked", [False, True], ids=["untracked", "tracked-optimized"])
     def test_chain_reads_its_factor(self, monkeypatch, tracked):
@@ -613,10 +673,11 @@ class TestOptimizeAgainstSerialScipy:
     when any restart converged, one more scipy run from the winner's point,
     kept if strictly lower."""
 
-    def check_against_serial(self, ws, cfg):
-        """Assert _optimize matches the serial reference; return whether a
-        restart converged (so a polish ran) and whether it lowered the winner."""
-        objective = composed(ws, "negativity_at")
+    def check_against_serial(self, ws, cfg, objective=None):
+        """Assert _optimize on ``objective``, by default the composed negativity
+        read, matches the serial reference; return whether a restart converged
+        (so a polish ran) and whether it lowered the winner."""
+        objective = objective or composed(ws, "negativity_at")
         value, best_x, restart_values, converged = _optimize(objective, ws.param_len, cfg)
         # Gao-Han coefficients unless one qubit is measured
         adaptive = ws.param_len > 2
@@ -646,6 +707,16 @@ class TestOptimizeAgainstSerialScipy:
         # restarts converge on both; the polish lowers only the Q^AB winner
         assert converged
         assert polished == (len(measured) == 2)
+
+    @pytest.mark.parametrize("negativity", [True, False], ids=["negativity", "deficit"])
+    def test_fused_objective_matches_serial_restarts(self, negativity):
+        # the objective _minimum_over_bases builds on (2,2)/A: the fused step
+        ws = workspace_on(random_mixed(default_register(2), rank=2, seed=21), ("A",))
+        converged, polished = self.check_against_serial(
+            ws, OptimizerConfig(restarts=4, seed=5), ws.objective(negativity)
+        )
+        assert converged
+        assert not polished
 
     def test_no_polish_without_a_converged_restart(self):
         ws = workspace_on(random_mixed(default_register(2), rank=2, seed=18), ("A", "B"))
@@ -688,7 +759,17 @@ class TestChunkedRestarts:
         ws = workspace_on(random_mixed(default_register(2), rank=2, seed=39), ("A",))
         return composed(ws, "negativity_at"), ws.param_len, 80
 
-    @pytest.mark.parametrize("case", ["bowl", "workspace"])
+    def fused_negativity(self, seed):
+        # the fused objective on the same state: restart 65 wins again
+        ws = workspace_on(random_mixed(default_register(2), rank=2, seed=39), ("A",))
+        return ws.objective(True), ws.param_len, 80
+
+    def fused_deficit(self, seed):
+        # restart 68 wins; restarts of both chunks converge
+        ws = workspace_on(random_mixed(default_register(2), rank=2, seed=105), ("A",))
+        return ws.objective(False), ws.param_len, 80
+
+    @pytest.mark.parametrize("case", ["bowl", "workspace", "fused_negativity", "fused_deficit"])
     def test_chunks_match_one_minimize_call(self, case, monkeypatch):
         seed = 3
         objective, n, max_iter = getattr(self, case)(seed)
@@ -716,7 +797,7 @@ class TestChunkedRestarts:
         assert np.array_equal(best_x, polish.x[0] if polish.fun[0] < whole.fun[best] else whole.x[best])
         assert converged == bool(whole.success.any())
         assert whole.success[LOCKSTEP_ROWS:].any()
-        assert whole.success[:LOCKSTEP_ROWS].any() == (case == "workspace")
+        assert whole.success[:LOCKSTEP_ROWS].any() == (case != "bowl")
 
     def test_starts_drawn_per_chunk(self, monkeypatch):
         # a restart count whose starts could not all be held at once
@@ -875,17 +956,19 @@ class TestLocalInvariances:
     """
 
     SEEDS = range(6)  # ranks 1, 2, 3, 4, 1, 2
+    MEASURED = ("A",)
 
     @pytest.fixture(scope="class", params=SEEDS)
     def case(self, request):
         s = request.param
         state = random_mixed(default_register(2), 1 + s % 4, s)
-        values = {m: m(state, ("A",), OptimizerConfig()).value for m in (q_negativity, deficit)}
+        values = {m: m(state, self.MEASURED, OptimizerConfig()).value
+                  for m in (q_negativity, deficit)}
         return s, state, values
 
     def check(self, state, values, q_tol, tol=1e-12):
         for measure, value in values.items():
-            reading = measure(state, ("A",), OptimizerConfig()).value
+            reading = measure(state, self.MEASURED, OptimizerConfig()).value
             assert reading == pytest.approx(value, abs=q_tol if measure is q_negativity else tol)
 
     def test_local_frame(self, case):
@@ -905,6 +988,13 @@ class TestLocalInvariances:
         _, state, values = case
         ancilla = np.diag([1.0, 0.0])
         self.check(LabeledState(default_register(3), np.kron(state.rho, ancilla)), values, 1e-12)
+
+
+class TestLocalInvariancesOnB(TestLocalInvariances):
+    """The same invariances on (2,2)/B: the spread stays below 2e-9 for Q in
+    a new frame and 1e-13 otherwise."""
+
+    MEASURED = ("B",)
 
 
 class TestBellDiagonalClosedForm:
