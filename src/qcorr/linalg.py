@@ -36,6 +36,8 @@ def check_density(rho, dims=None):
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvariantError(f"density operator must be square, got shape {rho.shape}")
+    if not rho.size:
+        raise InvariantError("density operator is empty")
     if dims is not None:
         d = math.prod(dims)
         if rho.shape[0] != d:

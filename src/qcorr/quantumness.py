@@ -87,34 +87,27 @@ def _upper_slots(d):
     return np.triu_indices(d, 1)
 
 
-def _qubit_chart(params):
-    """cos r and w = i z sin(r) / r at each row (b, c) of ``params`` (B, 2), z = b + ic, r = |z|.
-
-    H = [[0, z], [conj z, 0]] squares to r^2 I, so exp(iH) = cos(r) I +
-    i sin(r)/r H = [[cos r, w], [-conj w, cos r]].
-    """
-    z = np.ascontiguousarray(params).view(complex)[:, 0]
-    r = np.abs(z)
-    # at r = 0, z = 0 and any finite sin(r)/r gives exp(iH) = I
-    return np.cos(r), z * (1j * np.sin(r) / np.maximum(r, 1e-300))
-
-
-def _exp_ih(params, d):
-    """exp(iH) for each row of ``params`` (B, d(d-1)): an array (B, d, d)."""
+def _exp_ih_dag(params, d):
+    """exp(iH)^dag for each row of ``params`` (B, d(d-1)): an array (B, d, d)."""
     if d == 2:
-        c, w = _qubit_chart(params)
-        u = np.empty((len(params), 2, 2), dtype=complex)
-        u[:, 0, 0] = u[:, 1, 1] = c
-        u[:, 0, 1] = w
-        u[:, 1, 0] = -w.conj()
-        return u
+        # H = [[0, z], [conj z, 0]], z = b + ic, squares to r^2 I, r = |z|, so
+        # exp(iH) = cos(r) I + i sin(r)/r H = [[cos r, w], [-conj w, cos r]]
+        # with w = i z sin(r)/r; at r = 0, z = 0 and exp(iH) = I
+        z = np.ascontiguousarray(params).view(complex)[:, 0]
+        r = np.abs(z)
+        c, w = np.cos(r), z * (1j * np.sin(r) / np.maximum(r, 1e-300))
+        ut = np.empty((len(params), 2, 2), dtype=complex)  # exp(iH)^T
+        ut[:, 0, 0] = ut[:, 1, 1] = c
+        ut[:, 0, 1] = -w.conj()
+        ut[:, 1, 0] = w
+        return np.conj(ut)
     # eigh reads the lower triangle: the zero diagonal, then the conjugate
     # of the strict upper triangle, whose row-major order is the params'
     rows, cols = _upper_slots(d)
     h = np.zeros((len(params), d, d), dtype=complex)
     h[:, cols, rows] = params[:, ::2] - 1j * params[:, 1::2]
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)[:, None, :]) @ np.conj(v).swapaxes(1, 2)
+    return linalg.dagger((v * np.exp(1j * w)[:, None, :]) @ linalg.dagger(v))
 
 
 def _trace_norm_2x2(x):
@@ -252,22 +245,15 @@ class _Workspace:
     other caller holding only rho keeps the block layout, which is the
     oracle of the factor's.
 
-    ``negativity_at`` and ``deficit_at`` read the two measures at given
-    U_k^dag, one (B, d, d) stack per measured subsystem, and return one
-    value per row; ``apparatus_negativity`` reads the first at fixed bases.
-    ``objective`` gives the optimizer either read at parameter rows (B,
-    param_len), and the chart's shape sets how.  A chart of one measured
-    qubit, the shape of most optimizations, takes a fused step: each row
-    (b, c) gives cos r and w = i z sin(r)/r once (``_qubit_chart``), and
-    G_M = U^dag = [[cos r, -w], [conj w, cos r]] is written from them.  The
-    block layout forms its coefficient rows straight from G_M and conj(G_M),
-    the pair (0, 1) for the negativity and the pairs (0, 0) and (1, 1) for
-    the deficit; the factor layout multiplies F by G_M.  No list of U_k^dag
-    and no Kronecker product is formed.  Every other chart (qudits, two or
-    more measured subsystems, the sigma route) composes a read with
-    ``_unitaries_dag``, which decodes a batch into the U_k^dag: the general
-    path, which the fused step matches bit for bit.  ``bases`` decodes one
-    row through the same exp(iH) call.
+    Every read goes through ``_read(g, negativity)``, which reads the
+    negativity, or the deficit when not ``negativity``, at each G_M of a
+    stack ``g`` (B, D_M, D_M) and returns one value per row; the pairs it
+    reads are fixed when the workspace is built.  ``objective`` gives the
+    optimizer ``_read`` at ``_g``, which decodes parameter rows (B,
+    param_len) to G_M: with one measured subsystem G_M is its exp(iH)^dag,
+    else the Kronecker product of the exp(iH)^dag, all subsystems of one
+    dimension decoded in one call.  ``apparatus_negativity`` reads G_M off
+    fixed bases, and ``bases`` decodes one row through the same exp(iH)^dag.
     """
 
     def __init__(self, reg, rho, measured, factor=None):
@@ -278,6 +264,11 @@ class _Workspace:
 
         self._records = d_m = math.prod(self.meas_dims)
         self.block_dim = m = reg.total_dim // d_m
+        # the record pairs (a, b) of each read: a < b for the negativity,
+        # a = b for the deficit, as basic slices where they are ranges
+        self._pairs = {True: _upper_slots(d_m), False: (slice(None), slice(None))}
+        if d_m == 2:
+            self._pairs[True] = (slice(0, 1), slice(1, 2))
         order = measured_idx + [i for i in range(reg.n) if i not in measured_idx]
         if factor is not None:  # rows kappa, columns (nu, j)
             r = factor.shape[1]
@@ -315,69 +306,42 @@ class _Workspace:
             groups.append((d, pos, cols))
         return groups
 
-    def _unitaries_dag(self, params):
-        """exp(iH)^dag of each measured subsystem, in measurement order: (B, d, d) each."""
+    def _g(self, params):
+        """G_M = (x) U_k^dag at each row of ``params`` (B, param_len): (B, D_M, D_M)."""
+        if len(self.meas_dims) == 1:
+            return _exp_ih_dag(params, self.meas_dims[0])
         b = len(params)
         u_dag = [None] * len(self.meas_dims)
         for d, pos, cols in self._unitary_groups:
-            u = _exp_ih(params[:, cols].reshape(-1, d * (d - 1)), d)
-            u = np.conj(u).swapaxes(1, 2).reshape(b, len(pos), d, d)
+            u = _exp_ih_dag(params[:, cols].reshape(-1, d * (d - 1)), d).reshape(b, len(pos), d, d)
             for k, j in enumerate(pos):
                 u_dag[j] = u[:, k]
-        return u_dag
+        return _measured_unitary(u_dag)
 
     def bases(self, x):
         """The measurement basis of each measured subsystem at parameter row ``x``."""
-        u_dag = self._unitaries_dag(x[None])
+        ends = np.cumsum([d * (d - 1) for d in self.meas_dims])
         return tuple(
-            LocalBasis(label, linalg.dagger(u[0])) for label, u in zip(self.measured, u_dag)
+            LocalBasis(label, linalg.dagger(_exp_ih_dag(x[None, end - d * (d - 1) : end], d)[0]))
+            for label, d, end in zip(self.measured, self.meas_dims, ends)
         )
 
     def objective(self, negativity):
         """The optimizer's objective: the negativity read, or the deficit read
-        when not ``negativity``, at each parameter row of a (B, param_len) array.
-
-        A chart of one measured qubit takes the fused ``_qubit_read``; every
-        other decodes the rows with ``_unitaries_dag`` and reads at the U_k^dag.
-        """
-        if self.meas_dims == [2]:
-            return lambda params: self._qubit_read(params, negativity)
-        read = self.negativity_at if negativity else self.deficit_at
-        return lambda params: read(self._unitaries_dag(params))
-
-    def _qubit_read(self, params, negativity):
-        """The read at each row (b, c) of ``params`` (B, 2) of a chart of one measured qubit.
-
-        conj(G_M) = U^T is written from ``_qubit_chart`` and G_M is its
-        conjugate, entry for entry the G_M of ``_unitaries_dag``.  The block
-        layout takes the coefficient rows of its pairs off the two, the
-        factor layout takes G_M; a qubit never takes the sigma route.
-        """
-        c, w = _qubit_chart(params)
-        ut = np.empty((len(c), 2, 2), dtype=complex)
-        ut[:, 0, 0] = ut[:, 1, 1] = c
-        ut[:, 0, 1] = -w.conj()
-        ut[:, 1, 0] = w
-        g = np.conj(ut)
-        if self._factor is not None:
-            return self._read(g, negativity)
-        if negativity:  # G_M[0, :] (x) conj(G_M[1, :])
-            return self._read(g, True, g[:, :1, :, None] * ut[:, 1:, None, :])
-        return self._read(g, False, g[:, :, :, None] * ut[:, :, None, :])  # pairs (0, 0), (1, 1)
+        when not ``negativity``, at each parameter row of a (B, param_len) array."""
+        return lambda params: self._read(self._g(params), negativity)
 
     def _blocks(self, g, a, b):
-        """sigma_ab for each record pair (a[i], b[i]) at each G_M of ``g`` (B, D_M, D_M): (B, P, m, m)."""
+        """sigma_ab for each record pair of (a, b) at each G_M of ``g`` (B, D_M, D_M): (B, P, m, m)."""
         n, d_m, m = len(g), g.shape[1], self.block_dim
         if self._via_sigma:  # sigma_ab[nu, nu'] at rows (a, nu, nu') and column b
             sigma = (g @ self._rho).reshape(n, d_m * m * m, d_m) @ np.conj(g).swapaxes(1, 2)
             sigma = sigma.reshape(n, d_m, m * m, d_m).swapaxes(2, 3).reshape(n, d_m**2, m, m)
-            return sigma.take(a * d_m + b, axis=1)
-        coeffs = g.take(a, axis=1)[:, :, :, None] * np.conj(g.take(b, axis=1))[:, :, None, :]
-        return self._stacked(coeffs)
-
-    def _stacked(self, coeffs):
-        """sigma_ab off the coefficient rows (B, P, D_M, D_M) of P pairs: (B, P, m, m)."""
-        n, p, m = len(coeffs), coeffs.shape[1], self.block_dim
+            records = np.arange(d_m)
+            return sigma.take(records[a] * d_m + records[b], axis=1)
+        # C order: a stacked product's bits depend on its operand's layout
+        coeffs = np.multiply(g[:, a, :, None], np.conj(g[:, b])[:, :, None, :], order="C")
+        p = coeffs.shape[1]
         return (coeffs.reshape(n, p, -1) @ self._rho).reshape(n, p, m, m)
 
     def _factor_r(self, g):
@@ -389,37 +353,18 @@ class _Workspace:
             return np.sqrt((x * x).sum(axis=2)).reshape(n, self._records, 1, 1)
         return np.linalg.qr(x, mode="r")
 
-    def _read(self, g, negativity, coeffs=None):
-        """The negativity read, or the deficit read when not ``negativity``, at each G_M of ``g``.
-
-        The negativity reads the pairs a < b, the deficit the pairs (a, a).
-        In the block layout, ``coeffs``, when given, are their coefficient
-        rows, and ``g`` is not read.
-        """
-        if coeffs is not None:
-            blocks = self._stacked(coeffs)
-        elif self._factor is None:
-            a = b = np.arange(self._records)
-            if negativity:
-                a, b = _upper_slots(self._records)
+    def _read(self, g, negativity):
+        """The negativity read, or the deficit read when not ``negativity``, at each G_M of ``g``."""
+        a, b = self._pairs[negativity]
+        if self._factor is None:
             blocks = self._blocks(g, a, b)
         else:
-            r = ra = rb = self._factor_r(g)
-            if negativity:
-                a, b = _upper_slots(self._records)
-                ra, rb = r[:, a], r[:, b]
+            r = self._factor_r(g)
+            ra, rb = r[:, a], r[:, b]
             blocks = ra * rb if r.shape[-1] == 1 else ra @ linalg.dagger(rb)
         if negativity:
             return _trace_norm_sums(blocks)
         return _entropy_of_spectra(blocks) - self.base_entropy
-
-    def negativity_at(self, u_dag):
-        """sum_{a<b} ||sigma_ab||_1 at each row of ``u_dag``, one (B, d, d) stack per U_k^dag."""
-        return self._read(_measured_unitary(u_dag), True)
-
-    def deficit_at(self, u_dag):
-        """S of the dephased state less S(rho), in bits, at each row of ``u_dag``."""
-        return self._read(_measured_unitary(u_dag), False)
 
 
 def apparatus_negativity(reg, rho, plan):
@@ -436,8 +381,8 @@ def apparatus_negativity(reg, rho, plan):
 
 def _negativity_at_plan(ws, plan):
     """The negativity read of ``ws`` at the plan bases, 0.0 below ``entanglement.CLAMP``."""
-    u_dag = [linalg.dagger(b.vectors)[None] for b in plan.bases]
-    value = float(ws.negativity_at(u_dag)[0])
+    g = _measured_unitary([linalg.dagger(b.vectors)[None] for b in plan.bases])
+    value = float(ws._read(g, True)[0])
     return 0.0 if value < CLAMP else value
 
 

@@ -56,6 +56,8 @@ class Register:
         object.__setattr__(self, "dims", dims)
         if len(labels) != len(dims):
             raise InvariantError("register labels/dims length mismatch")
+        if not labels:
+            raise InvariantError("a register needs at least one subsystem")
         if not all(isinstance(lab, str) for lab in labels):
             raise InvariantError(f"register labels must be strings, got {labels!r}")
         if len(set(labels)) != len(labels):
@@ -120,6 +122,8 @@ class LocalBasis:
         object.__setattr__(self, "vectors", v)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InvariantError("basis vectors must form a square matrix of columns")
+        if not v.size:
+            raise InvariantError(f"basis for {self.subsystem!r} has no vectors")
         with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf are refused below
             gram = linalg.dagger(v) @ v
         if not np.max(np.abs(gram - np.eye(v.shape[0]))) <= 1e-10:  # also refuses NaN
@@ -192,6 +196,7 @@ def make_rng(seed):
 def spawn_rng(seed, task):
     """Independent stream for a numbered sub-task of a seeded run."""
     _integer(seed, "seed", low=0)
+    _integer(task, "task", low=0)
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(int(task),)))
     )

@@ -82,7 +82,9 @@ def _check_counts(samples, seed, error=InvariantError):
 
 def derive_seed(seed, *key):
     """Deterministic 64-bit child seed for a numbered sub-task."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
+    _integer(seed, "seed", low=0)
+    key = tuple(int(_integer(k, "seed key", low=0)) for k in key)
+    ss = np.random.SeedSequence(seed, spawn_key=key)
     return int(ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0])
 
 

@@ -1,4 +1,5 @@
-"""Every name a qcorr module imports, or binds privately, is read in that module,
+"""Every name a qcorr module imports, or binds privately, and every private
+method and cached property of its top-level classes, is read in that module,
 and every public function or class without a decorator is read by the package;
 the benchmark oracles the tests check against import nothing but numpy, and the
 acceptance gate takes no linear algebra from ``qcorr.linalg``.
@@ -74,6 +75,56 @@ def test_checker_flags_unread_private_names():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unread_private_names(module):
     assert unread_private_names((PACKAGE / module).read_text()) == []
+
+
+def unread_private_attributes(source):
+    """Private methods and cached properties of the top-level classes of
+    ``source`` that no expression of ``source`` reads as an attribute.
+
+    A method is private when its name starts with an underscore and is not
+    a dunder; a cached property is one decorated ``cached_property``,
+    whatever its name.
+    """
+    tree = ast.parse(source)
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            decorators = {getattr(d, "id", getattr(d, "attr", None)) for d in node.decorator_list}
+            private = node.name.startswith("_") and not node.name.endswith("__")
+            if (private or "cached_property" in decorators) and node.name not in read:
+                found.append(f"{cls.name}.{node.name}")
+    return found
+
+
+def test_checker_flags_unread_private_attributes():
+    source = (
+        "from functools import cached_property\n"
+        "import functools\n"
+        "class K:\n"
+        "    def __init__(self):\n        self._x = self._setup()\n"
+        "    def _setup(self):\n        return 1\n"
+        "    def _dead(self):\n        return self._x\n"
+        "    @cached_property\n    def _table(self):\n        return 2\n"
+        "    @functools.cached_property\n    def spare(self):\n        return 3\n"
+        "    @cached_property\n    def size(self):\n        return 4\n"
+        "    @property\n    def _kind(self):\n        return 5\n"
+        "    def public(self):\n        return self._kind\n"
+        "def f(k):\n    return k.size\n"
+        "def g():\n    class Inner:\n        def _h(self):\n            pass\n"
+    )
+    assert unread_private_attributes(source) == ["K._dead", "K._table", "K.spare"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unread_private_attributes(module):
+    assert unread_private_attributes((PACKAGE / module).read_text()) == []
 
 
 def unread_public_names(sources):

@@ -20,6 +20,7 @@ from qcorr.errors import InvariantError, ParseError
 from qcorr.locc import correction_unitary, fourier_unitary
 from qcorr.premeasure import MeasurementPlan
 from qcorr.quantumness import OptimizerConfig, apparatus_negativity, classify_cc
+from qcorr.suites import derive_seed
 from qcorr.states import (
     LocalBasis,
     Register,
@@ -66,6 +67,15 @@ LIBRARY_CASES = {
     "werner-string": (lambda: werner_state("0.5"), "werner parameter must be a real number"),
     "werner-bool": (lambda: werner_state(True), "werner parameter must be a real number"),
     "spawn-seed-negative": (lambda: spawn_rng(-1, 0), "seed must be at least 0"),
+    # a task or key that is not a non-negative integer would be truncated,
+    # or reach numpy's SeedSequence, which raises a bare ValueError
+    "spawn-task-negative": (lambda: spawn_rng(0, -1), "task must be at least 0"),
+    "spawn-task-float": (lambda: spawn_rng(0, 2.9), "task must be an integer"),
+    "spawn-task-bool": (lambda: spawn_rng(0, True), "task must be an integer"),
+    "derive-seed-negative": (lambda: derive_seed(-1, 0), "seed must be at least 0"),
+    "derive-seed-key-negative": (lambda: derive_seed(0, -1), "seed key must be at least 0"),
+    "derive-seed-key-float": (lambda: derive_seed(0, 1.5), "seed key must be an integer"),
+    "derive-seed-key-bool": (lambda: derive_seed(0, True), "seed key must be an integer"),
     "plan-empty": (
         lambda s=bell_state(): apparatus_negativity(s.register, s.rho, MeasurementPlan((), ())),
         "measured subset must be nonempty",
@@ -138,6 +148,24 @@ SHAPE_CASES = {
 def test_shape_refusal(case):
     call, error, message = SHAPE_CASES[case]
     with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+EMPTY_CASES = {
+    "register": (lambda: Register((), ()), "a register needs at least one subsystem"),
+    "pure-state": (lambda: pure_state([1.0], Register((), ())),
+                   "a register needs at least one subsystem"),
+    "basis": (lambda: LocalBasis("A", np.zeros((0, 0))), "basis for 'A' has no vectors"),
+    "density": (lambda: linalg.check_density(np.zeros((0, 0))), "density operator is empty"),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_CASES)
+def test_empty_input_refusal(case):
+    # an input with no subsystem or no entry is refused, not read as a
+    # one-dimensional state or passed to numpy's reductions
+    call, message = EMPTY_CASES[case]
+    with pytest.raises(InvariantError, match=re.escape(message)):
         call()
 
 

@@ -17,7 +17,7 @@ from qcorr.quantumness import (
     TWO_WAY_DEFICIT,
     OptimizerConfig,
     _Workspace,
-    _exp_ih,
+    _exp_ih_dag,
     _optimize,
     apparatus_negativity,
     cc_commutation_oracle,
@@ -61,10 +61,9 @@ def workspace_on(state, measured):
     return _Workspace(state.register, state.rho, measured)
 
 
-def composed(ws, read):
-    """The general objective: the ``_Workspace`` read named ``read`` at each decoded parameter row."""
-    at = getattr(ws, read)
-    return lambda params: at(ws._unitaries_dag(params))
+def exp_ih(params, d):
+    """exp(iH) at one parameter row: the adjoint of the workspace's exp(iH)^dag."""
+    return linalg.dagger(_exp_ih_dag(np.asarray(params, dtype=float)[None], d)[0])
 
 
 def discordant_state():
@@ -98,7 +97,7 @@ def zero_diagonal_generator(params, d):
 class TestParameterization:
     def test_zero_params_give_identity(self):
         for d in (2, 3, 4):
-            u = _exp_ih(np.zeros((1, d * (d - 1))), d)[0]
+            u = exp_ih(np.zeros(d * (d - 1)), d)
             assert np.max(np.abs(u - np.eye(d))) <= 1e-14
 
     def test_matches_matrix_exponential(self):
@@ -107,14 +106,14 @@ class TestParameterization:
             for scale in (1e-9, 1.0, 3.0):
                 for _ in range(5):
                     params = rng.normal(scale=scale, size=d * (d - 1))
-                    u = _exp_ih(params[None], d)[0]
+                    u = exp_ih(params, d)
                     h = zero_diagonal_generator(params, d)
                     assert np.max(np.abs(u - expm(1j * h))) <= 1e-12
 
     def test_rotation_generator(self):
         # H = alpha * [[0, -i], [i, 0]] exponentiates to a real rotation
         alpha = np.pi / 4
-        u = _exp_ih(np.array([[0.0, -alpha]]), 2)[0]
+        u = exp_ih([0.0, -alpha], 2)
         expected = np.array(
             [[np.cos(alpha), np.sin(alpha)], [-np.sin(alpha), np.cos(alpha)]]
         )
@@ -124,7 +123,7 @@ class TestParameterization:
         rng = make_rng(1)
         for d in (2, 3, 4):
             params = rng.normal(scale=2.0, size=d * (d - 1))
-            u = _exp_ih(params[None], d)[0]
+            u = exp_ih(params, d)
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-12
 
     def test_covers_every_qubit_basis(self):
@@ -136,7 +135,7 @@ class TestParameterization:
             phase = np.conj(u[0, 0]) / abs(u[0, 0])
             r = np.arccos(min(1.0, abs(u[0, 0])))
             z = np.conj(u[1, 0] * phase / (1j * np.sin(r) / r))
-            d = _exp_ih(np.array([[z.real, z.imag]]), 2)[0].conj().T @ u
+            d = exp_ih([z.real, z.imag], 2).conj().T @ u
             assert np.max(np.abs(d - np.diag(np.diag(d)))) <= 1e-12
             assert np.max(np.abs(np.abs(np.diag(d)) - 1)) <= 1e-12
 
@@ -184,8 +183,8 @@ class TestParameterization:
 
     def test_workspace_bases_split_blocks(self):
         # parameters follow the measurement order, one d(d-1) block per
-        # label; the grouped exp(iH) of the two qubits decodes each block
-        # as it would alone
+        # label; bases decodes each block alone, and G_M, whose exp(iH) of
+        # the two qubits is one grouped call, is their Kronecker product
         state = random_mixed(Register(("A", "B", "C"), (2, 3, 2)), rank=2, seed=2)
         ws = workspace_on(state, ("B", "A", "C"))
         params = make_rng(5).normal(size=6 + 2 + 2)
@@ -194,7 +193,9 @@ class TestParameterization:
         assert [b.subsystem for b in bases] == ["B", "A", "C"]
         blocks = (params[:6], params[6:8], params[8:])
         for basis, block, d in zip(bases, blocks, (3, 2, 2)):
-            assert np.array_equal(basis.vectors, _exp_ih(block[None], d)[0])
+            assert np.array_equal(basis.vectors, exp_ih(block, d))
+        u_b, u_a, u_c = (linalg.dagger(b.vectors) for b in bases)
+        assert np.array_equal(ws._g(params[None])[0], np.kron(np.kron(u_b, u_a), u_c))
 
 
 class TestWorkspaceAgainstReferencePath:
@@ -264,7 +265,7 @@ class TestWorkspaceAgainstReferencePath:
         for state, measured, ws, params, plans in self.cases(100):
             if ws.block_dim == 1:
                 continue
-            fast = composed(ws, "negativity_at")(params)
+            fast = ws.objective(True)(params)
             assert fast.shape == (len(plans),)
             for value, plan in zip(fast, plans):
                 slow = plan_negativity(state, plan)
@@ -274,7 +275,7 @@ class TestWorkspaceAgainstReferencePath:
         for state, measured, ws, params, plans in self.cases(200):
             if ws.block_dim != 1:
                 continue
-            fast = composed(ws, "negativity_at")(params)
+            fast = ws.objective(True)(params)
             assert fast.shape == (len(plans),)
             for value, plan in zip(fast, plans):
                 slow = plan_negativity(state, plan)
@@ -282,7 +283,7 @@ class TestWorkspaceAgainstReferencePath:
 
     def test_deficit_objective(self):
         for state, measured, ws, params, plans in self.cases(300):
-            fast = composed(ws, "deficit_at")(params)
+            fast = ws.objective(False)(params)
             assert fast.shape == (len(plans),)
             for value, plan in zip(fast, plans):
                 slow = linalg.von_neumann_entropy(
@@ -290,20 +291,46 @@ class TestWorkspaceAgainstReferencePath:
                 ) - linalg.von_neumann_entropy(state.rho)
                 assert abs(value - slow) <= 1e-10, (state.register.dims, measured)
 
-    @pytest.mark.parametrize("read", ["negativity_at", "deficit_at"],
+    @pytest.mark.parametrize("negativity", [True, False],
                              ids=["neg_objective", "deficit_objective"])
-    def test_rows_independent_of_batch(self, read):
+    def test_rows_independent_of_batch(self, negativity):
         # the lockstep optimizer follows each restart's serial path only if
         # a row's value does not depend on the batch that carries it
         rng = make_rng(7)
         for k, (labels, dims, measured) in enumerate(self.SHAPES):
             ws = workspace_on(random_mixed(Register(labels, dims), rank=2, seed=k), measured)
-            fun = composed(ws, read)
+            fun = ws.objective(negativity)
             for rows in (2, 7, 64, 150):
                 params = rng.normal(size=(rows, ws.param_len))
                 batch = fun(params)
                 alone = np.array([fun(row[None])[0] for row in params])
                 assert np.array_equal(batch, alone), (dims, measured, rows)
+
+    @pytest.mark.parametrize("dims, measured", [
+        ((2,), "S"), ((2, 2), "A"), ((2, 2), "B"), ((2, 3), "A"),
+        ((2, 2, 2), "A"), ((2, 2, 2), "B"), ((2, 2, 2), "C"),
+    ])
+    def test_one_qubit_edge_rows(self, dims, measured):
+        # z = 0 (exp(iH) = I), z real, z imaginary, signed zeros and |z|
+        # far below one, at every rank, in both layouts: against the dense
+        # oracles, and the same bits in a batch as one row at a time
+        reg = Register(("S",) if len(dims) == 1 else tuple("ABC"[: len(dims)]), dims)
+        params = np.array([[0.0, 0.0], [0.7, 0.0], [0.0, -1.3], [-0.0, 0.0], [0.0, -0.0],
+                           [1e-200, 0.0], [0.0, 1e-200], [-1e-200, 1e-200]])
+        for rank in range(1, reg.total_dim + 1):
+            rho = random_mixed(reg, rank=rank, seed=rank).rho
+            factor = _Workspace(reg, None, (measured,), factor=exact_factor(rho, rank))
+            for ws in (_Workspace(reg, rho, (measured,)), factor):
+                for negativity, oracle in ((True, oracles.q_negativity_at),
+                                           (False, oracles.deficit_at)):
+                    fun = ws.objective(negativity)
+                    values = fun(params)
+                    where = (rank, ws is factor, negativity)
+                    assert np.array_equal(values, [fun(row[None])[0] for row in params]), where
+                    for value, row in zip(values, params):
+                        bases = [b.vectors for b in ws.bases(row)]
+                        dense = oracle(rho, list(dims), [reg.index(measured)], bases)
+                        assert abs(value - dense) <= 1e-12, where
 
 
 class TestApparatusNegativity:
@@ -341,7 +368,7 @@ class TestApparatusNegativity:
         # rounding size, which the clamp maps to 0.0 as negativity() does
         state = random_mixed(Register(("S",), (d,)), rank=d, seed=d)
         plan = MeasurementPlan(("S",), (LocalBasis("S", np.linalg.eigh(state.rho)[1]),))
-        raw = workspace_on(state, ("S",)).negativity_at([np.conj(plan.bases[0].vectors).T[None]])
+        raw = workspace_on(state, ("S",))._read(linalg.dagger(plan.bases[0].vectors)[None], True)
         assert 0.0 < raw[0] < CLAMP
         assert apparatus_negativity(state.register, state.rho, plan) == 0.0
         assert plan_negativity(state, plan) == 0.0
@@ -384,15 +411,13 @@ class TestFactorRead:
         block = _Workspace(reg, rho, measured)
         factor = _Workspace(reg, None, measured, factor=f)
         params = make_rng(reg.total_dim + f.shape[1]).normal(size=(rows, block.param_len))
-        u_dag = block._unitaries_dag(params)
         idx = [reg.index(lab) for lab in measured]
-        for read, oracle in (("negativity_at", oracles.q_negativity_at),
-                             ("deficit_at", oracles.deficit_at)):
-            fast = getattr(factor, read)(u_dag)
-            assert np.max(np.abs(fast - getattr(block, read)(u_dag))) <= 1e-12, read
+        for negativity, oracle in ((True, oracles.q_negativity_at), (False, oracles.deficit_at)):
+            fast = factor.objective(negativity)(params)
+            assert np.max(np.abs(fast - block.objective(negativity)(params))) <= 1e-12, negativity
             for value, row in zip(fast, params):
                 dense = oracle(rho, list(reg.dims), idx, [b.vectors for b in block.bases(row)])
-                assert abs(value - dense) <= 1e-12, read
+                assert abs(value - dense) <= 1e-12, negativity
 
     @pytest.mark.parametrize("dims, measured", ORACLE_SHAPES)
     def test_every_rank_on_oracle_shapes(self, dims, measured):
@@ -436,56 +461,29 @@ class TestFactorRead:
         assert f.shape == (8, 1)
         block = _Workspace(reg, rho, ("A",))
         factor = _Workspace(reg, None, ("A",), factor=f)
-        u_dag = block._unitaries_dag(make_rng(10).normal(size=(4, block.param_len)))
-        for read in ("negativity_at", "deficit_at"):
-            fast, slow = getattr(factor, read)(u_dag), getattr(block, read)(u_dag)
-            assert np.max(np.abs(fast - slow)) <= 1e-9, read
+        params = make_rng(10).normal(size=(4, block.param_len))
+        for negativity in (True, False):
+            fast, slow = factor.objective(negativity)(params), block.objective(negativity)(params)
+            assert np.max(np.abs(fast - slow)) <= 1e-9, negativity
 
-    @pytest.mark.parametrize("read", ["negativity_at", "deficit_at"])
+    @pytest.mark.parametrize("negativity", [True, False], ids=["negativity_at", "deficit_at"])
     @pytest.mark.parametrize("rank", [1, 2, 3])
-    def test_rows_independent_of_batch(self, read, rank):
+    def test_rows_independent_of_batch(self, negativity, rank):
         rng = make_rng(8)
         for dims, measured in (((3, 3), "A"), ((2, 2, 2, 2), "A"), ((2, 3, 2), "CA")):
             reg = Register(tuple("ABCD"[: len(dims)]), dims)
             rho = random_mixed(reg, rank=rank, seed=rank).rho
             ws = _Workspace(reg, None, tuple(measured), factor=exact_factor(rho, rank))
-            fun = composed(ws, read)
+            fun = ws.objective(negativity)
             for rows in (2, 7, 64):
                 params = rng.normal(size=(rows, ws.param_len))
                 alone = np.array([fun(row[None])[0] for row in params])
                 assert np.array_equal(fun(params), alone), (dims, measured, rows)
 
 
-class TestFusedQubitStep:
-    """On a chart of one measured qubit the optimizer's objective is the fused
-    step, equal to the general decode-then-read, bit for bit, in both layouts."""
-
-    SHAPES = [((2,), "S"), ((2, 2), "A"), ((2, 2), "B"), ((2, 3), "A"),
-              ((2, 2, 2), "A"), ((2, 2, 2), "B"), ((2, 2, 2), "C")]
-
-    @pytest.mark.parametrize("dims, measured", SHAPES)
-    def test_matches_the_general_read(self, dims, measured):
-        reg = Register(("S",) if len(dims) == 1 else tuple("ABC"[: len(dims)]), dims)
-        rng = make_rng(reg.total_dim)
-        for rank in range(1, reg.total_dim + 1):
-            rho = random_mixed(reg, rank=rank, seed=rank).rho
-            factor = _Workspace(reg, None, (measured,), factor=exact_factor(rho, rank))
-            for ws in (_Workspace(reg, rho, (measured,)), factor):
-                params = rng.normal(size=(5, 2))
-                params[0] = 0.0  # z = 0, exp(iH) = I
-                params[1, 1] = params[2, 0] = 0.0  # z real, z imaginary
-                for read in ("negativity_at", "deficit_at"):
-                    fused = ws.objective(read == "negativity_at")
-                    values = fused(params)
-                    alone = np.array([fused(row[None])[0] for row in params])
-                    where = (rank, ws._factor is not None, read)
-                    assert np.array_equal(values, composed(ws, read)(params)), where
-                    assert np.array_equal(values, alone), where
-
-
 class TestRoutes:
     """``_minimum_over_bases`` reads low-rank inputs off a factor and the rest
-    off the blocks, and one measured qubit through the fused step."""
+    off the blocks."""
 
     CFG = OptimizerConfig(restarts=2, max_iter=20)
 
@@ -506,38 +504,6 @@ class TestRoutes:
         monkeypatch.setattr(_Workspace, "_factor_r", self.never)
         self.run_both(random_mixed(default_register(2), rank=4, seed=5), ("A",))
         self.run_both(random_mixed(Register(("A", "B"), (3, 3)), rank=4, seed=5), ("A",))
-
-    def test_one_measured_qubit_skips_the_decode(self, monkeypatch):
-        # the optimizer reads a chart of one measured qubit without
-        # _unitaries_dag, off block rows or the factor; every other chart
-        # still decodes.  bases() decodes the winner after the optimization,
-        # so the decode is refused only inside _optimize
-        optimize = quantumness._optimize
-
-        def no_decode(*args):
-            with monkeypatch.context() as m:
-                m.setattr(_Workspace, "_unitaries_dag", self.never)
-                return optimize(*args)
-
-        monkeypatch.setattr(quantumness, "_optimize", no_decode)
-        fused = [
-            (random_mixed(default_register(2), rank=4, seed=5), ("A",), "_factor_r"),
-            (random_mixed(default_register(2), rank=4, seed=5), ("B",), "_factor_r"),
-            (random_mixed(default_register(3), rank=4, seed=5), ("B",), "_factor_r"),
-            (random_pure(default_register(2), 4), ("A",), "_stacked"),
-        ]
-        for state, measured, other_layout in fused:
-            with monkeypatch.context() as m:
-                m.setattr(_Workspace, other_layout, self.never)
-                self.run_both(state, measured)
-        decoded = [
-            (random_mixed(default_register(2), rank=4, seed=5), ("A", "B")),
-            (random_mixed(Register(("A", "B"), (3, 3)), rank=4, seed=5), ("A",)),
-        ]
-        for state, measured in decoded:
-            for measure in (q_negativity, deficit):
-                with pytest.raises(AssertionError, match="must not run"):
-                    measure(state, measured, self.CFG)
 
     @pytest.mark.parametrize("tracked", [False, True], ids=["untracked", "tracked-optimized"])
     def test_chain_reads_its_factor(self, monkeypatch, tracked):
@@ -673,11 +639,11 @@ class TestOptimizeAgainstSerialScipy:
     when any restart converged, one more scipy run from the winner's point,
     kept if strictly lower."""
 
-    def check_against_serial(self, ws, cfg, objective=None):
-        """Assert _optimize on ``objective``, by default the composed negativity
-        read, matches the serial reference; return whether a restart converged
-        (so a polish ran) and whether it lowered the winner."""
-        objective = objective or composed(ws, "negativity_at")
+    def check_against_serial(self, ws, cfg):
+        """Assert _optimize on the negativity objective of ``ws`` matches the
+        serial reference; return whether a restart converged (so a polish
+        ran) and whether it lowered the winner."""
+        objective = ws.objective(True)
         value, best_x, restart_values, converged = _optimize(objective, ws.param_len, cfg)
         # Gao-Han coefficients unless one qubit is measured
         adaptive = ws.param_len > 2
@@ -708,16 +674,6 @@ class TestOptimizeAgainstSerialScipy:
         assert converged
         assert polished == (len(measured) == 2)
 
-    @pytest.mark.parametrize("negativity", [True, False], ids=["negativity", "deficit"])
-    def test_fused_objective_matches_serial_restarts(self, negativity):
-        # the objective _minimum_over_bases builds on (2,2)/A: the fused step
-        ws = workspace_on(random_mixed(default_register(2), rank=2, seed=21), ("A",))
-        converged, polished = self.check_against_serial(
-            ws, OptimizerConfig(restarts=4, seed=5), ws.objective(negativity)
-        )
-        assert converged
-        assert not polished
-
     def test_no_polish_without_a_converged_restart(self):
         ws = workspace_on(random_mixed(default_register(2), rank=2, seed=18), ("A", "B"))
         converged, _ = self.check_against_serial(ws, OptimizerConfig(restarts=4, seed=5))
@@ -728,7 +684,7 @@ class TestOptimizeAgainstSerialScipy:
         # max_iter at 0.585, and the polish from its point reaches 0.425
         ws = workspace_on(random_mixed(default_register(2), rank=2, seed=8), ("A", "B"))
         value, _, restart_values, converged = _optimize(
-            composed(ws, "negativity_at"), ws.param_len, OptimizerConfig(restarts=4, seed=5)
+            ws.objective(True), ws.param_len, OptimizerConfig(restarts=4, seed=5)
         )
         assert converged
         assert value < 0.43
@@ -757,19 +713,9 @@ class TestChunkedRestarts:
     def workspace(self, seed):
         # restart 65 wins; restarts of both chunks converge
         ws = workspace_on(random_mixed(default_register(2), rank=2, seed=39), ("A",))
-        return composed(ws, "negativity_at"), ws.param_len, 80
-
-    def fused_negativity(self, seed):
-        # the fused objective on the same state: restart 65 wins again
-        ws = workspace_on(random_mixed(default_register(2), rank=2, seed=39), ("A",))
         return ws.objective(True), ws.param_len, 80
 
-    def fused_deficit(self, seed):
-        # restart 68 wins; restarts of both chunks converge
-        ws = workspace_on(random_mixed(default_register(2), rank=2, seed=105), ("A",))
-        return ws.objective(False), ws.param_len, 80
-
-    @pytest.mark.parametrize("case", ["bowl", "workspace", "fused_negativity", "fused_deficit"])
+    @pytest.mark.parametrize("case", ["bowl", "workspace"])
     def test_chunks_match_one_minimize_call(self, case, monkeypatch):
         seed = 3
         objective, n, max_iter = getattr(self, case)(seed)
@@ -896,8 +842,7 @@ class TestQNegativity:
         def never(*args):
             raise AssertionError("objective evaluated")
 
-        monkeypatch.setattr(_Workspace, "negativity_at", never)
-        monkeypatch.setattr(_Workspace, "deficit_at", never)
+        monkeypatch.setattr(_Workspace, "_read", never)
         for fn in (q_negativity, deficit):
             with pytest.raises(InvariantError, match="duplicate"):
                 fn(bell_state(), ("A", "A"), FAST)
