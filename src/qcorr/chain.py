@@ -24,6 +24,7 @@ argmin on the current state) or "flag-copy" (computational basis, copying
 the previous record).  ``ChainConfig`` checks every link before any runs.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,13 +41,10 @@ from .quantumness import (
     _Workspace,
     apparatus_negativity,
 )
-from .states import LabeledState, LocalBasis, _integer, computational_basis, random_basis, spawn_rng
+from .states import LabeledState, LocalBasis, _integer, computational_basis, make_rng, random_basis
 
 FLAG_COPY = "flag-copy"
 OPTIMIZED = "optimized"
-
-TRACK_NEGATIVITY = "negativity"
-TRACK_QUANTUMNESS = "quantumness"
 
 # Apparatus negativity above which a measurement basis counts as entangling.
 _ENTANGLING_TOL = 1e-9
@@ -64,14 +62,14 @@ class LinkSpec:
 class ChainConfig:
     """A chain to run; each link's basis, target and new register are checked when built.
 
-    ``track`` may hold "quantumness", which adds q_negativity on each new
-    apparatus to its row, and "negativity", which changes nothing: every row
-    carries the link entanglement, which break rows and ``monotone`` read.
+    Every row carries the link entanglement, which break rows and
+    ``monotone`` read; ``track_quantumness`` adds q_negativity on each new
+    apparatus to its row.
     """
 
     initial: LabeledState
     links: tuple
-    track: frozenset = frozenset({TRACK_NEGATIVITY})
+    track_quantumness: bool = False
     q_cfg: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
@@ -79,9 +77,8 @@ class ChainConfig:
             raise InvariantError(f"a chain starts from a LabeledState, got {self.initial!r}")
         if not self.links:
             raise InvariantError("a chain needs at least one link")
-        tracks = {TRACK_NEGATIVITY, TRACK_QUANTUMNESS}
-        if not isinstance(self.track, (set, frozenset)) or not self.track <= tracks:
-            raise InvariantError(f"track must be a set within {sorted(tracks)}, got {self.track!r}")
+        if not isinstance(self.track_quantumness, bool):
+            raise InvariantError(f"track_quantumness must be a bool, got {self.track_quantumness!r}")
         if not isinstance(self.q_cfg, OptimizerConfig):
             raise InvariantError(f"q_cfg must be an OptimizerConfig, got {self.q_cfg!r}")
         reg = self.initial.register
@@ -105,12 +102,37 @@ class ChainRow:
     break_negativity: float = None
 
 
+class _Final(Mapping):
+    """Read-only entries and "final_state", the state f f^dag on ``reg``, formed on first read.
+
+    The keys are fixed when built, so ``in``, ``len`` and iteration form nothing.
+    """
+
+    def __init__(self, reg, f, **entries):
+        self._reg, self._f, self._entries = reg, f, entries
+        self._keys = (*entries, "final_state")
+
+    def __getitem__(self, key):
+        if key == "final_state" and key not in self._entries:
+            self._entries[key] = LabeledState(self._reg, self._f @ linalg.dagger(self._f))
+        return self._entries[key]
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
 @dataclass(frozen=True)
 class ChainReport:
     """The per-link rows; ``final_state`` is formed from the chain's factor on first read."""
 
     rows: tuple
-    _final: dict = field(repr=False)
+    _final: _Final = field(repr=False)
 
     @property
     def final_state(self):
@@ -122,19 +144,6 @@ class ChainReport:
     def monotone(self):
         e = self.entanglement_sequence()
         return all(e[j + 1] >= e[j] - MONOTONE_TOL for j in range(len(e) - 1))
-
-
-class _Final(dict):
-    """A dict whose "final_state" entry, the state f f^dag on ``reg``, is formed on first read."""
-
-    def __init__(self, reg, f, **entries):
-        super().__init__(entries)
-        self._reg, self._f = reg, f
-
-    def __missing__(self, key):
-        if key != "final_state":
-            raise KeyError(key)
-        return self.setdefault(key, LabeledState(self._reg, self._f @ linalg.dagger(self._f)))
 
 
 def _link(reg, f, target, u):
@@ -154,7 +163,7 @@ def _q_negativity(reg, f, label, cfg):
 def run_chain(cfg):
     """Execute the chain and assemble the per-link report."""
     reg, f = cfg.initial.register, _factor(cfg.initial.rho)
-    tracked = TRACK_QUANTUMNESS in cfg.track
+    tracked = cfg.track_quantumness
     links = []  # [link, target, apparatus, entanglement, quantumness, break_negativity]
     for j, spec in enumerate(cfg.links, start=1):
         labels = [spec.target] if spec.basis == OPTIMIZED else []
@@ -223,7 +232,7 @@ def chain_gme_propagation(initial, links, seed=0):
         raise InvariantError("chain_gme_propagation requires a pure initial state")
     _integer(links, "chain_gme_propagation links", low=1)
     _integer(seed, "chain_gme_propagation seed", low=0)
-    rng = spawn_rng(seed, 0)
+    rng = make_rng(seed, 0)
     reg, f = initial.register, _factor(initial.rho)
     flags = []
     for _ in range(links):

@@ -11,11 +11,9 @@ import numpy as np
 
 from .errors import InvariantError
 
-# Tolerance ladder: exact-arithmetic-level structure, spectral positivity,
-# iterative/reconstruction error.
+# Tolerance ladder: exact-arithmetic-level structure, spectral positivity.
 TOL_STRUCT = 1e-12
 TOL_PSD = 1e-10
-TOL_RECON = 1e-9
 
 # Eigenvalues below this are treated as exactly zero in entropies.
 EIG_ZERO = 1e-12

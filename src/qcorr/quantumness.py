@@ -38,7 +38,7 @@ from . import linalg
 from .entanglement import CLAMP, _factor
 from .errors import InvariantError
 from .premeasure import _measured_subset
-from .states import SYSTEM, LocalBasis, _integer, spawn_rng
+from .states import SYSTEM, LocalBasis, _integer, make_rng
 
 NEGATIVITY_OF_QUANTUMNESS = "negativity_of_quantumness"
 ONE_WAY_DEFICIT = "one_way_deficit"
@@ -508,16 +508,15 @@ def _optimize(objective, param_len, cfg):
     """Multi-start Nelder-Mead with the restarts advancing in lockstep.
 
     Restart 0 starts at zero parameters, restart r > 0 at a normal draw
-    from ``spawn_rng(cfg.seed, r)``.  The restarts run through ``minimize``
-    in chunks of at most ``LOCKSTEP_ROWS``, each chunk's starts drawn when it
-    runs, which bounds the batch memory, and each restart's path is the one
-    scipy's Nelder-Mead would take from its start alone.  The first strict
-    minimum wins.  ``converged`` is True when any restart stopped on its
+    from ``make_rng(cfg.seed, r)``, the stream of sub-task r of the seed.
+    The restarts run through ``minimize`` in chunks of at most
+    ``LOCKSTEP_ROWS``, each chunk's starts drawn when it runs, which bounds
+    the batch memory, and each restart's path is the one scipy's Nelder-Mead
+    would take from its start alone.  The first strict minimum wins.  ``converged`` is True when any restart stopped on its
     tolerances before ``max_iter``; then the winner, which may have stalled
     on a collapsed simplex or been cut at ``max_iter``, gets one more run
     from its point with a fresh simplex, kept if strictly lower.  With no
-    restart converged, the budget is not
-    extended.
+    restart converged, the budget is not extended.
     """
     def run(x0s):  # Gao-Han coefficients unless one qubit is measured
         return minimize(objective, x0s, max_iter=cfg.max_iter, xatol=1e-6, fatol=cfg.tol,
@@ -526,7 +525,7 @@ def _optimize(objective, param_len, cfg):
     def starts(k):  # the chunk of restarts from k on
         x0s = np.zeros((min(LOCKSTEP_ROWS, cfg.restarts - k), param_len))
         for r in range(max(k, 1), k + len(x0s)):
-            x0s[r - k] = spawn_rng(cfg.seed, r).normal(scale=1.0, size=param_len)
+            x0s[r - k] = make_rng(cfg.seed, r).normal(scale=1.0, size=param_len)
         return x0s
 
     chunks = [run(starts(k)) for k in range(0, cfg.restarts, LOCKSTEP_ROWS)]

@@ -16,14 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import (
-    FLAG_COPY,
-    OPTIMIZED,
-    TRACK_NEGATIVITY,
-    TRACK_QUANTUMNESS,
-    ChainConfig,
-    LinkSpec,
-)
+from .chain import FLAG_COPY, OPTIMIZED, ChainConfig, LinkSpec
 from .errors import InvariantError, ParseError, UsageError
 from .quantumness import OptimizerConfig
 from .states import LabeledState, LocalBasis, Register, _integer
@@ -169,17 +162,14 @@ def chain_config_from_json(obj, where="chain config", seed=0):
                 f"or an explicit basis object"
             )
         links.append(LinkSpec(target, basis))
-    track = obj.get("track", [TRACK_NEGATIVITY])
-    if not isinstance(track, list) or any(
-        t not in (TRACK_NEGATIVITY, TRACK_QUANTUMNESS) for t in track
-    ):
+    # "negativity" is accepted and changes nothing: every row carries the link entanglement
+    track = obj.get("track", [])
+    if not isinstance(track, list) or any(t not in ("negativity", "quantumness") for t in track):
         raise ParseError(
-            f"{where}: 'track' must be a list of {TRACK_NEGATIVITY!r} and "
-            f"{TRACK_QUANTUMNESS!r}, got {track!r}"
+            f"{where}: 'track' must be a list of 'negativity' and 'quantumness', got {track!r}"
         )
-    track = frozenset(track)
     q_cfg = optimizer_from_json(obj.get("optimizer"), seed_default=seed)
-    return ChainConfig(state, tuple(links), track, q_cfg)
+    return ChainConfig(state, tuple(links), "quantumness" in track, q_cfg)
 
 
 def load_json(path):

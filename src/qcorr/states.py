@@ -185,21 +185,27 @@ def default_register(n, d=2):
 
 # ---------------------------------------------------------------------------
 # Random number generation.  Philox is a 64-bit counter-based generator with
-# published constants; streams are reproducible from (seed, task) pairs.
+# published constants; every stream and child seed comes from one
+# SeedSequence(seed, spawn_key=key), so each (seed, key) pair is reproducible
+# and independent of every other key.
 # ---------------------------------------------------------------------------
 
-def make_rng(seed):
+def _seed_sequence(seed, key):
+    """SeedSequence(seed, spawn_key=key), the seed and each key checked as non-negative integers."""
     _integer(seed, "seed", low=0)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    key = tuple(int(_integer(k, "seed key", low=0)) for k in key)
+    return np.random.SeedSequence(seed, spawn_key=key)
 
 
-def spawn_rng(seed, task):
-    """Independent stream for a numbered sub-task of a seeded run."""
-    _integer(seed, "seed", low=0)
-    _integer(task, "task", low=0)
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(int(task),)))
-    )
+def make_rng(seed, *key):
+    """The Philox stream of ``seed``, or of the numbered sub-task ``key`` of a seeded run."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, key)))
+
+
+def derive_seed(seed, *key):
+    """Deterministic 64-bit child seed for the numbered sub-task ``key``."""
+    state = _seed_sequence(seed, key).generate_state(2, dtype=np.uint32)
+    return int(state.view(np.uint64)[0])
 
 
 def complex_gaussian(rng, shape):

@@ -39,7 +39,9 @@ from .states import (
     _integer,
     apparatus_label,
     classical_quantum_state,
+    complex_gaussian,
     default_register,
+    derive_seed,
     ghz_state,
     make_rng,
     pure_state,
@@ -78,14 +80,6 @@ def _check_counts(samples, seed, error=InvariantError):
     """Refuse a sample count below 1 or a seed below 0, or either not an integer."""
     _integer(samples, "samples", error, low=1)
     _integer(seed, "seed", error, low=0)
-
-
-def derive_seed(seed, *key):
-    """Deterministic 64-bit child seed for a numbered sub-task."""
-    _integer(seed, "seed", low=0)
-    key = tuple(int(_integer(k, "seed key", low=0)) for k in key)
-    ss = np.random.SeedSequence(seed, spawn_key=key)
-    return int(ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0])
 
 
 def _random_two_qubit_mixed(seed, t):
@@ -134,7 +128,7 @@ def _random_cc_state(seed, t):
     probs = rng.dirichlet((1.0, 1.0))
     conds = []
     for _ in range(2):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        g = complex_gaussian(rng, (2, 2))
         c = g @ np.conj(g).T
         conds.append(c / np.trace(c))
     return classical_quantum_state(probs, basis, conds)

@@ -11,7 +11,6 @@ from qcorr.chain import (
     FLAG_COPY,
     OPTIMIZED,
     LinkSpec,
-    TRACK_QUANTUMNESS,
     chain_gme_propagation,
     eigenbasis_criterion,
     run_chain,
@@ -24,6 +23,7 @@ from qcorr.states import (
     LabeledState,
     LocalBasis,
     Register,
+    apparatus_label,
     bell_state,
     computational_basis,
     default_register,
@@ -33,7 +33,6 @@ from qcorr.states import (
     random_basis,
     random_mixed,
     random_pure,
-    spawn_rng,
     w_state,
 )
 
@@ -85,24 +84,29 @@ class TestEigenbasisCriterion:
         assert out["entanglement"] == pytest.approx(0.25, abs=1e-12)
 
 
-def chain_labels(n):
-    labels = ["S"]
+def chain_labels(n, first="S"):
+    """``first`` and the n - 1 apparatuses after it, each measuring the one before."""
+    labels = [first]
     for _ in range(n - 1):
-        labels.append("M:" + labels[-1])
+        labels.append(apparatus_label(labels[-1]))
     return labels
 
 
-def dense_link_values(initial, links):
-    """Each link's system:apparatus negativity off the dense pre-measurement state."""
-    state, values = initial, []
+def dense_levels(initial, links):
+    """The dense state after each link, one ``premeasure`` per link."""
+    state = initial
     for spec in links:
         basis = spec.basis
         if not isinstance(basis, LocalBasis):  # flag-copy
             basis = computational_basis(spec.target, state.register.dim(spec.target))
-        n = state.register.n
         state = premeasure(state, MeasurementPlan((spec.target,), (basis,)))
-        values.append(negativity(state, BipartitionCut(tuple(range(n)), (n,))))
-    return values
+        yield state
+
+
+def link_value(state):
+    """The negativity of ``state`` across (everything else):(its newest apparatus)."""
+    n = state.register.n
+    return negativity(state, BipartitionCut(tuple(range(n - 1)), (n - 1,)))
 
 
 def dense_break_rows(report, n0):
@@ -172,36 +176,27 @@ def tracked_optimized_chain(n_links):
     """A tracked chain of ``n_links`` optimized links, each measuring the previous apparatus."""
     state = random_mixed(Register(("S",), (2,)), rank=2, seed=4)
     links = tuple(LinkSpec(lab, OPTIMIZED) for lab in chain_labels(n_links))
-    return ChainConfig(state, links, frozenset({TRACK_QUANTUMNESS}), FAST_Q)
-
-
-def dense_final_state(initial, links):
-    state = initial
-    for spec in links:
-        basis = spec.basis
-        if not isinstance(basis, LocalBasis):  # flag-copy
-            basis = computational_basis(spec.target, state.register.dim(spec.target))
-        state = premeasure(state, MeasurementPlan((spec.target,), (basis,)))
-    return state
+    return ChainConfig(state, links, True, FAST_Q)
 
 
 class TestRunChain:
     def test_panel_matches_dense_oracles(self):
         for state, links, tol in oracle_panel():
             report = run_chain(ChainConfig(state, links))
-            dense = dense_link_values(state, links)
+            levels = list(dense_levels(state, links))
+            dense = [link_value(level) for level in levels]
             assert np.max(np.abs(np.subtract(report.entanglement_sequence(), dense))) <= tol
             breaks = [r.break_negativity for r in report.rows[:-1]]
             oracle = dense_break_rows(report, state.register.n)
             assert np.max(np.abs(np.subtract(breaks, oracle))) <= tol
-            final = dense_final_state(state, links)
+            final = levels[-1]
             assert report.final_state.register == final.register
             assert np.max(np.abs(report.final_state.rho - final.rho)) <= tol
 
     def test_optimized_link_with_tracked_quantumness(self):
         state = random_mixed(default_register(2), rank=2, seed=3)
         links = (LinkSpec("B", OPTIMIZED), LinkSpec("M:B"), LinkSpec("M:M:B", OPTIMIZED))
-        report = run_chain(ChainConfig(state, links, frozenset({TRACK_QUANTUMNESS}), FAST_Q))
+        report = run_chain(ChainConfig(state, links, True, FAST_Q))
         # dense replay: optimize, read and track on each dense premeasured state
         for spec, row in zip(links, report.rows):
             if spec.basis == FLAG_COPY:
@@ -230,7 +225,7 @@ class TestRunChain:
     def test_link_values_match_dense_oracle(self, flag_copy):
         for state, links in seven_link_chains(flag_copy):
             report = run_chain(ChainConfig(state, links))
-            dense = dense_link_values(state, links)
+            dense = [link_value(level) for level in dense_levels(state, links)]
             assert np.max(np.abs(np.subtract(report.entanglement_sequence(), dense))) <= 1e-12
 
     @pytest.mark.parametrize("flag_copy", [False, True])
@@ -280,13 +275,13 @@ class TestRunChain:
             ChainConfig(initial, (LinkSpec("B"),))
 
     def test_misspelled_track_refused(self):
-        with pytest.raises(InvariantError, match="track must be a set"):
-            ChainConfig(bell_state(), (LinkSpec("B"),), track=frozenset({"quantumnes"}))
+        with pytest.raises(InvariantError, match="track_quantumness must be a bool"):
+            ChainConfig(bell_state(), (LinkSpec("B"),), track_quantumness="quantumnes")
 
-    def test_track_must_be_a_set(self):
-        # a string would track quantumness through a substring match
-        with pytest.raises(InvariantError, match="track must be a set"):
-            ChainConfig(bell_state(), (LinkSpec("B"),), track=TRACK_QUANTUMNESS)
+    @pytest.mark.parametrize("track", ["quantumness", frozenset({"quantumness"}), 1, None])
+    def test_track_quantumness_must_be_a_bool(self, track):
+        with pytest.raises(InvariantError, match="track_quantumness must be a bool"):
+            ChainConfig(bell_state(), (LinkSpec("B"),), track_quantumness=track)
 
     def test_links_must_be_link_specs(self):
         with pytest.raises(InvariantError, match="chain links must be LinkSpecs"):
@@ -296,7 +291,8 @@ class TestRunChain:
         links = tuple(LinkSpec(lab) for lab in chain_labels(4))
         report = run_chain(ChainConfig(single_qubit_state(0.3), links))
         assert report.entanglement_sequence() == [0.0] * 4
-        assert dense_link_values(single_qubit_state(0.3), links) == [0.0] * 4
+        dense = dense_levels(single_qubit_state(0.3), links)
+        assert [link_value(level) for level in dense] == [0.0] * 4
 
     def test_bell_flag_copy_chain(self):
         cfg = ChainConfig(
@@ -334,7 +330,7 @@ class TestRunChain:
         cfg = ChainConfig(
             initial=bell_state(),
             links=(LinkSpec("B"),),
-            track=frozenset({"negativity", TRACK_QUANTUMNESS}),
+            track_quantumness=True,
             q_cfg=FAST_Q,
         )
         report = run_chain(cfg)
@@ -452,6 +448,18 @@ class TestDensityChecks:
         with pytest.raises(KeyError):
             out["final"]
 
+    def test_gme_propagation_keys_are_fixed_before_the_final_state_read(self, monkeypatch):
+        initial = ghz_state(3)
+        calls = self.counted(monkeypatch)
+        out = chain_gme_propagation(initial, 2, seed=1)
+        assert "final_state" in out and "final" not in out
+        assert list(out) == ["per_step", "final_state"] and len(out) == 2
+        assert len(calls) == 0
+        final = out.get("final_state")
+        assert final is out["final_state"] and final.register.n == 5 and len(calls) == 1
+        with pytest.raises(TypeError):
+            out["final_state"] = None
+
 
 class TestGmePropagation:
     def test_ghz_chain(self):
@@ -511,7 +519,8 @@ class TestGmePropagation:
     def test_matches_dense_replay(self, make, links, seed):
         initial = make()
         out = chain_gme_propagation(initial, links, seed=seed)
-        flags, final = dense_gme_replay(initial, links, seed)
+        levels = list(dense_levels(initial, gme_links(initial, links, seed)))
+        flags, final = [pure_gme_test(level) for level in levels], levels[-1]
         assert out["per_step"] == flags
         assert out["final_state"].register == final.register
         assert np.max(np.abs(out["final_state"].rho - final.rho)) <= 1e-13
@@ -520,8 +529,9 @@ class TestGmePropagation:
         # the positive eigenvalues of the psi/q state sum to 1 + 5e-11
         state = psi_q_state()
         out = chain_gme_propagation(state, 3, seed=1)
-        flags, final = dense_gme_replay(state, 3, 1)
-        assert out["per_step"] == flags
+        levels = list(dense_levels(state, gme_links(state, 3, 1)))
+        assert out["per_step"] == [pure_gme_test(level) for level in levels]
+        final = levels[-1]
         assert np.max(np.abs(out["final_state"].rho - final.rho)) <= 1e-9
 
     def test_nearly_pure_inputs_keep_their_flags(self):
@@ -529,7 +539,8 @@ class TestGmePropagation:
         for state, gme in ((nearly_pure(ghz_state(3)), True), (nearly_pure(w_state(3)), True)):
             assert _pure_vector(state.rho) is None
             out = chain_gme_propagation(state, 3, seed=11)
-            assert out["per_step"] == dense_gme_replay(state, 3, 11)[0]
+            dense = dense_levels(state, gme_links(state, 3, 11))
+            assert out["per_step"] == [pure_gme_test(level) for level in dense]
             assert [step["gme"] for step in out["per_step"]] == [gme] * 3
 
     def test_builds_no_dense_premeasurement(self, monkeypatch):
@@ -584,13 +595,9 @@ def nearly_pure(state, eps=1e-10):
     return LabeledState(state.register, (1 - eps) * state.rho + eps * np.eye(d) / d)
 
 
-def dense_gme_replay(initial, links, seed):
-    """Per-step GME verdicts and final state off dense premeasure, with the same draws."""
-    rng = spawn_rng(seed, 0)
-    state, flags = initial, []
-    for _ in range(links):
-        target = state.register.labels[-1]
-        basis = random_basis(target, state.register.dim(target), rng)
-        state = premeasure(state, MeasurementPlan((target,), (basis,)))
-        flags.append(pure_gme_test(state))
-    return flags, state
+def gme_links(initial, links, seed):
+    """``chain_gme_propagation``'s links as LinkSpecs, with the same basis draws."""
+    rng = make_rng(seed, 0)
+    d = initial.dims[-1]
+    return [LinkSpec(lab, random_basis(lab, d, rng))
+            for lab in chain_labels(links, initial.register.labels[-1])]

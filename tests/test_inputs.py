@@ -20,7 +20,6 @@ from qcorr.errors import InvariantError, ParseError
 from qcorr.locc import correction_unitary, fourier_unitary
 from qcorr.premeasure import MeasurementPlan
 from qcorr.quantumness import OptimizerConfig, apparatus_negativity, classify_cc
-from qcorr.suites import derive_seed
 from qcorr.states import (
     LocalBasis,
     Register,
@@ -28,6 +27,7 @@ from qcorr.states import (
     classical_quantum_state,
     computational_basis,
     default_register,
+    derive_seed,
     ghz_state,
     make_rng,
     pure_state,
@@ -35,7 +35,6 @@ from qcorr.states import (
     random_mixed,
     random_pure,
     random_unitary,
-    spawn_rng,
     w_state,
     werner_state,
 )
@@ -66,12 +65,12 @@ LIBRARY_CASES = {
                            "dimension must be an integer"),
     "werner-string": (lambda: werner_state("0.5"), "werner parameter must be a real number"),
     "werner-bool": (lambda: werner_state(True), "werner parameter must be a real number"),
-    "spawn-seed-negative": (lambda: spawn_rng(-1, 0), "seed must be at least 0"),
-    # a task or key that is not a non-negative integer would be truncated,
-    # or reach numpy's SeedSequence, which raises a bare ValueError
-    "spawn-task-negative": (lambda: spawn_rng(0, -1), "task must be at least 0"),
-    "spawn-task-float": (lambda: spawn_rng(0, 2.9), "task must be an integer"),
-    "spawn-task-bool": (lambda: spawn_rng(0, True), "task must be an integer"),
+    "make-rng-seed-negative": (lambda: make_rng(-1, 0), "seed must be at least 0"),
+    # a key that is not a non-negative integer would be truncated, or reach
+    # numpy's SeedSequence, which raises a bare ValueError
+    "make-rng-key-negative": (lambda: make_rng(0, -1), "seed key must be at least 0"),
+    "make-rng-key-float": (lambda: make_rng(0, 2.9), "seed key must be an integer"),
+    "make-rng-key-bool": (lambda: make_rng(0, True), "seed key must be an integer"),
     "derive-seed-negative": (lambda: derive_seed(-1, 0), "seed must be at least 0"),
     "derive-seed-key-negative": (lambda: derive_seed(0, -1), "seed key must be at least 0"),
     "derive-seed-key-float": (lambda: derive_seed(0, 1.5), "seed key must be an integer"),

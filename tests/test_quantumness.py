@@ -6,7 +6,7 @@ from scipy.optimize import minimize as scipy_minimize
 import oracles
 from test_premeasure import ORACLE_SHAPES
 from qcorr import chain, entanglement, linalg, quantumness
-from qcorr.chain import OPTIMIZED, TRACK_QUANTUMNESS, ChainConfig, LinkSpec, run_chain
+from qcorr.chain import OPTIMIZED, ChainConfig, LinkSpec, run_chain
 from qcorr.entanglement import CLAMP, BipartitionCut, negativity
 from qcorr.errors import InvariantError
 from qcorr.premeasure import MeasurementPlan, dephase, premeasure
@@ -38,7 +38,6 @@ from qcorr.states import (
     random_mixed,
     random_pure,
     random_unitary,
-    spawn_rng,
 )
 
 FAST = OptimizerConfig(restarts=6, max_iter=300, seed=0)
@@ -515,7 +514,7 @@ class TestRoutes:
         initial = random_mixed(chain_register(0), rank=2, seed=6)
         if tracked:
             links = tuple(LinkSpec(lab, OPTIMIZED) for lab in reg.labels)
-            cfg = ChainConfig(initial, links, frozenset({TRACK_QUANTUMNESS}), self.CFG)
+            cfg = ChainConfig(initial, links, True, self.CFG)
         else:
             cfg = ChainConfig(initial, tuple(LinkSpec(lab) for lab in reg.labels))
             monkeypatch.setattr(_Workspace, "_blocks", self.never)
@@ -649,7 +648,7 @@ class TestOptimizeAgainstSerialScipy:
         adaptive = ws.param_len > 2
         refs = []
         for r in range(cfg.restarts):
-            x0 = np.zeros(ws.param_len) if r == 0 else spawn_rng(cfg.seed, r).normal(size=ws.param_len)
+            x0 = np.zeros(ws.param_len) if r == 0 else make_rng(cfg.seed, r).normal(size=ws.param_len)
             refs.append(scipy_nelder_mead(objective, x0, cfg.max_iter, adaptive, cfg.tol))
         best = min(range(len(refs)), key=lambda r: (refs[r].fun, r))
         expected = [float(ref.fun) for ref in refs]
@@ -700,7 +699,7 @@ class TestChunkedRestarts:
     def starts(self, seed, n):
         x0s = np.zeros((self.RESTARTS, n))
         for r in range(1, self.RESTARTS):
-            x0s[r] = spawn_rng(seed, r).normal(size=n)
+            x0s[r] = make_rng(seed, r).normal(size=n)
         return x0s
 
     def bowl(self, seed):

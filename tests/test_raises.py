@@ -23,9 +23,8 @@ QCORR_ERRORS = {
 }
 
 # (module, function, raised name) allowed to raise something else: ``_integer``
-# raises the error class its caller passes, and a dict's ``__missing__`` must
-# raise KeyError.
-ALLOWED = {("states.py", "_integer", "error"), ("chain.py", "__missing__", "KeyError")}
+# raises the error class its caller passes.
+ALLOWED = {("states.py", "_integer", "error")}
 
 
 def foreign_raises(source, module):

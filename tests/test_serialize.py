@@ -143,6 +143,16 @@ class TestChainConfig:
         with pytest.raises(ParseError):
             serialize.chain_config_from_json(obj)
 
+    @pytest.mark.parametrize("track, tracked", [
+        (None, False), ([], False), (["negativity"], False),
+        (["quantumness"], True), (["negativity", "quantumness"], True),
+    ])
+    def test_track_list_sets_the_quantumness_flag(self, track, tracked):
+        obj = {"state": serialize.state_to_json(bell_state()), "links": [{"target": "B"}]}
+        if track is not None:
+            obj["track"] = track
+        assert serialize.chain_config_from_json(obj).track_quantumness is tracked
+
     @pytest.mark.parametrize("track", ["negativity", ["negativty"], ["negativity", 1], {}])
     def test_malformed_track(self, track):
         obj = {

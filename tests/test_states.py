@@ -14,6 +14,7 @@ from qcorr.states import (
     classical_quantum_state,
     computational_basis,
     default_register,
+    derive_seed,
     ghz_state,
     make_rng,
     pure_state,
@@ -21,7 +22,6 @@ from qcorr.states import (
     random_mixed,
     random_pure,
     random_unitary,
-    spawn_rng,
     w_state,
     werner_state,
 )
@@ -247,9 +247,18 @@ class TestRandom:
         assert not np.array_equal(a.rho, c.rho)
 
     def test_spawned_streams_differ(self):
-        x = spawn_rng(0, 0).normal(size=4)
-        y = spawn_rng(0, 1).normal(size=4)
+        x = make_rng(0, 0).normal(size=4)
+        y = make_rng(0, 1).normal(size=4)
         assert not np.array_equal(x, y)
+
+    @pytest.mark.parametrize("key", [(), (0,), (3,), (1, 2)])
+    def test_streams_and_child_seeds_come_from_one_seed_sequence(self, key):
+        for seed in (0, 7, 2**40):
+            ss = np.random.SeedSequence(seed, spawn_key=key)
+            expected = np.random.Generator(np.random.Philox(ss)).normal(size=5)
+            assert np.array_equal(make_rng(seed, *key).normal(size=5), expected)
+            word = ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0]
+            assert derive_seed(seed, *key) == int(word)
 
     def test_random_pure_is_pure(self):
         state = random_pure(default_register(2), seed=5)

@@ -8,9 +8,9 @@ import pytest
 
 from qcorr import suites
 from qcorr.errors import InvariantError, UsageError
+from qcorr.states import derive_seed
 from qcorr.suites import (
     SUITE_NAMES,
-    derive_seed,
     run_chain_monotone,
     run_locc_undo,
     run_pure_saturation,
