@@ -84,7 +84,7 @@ def cli():
 @cli.command("measure")
 @click.option("--state", required=True, type=click.Path())
 @click.option("--measure", required=True)
-@click.option("--cut", default=None, help='Bipartition like "A:B" or "A,B:C".')
+@click.option("--cut", default=None, help='Bipartition like "A:B", "A,B:C" or "A,B:M:A".')
 @click.option("--measured", default=None, help="Comma-separated measured labels (Q measures).")
 @_optimizer_options
 @click.option("--out", default=None, type=click.Path())

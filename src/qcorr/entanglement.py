@@ -72,15 +72,40 @@ class BipartitionCut:
         return (self.p0, self.p1)
 
 
+def _block_labels(part):
+    return [s.strip() for s in part.split(",") if s.strip()]
+
+
+def _names_labels_only(register, part):
+    labels = _block_labels(part)
+    return bool(labels) and set(labels) <= set(register.labels)
+
+
 def cut_from_labels(register, spec_str):
-    """Parse a cut like "A:B" or "A,B:C" against a register."""
-    parts = spec_str.split(":")
-    if len(parts) != 2:
+    """Parse a cut like "A:B", "A,B:C" or "A,B:M:A" against a register.
+
+    An apparatus label holds a ':' of its own, so a spec with more than one
+    ':' is split at the one ':' whose two sides each name register labels
+    and nothing else; a spec with no such ':', or more than one, is refused.
+    """
+    colons = [i for i, ch in enumerate(spec_str) if ch == ":"]
+    if len(colons) > 1:
+        colons = [
+            i for i in colons
+            if _names_labels_only(register, spec_str[:i])
+            and _names_labels_only(register, spec_str[i + 1 :])
+        ]
+        if len(colons) > 1:
+            raise InvariantError(
+                f"cut {spec_str!r} splits into two blocks of labels in more than one way"
+            )
+    if len(colons) != 1:
         raise InvariantError(f"cut must have exactly two blocks, got {spec_str!r}")
-    blocks = []
-    for part in parts:
-        labels = [s.strip() for s in part.split(",") if s.strip()]
-        blocks.append(tuple(register.index(lab) for lab in labels))
+    i = colons[0]
+    blocks = [
+        tuple(register.index(lab) for lab in _block_labels(part))
+        for part in (spec_str[:i], spec_str[i + 1 :])
+    ]
     cut = BipartitionCut(blocks[0], blocks[1])
     cut.validate(register.n)
     return cut

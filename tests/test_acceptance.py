@@ -29,13 +29,7 @@ from qcorr.states import (
     w_state,
     werner_state,
 )
-from qcorr.suites import (
-    run_chain_monotone,
-    run_locc_undo,
-    run_pure_saturation,
-    run_theorem1,
-    run_theorem2,
-)
+from qcorr.suites import run_suite
 
 
 def report(n, ok, detail):
@@ -45,7 +39,7 @@ def report(n, ok, detail):
 
 @pytest.fixture(scope="module")
 def theorem2_result():
-    return run_theorem2(samples=200, seed=7)
+    return run_suite("theorem2", samples=200, seed=7)
 
 
 def test_criterion_01_quantumness_dominates_entanglement(theorem2_result):
@@ -77,7 +71,7 @@ def test_theorem2_worst_margin_nonnegative_on_a_pass(theorem2_result):
 def test_criterion_03_pure_state_saturation():
     # 100 Haar pure two-qubit states: |q^(A) - N| <= 1e-5 and
     # |deficit^(A) - entropy of entanglement| <= 1e-5
-    result = run_pure_saturation(samples=100, seed=3)
+    result = run_suite("pure-saturation", samples=100, seed=3)
     gap_q = max(r["gap_negativity"] for r in result.trials)
     gap_d = max(r["gap_deficit"] for r in result.trials)
     ok = result.failures == 0
@@ -88,7 +82,7 @@ def test_criterion_03_pure_state_saturation():
 def test_criterion_04_classical_classification():
     # 50 constructed classical states -> cc with residual < 1e-7, 50
     # entangled states -> not cc; commutation oracle agrees on all 100
-    result = run_theorem1(samples=50, seed=11)
+    result = run_suite("theorem1", samples=50, seed=11)
     ok = result.failures == 0 and len(result.trials) == 100
     report(4, ok, f"100 states, {result.failures} misclassifications, "
                   f"worst residual margin {result.worst_margin:.3e}")
@@ -97,7 +91,7 @@ def test_criterion_04_classical_classification():
 def test_criterion_05_locc_undo_and_monotonicity():
     # channel identity <= 1e-11 (trace distance and branch agreement) on
     # 100 states with d in {2,3}; monotonicity lhs >= rhs - 1e-9 on 500
-    result = run_locc_undo(samples=100, seed=5)
+    result = run_suite("locc-undo", samples=100, seed=5)
     n_mono = sum(1 for r in result.trials if r["kind"] == "monotonicity")
     ok = result.failures == 0 and n_mono == 500
     report(5, ok, f"max trace distance {result.summary['max_trace_distance']:.3e} "
@@ -108,7 +102,7 @@ def test_criterion_05_locc_undo_and_monotonicity():
 def test_criterion_06_chain_monotonicity():
     # 50 random 4-link chains: non-decreasing within 1e-9, flag-copy
     # constant within 1e-10, break cuts unchanged by later links
-    result = run_chain_monotone(samples=50, seed=13)
+    result = run_suite("chain-monotone", samples=50, seed=13)
     ok = result.failures == 0
     report(6, ok, f"50 chains, worst margin {result.worst_margin:.3e}")
 

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qcorr import cli, serialize
 from qcorr.chain import ChainReport, ChainRow
 from qcorr.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from qcorr.errors import InvariantError, ParseError, UsageError
+from qcorr.premeasure import MeasurementPlan, premeasure
 from qcorr.quantumness import OptimizerConfig
-from qcorr.states import bell_state, werner_state
+from qcorr.states import bell_state, computational_basis, werner_state
 from qcorr.suites import SUITE_NAMES, SuiteResult
 from test_suites import HEADERS
 
@@ -440,6 +442,24 @@ class TestMeasure:
         obj = json.loads(out)
         assert obj["value"] == pytest.approx(0.5, abs=1e-10)
         assert obj["manifest"]["seed"] == 0
+
+    def test_negativity_across_an_apparatus_cut(self, capsys, tmp_path):
+        # the cut names the apparatus label M:A, which holds a ':' itself
+        pm = premeasure(bell_state(), MeasurementPlan(("A",), (computational_basis("A", 2),)))
+        path = tmp_path / "bell-premeasured.json"
+        path.write_text(json.dumps(serialize.state_to_json(pm)))
+        expected = oracles.q_negativity_at(bell_state().rho, (2, 2), [0], [np.eye(2)])
+        code, out, _ = run(
+            capsys, "measure", "--state", str(path), "--measure", "negativity", "--cut", "A,B:M:A"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == pytest.approx(expected, abs=1e-10)
+        assert expected == pytest.approx(0.5, abs=1e-12)
+        code, _, err = run(
+            capsys, "measure", "--state", str(path), "--measure", "negativity", "--cut", "A:B:M:A"
+        )
+        assert code == EXIT_INVARIANT
+        assert "exactly two blocks" in err
 
     def test_werner_log_negativity(self, capsys, werner_file):
         code, out, _ = run(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from dense_oracles import cut_purities, dense_negativity, partial_trace
 from qcorr import entanglement, linalg
 from qcorr.chain import ChainConfig, LinkSpec, chain_gme_propagation, run_chain
@@ -15,10 +16,12 @@ from qcorr.entanglement import (
     pure_gme_test,
 )
 from qcorr.errors import InvariantError
+from qcorr.premeasure import MeasurementPlan, premeasure
 from qcorr.states import (
     LabeledState,
     Register,
     bell_state,
+    computational_basis,
     default_register,
     ghz_state,
     make_rng,
@@ -30,7 +33,7 @@ from qcorr.states import (
     w_state,
     werner_state,
 )
-from qcorr.suites import run_theorem3
+from qcorr.suites import run_suite
 
 AB = BipartitionCut((0,), (1,))
 
@@ -81,8 +84,29 @@ class TestCuts:
         assert cut.p1 == (1,)
         with pytest.raises(InvariantError):
             cut_from_labels(reg, "A:B")  # C not covered
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="exactly two blocks"):
             cut_from_labels(reg, "A:B:C")
+
+    def test_cut_from_labels_names_an_apparatus(self):
+        # the apparatus label M:A holds a ':' of its own; the cut splits at
+        # the one ':' with register labels on both sides
+        pm = premeasure(bell_state(), MeasurementPlan(("A",), (computational_basis("A", 2),)))
+        assert pm.register.labels == ("A", "B", "M:A")
+        for spec in ("A,B:M:A", "M:A:A,B", " A , B : M:A "):
+            cut = cut_from_labels(pm.register, spec)
+            assert (cut.p0, cut.p1) == ((0, 1), (2,))
+        expected = oracles.q_negativity_at(bell_state().rho, (2, 2), [0], [np.eye(2)])
+        assert expected == pytest.approx(0.5, abs=1e-12)
+        assert negativity(pm, cut) == pytest.approx(expected, abs=1e-12)
+        with pytest.raises(InvariantError, match="exactly two blocks"):
+            cut_from_labels(pm.register, "A:B:M:A")  # no ':' leaves labels only on both sides
+        with pytest.raises(InvariantError, match="exactly two blocks"):
+            cut_from_labels(pm.register, "A,B:M:A:")
+
+    def test_cut_from_labels_refuses_two_splits(self):
+        reg = Register(("A", "B:C", "A:B", "C"), (2, 2, 2, 2))
+        with pytest.raises(InvariantError, match="more than one way"):
+            cut_from_labels(reg, "A:B:C")  # A | B:C and A:B | C
 
 
 class TestNegativity:
@@ -348,9 +372,9 @@ class TestPureVectorPath:
         assert pure_gme_test(state) == fast
 
     def test_theorem3_verdicts_match_dense_path(self, monkeypatch):
-        fast = run_theorem3(samples=1, seed=17)
+        fast = run_suite("theorem3", samples=1, seed=17)
         force_dense(monkeypatch)
-        assert run_theorem3(samples=1, seed=17).trials == fast.trials
+        assert run_suite("theorem3", samples=1, seed=17).trials == fast.trials
         assert fast.ok
 
 

@@ -1,24 +1,18 @@
 """Small-sample smoke runs of every verification suite; the acceptance tests
 run them at their contract sizes."""
 
+import dataclasses
+import functools
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qcorr import suites
-from qcorr.errors import InvariantError, UsageError
+from qcorr.errors import UsageError
 from qcorr.states import derive_seed
-from qcorr.suites import (
-    SUITE_NAMES,
-    run_chain_monotone,
-    run_locc_undo,
-    run_pure_saturation,
-    run_suite,
-    run_theorem1,
-    run_theorem2,
-    run_theorem3,
-)
+from qcorr.suites import SUITE_NAMES, run_suite
 
 
 def test_derive_seed_is_deterministic_and_keyed():
@@ -29,37 +23,37 @@ def test_derive_seed_is_deterministic_and_keyed():
 
 
 def test_theorem2_smoke():
-    result = run_theorem2(samples=3, seed=7)
+    result = run_suite("theorem2", samples=3, seed=7)
     assert result.ok
     assert result.worst_margin >= -1e-9
     assert len(result.trials) == 3
 
 
 def test_theorem1_smoke():
-    result = run_theorem1(samples=3, seed=11)
+    result = run_suite("theorem1", samples=3, seed=11)
     assert result.ok
     assert len(result.trials) == 6  # classical + entangled halves
 
 
 def test_pure_saturation_smoke():
-    result = run_pure_saturation(samples=3, seed=3)
+    result = run_suite("pure-saturation", samples=3, seed=3)
     assert result.ok
     assert result.worst_margin >= 0.0
 
 
 def test_locc_undo_smoke():
-    result = run_locc_undo(samples=4, seed=5)
+    result = run_suite("locc-undo", samples=4, seed=5)
     assert result.ok
     assert result.summary["max_trace_distance"] <= 1e-11
 
 
 def test_chain_monotone_smoke():
-    result = run_chain_monotone(samples=3, seed=13)
+    result = run_suite("chain-monotone", samples=3, seed=13)
     assert result.ok
 
 
 def test_theorem3_smoke():
-    result = run_theorem3(samples=1, seed=17)
+    result = run_suite("theorem3", samples=1, seed=17)
     assert result.ok
     assert len(result.trials) == 3
 
@@ -69,36 +63,37 @@ def test_theorem1_worst_margin_negative_when_the_oracle_disagrees(monkeypatch):
     # oracle fails them, so the margin comes from the oracle's verdict
     real = suites.cc_commutation_oracle
     monkeypatch.setattr(suites, "cc_commutation_oracle", lambda *args: not real(*args))
-    result = run_theorem1(samples=1, seed=11)
+    result = run_suite("theorem1", samples=1, seed=11)
     assert result.failures == 2
     assert result.worst_margin == -1.0
 
 
-@pytest.mark.parametrize("name", ["theorem3", "locc-undo", "chain-monotone"])
+@pytest.mark.parametrize("name", SUITE_NAMES)
 @pytest.mark.parametrize("kwargs, word", [({"samples": 0}, "samples"), ({"samples": -2}, "samples"),
                                           ({"seed": -1}, "seed"), ({"samples": 2.5}, "samples"),
                                           ({"samples": True}, "samples"), ({"seed": 1.5}, "seed"),
                                           ({"seed": True}, "seed"), ({"seed": "1"}, "seed")])
-def test_run_suite_refuses_bad_inputs(name, kwargs, word):
+def test_run_suite_refuses_bad_inputs(name, kwargs, word, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    never_runs = dataclasses.replace(suites._SUITES[name], trial=never)
+    monkeypatch.setitem(suites._SUITES, name, never_runs)
     with pytest.raises(UsageError, match=word):
         run_suite(name, **kwargs)
 
 
-RUNNERS = [run_theorem1, run_theorem2, run_theorem3, run_locc_undo, run_chain_monotone,
-           run_pure_saturation]
-
-
-@pytest.mark.parametrize("runner", RUNNERS, ids=lambda r: r.__name__)
-@pytest.mark.parametrize("kwargs, word", [({"samples": 0}, "samples"),
-                                          ({"samples": 2.5}, "samples"),
-                                          ({"seed": 1.5}, "seed"), ({"seed": -1}, "seed")])
-def test_runners_refuse_bad_counts(runner, kwargs, word, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("trials ran")
-
-    monkeypatch.setattr(suites, "_result", never)
-    with pytest.raises(InvariantError, match=word):
-        runner(**kwargs)
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_trial_alone_and_pickled_matches_its_row(name):
+    # each trial is a function of (seed, samples, t) alone, so run apart from
+    # the suite, or pickled as a worker process would take it, it gives its row
+    suite, samples, seed = suites._SUITES[name], 1, 3
+    result = run_suite(name, samples=samples, seed=seed)
+    alone = [suite.trial(seed, samples, t) for t in range(len(result.trials))]
+    assert [row for row, _ in alone] == result.trials
+    assert min(margin for _, margin in alone) == result.worst_margin
+    pickled = pickle.loads(pickle.dumps(functools.partial(suite.trial, seed, samples)))
+    assert [pickled(t)[0] for t in range(len(result.trials))] == result.trials
 
 
 def test_theorem2_nan_q_ab_fails_its_row(monkeypatch):
@@ -109,7 +104,7 @@ def test_theorem2_nan_q_ab_fails_its_row(monkeypatch):
         return SimpleNamespace(value=np.nan) if measured == ("A", "B") else real(state, measured, cfg)
 
     monkeypatch.setattr(suites, "q_negativity", nan_ab)
-    result = run_theorem2(samples=1, seed=7)
+    result = run_suite("theorem2", samples=1, seed=7)
     assert result.failures == 1 and not result.ok
     assert np.isnan(result.worst_margin)
 
@@ -127,7 +122,7 @@ def test_theorem2_nan_after_a_finite_margin_is_the_worst(monkeypatch):
         return real(state, measured, cfg)
 
     monkeypatch.setattr(suites, "q_negativity", nan_second_ab)
-    result = run_theorem2(samples=2, seed=7)
+    result = run_suite("theorem2", samples=2, seed=7)
     assert result.failures == 1
     assert np.isnan(result.worst_margin)
 
