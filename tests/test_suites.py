@@ -83,6 +83,23 @@ def test_run_suite_refuses_bad_inputs(name, kwargs, word, monkeypatch):
         run_suite(name, **kwargs)
 
 
+@pytest.mark.parametrize("name", ["theorem3", "locc-undo", "chain-monotone"],
+                         ids=lambda name: "run_" + name.replace("-", "_"))
+@pytest.mark.parametrize("kwargs, word", [({"samples": 0}, "samples"),
+                                          ({"samples": 2.5}, "samples"),
+                                          ({"seed": 1.5}, "seed"), ({"seed": -1}, "seed")])
+def test_runners_refuse_bad_counts(name, kwargs, word, monkeypatch):
+    # a bad count given with the other left at the suite's default is refused
+    # before any trial runs, and as a usage error rather than an invariant one
+    def never(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setitem(suites._SUITES, name, dataclasses.replace(suites._SUITES[name], trial=never))
+    with pytest.raises(UsageError, match=word) as refused:
+        run_suite(name, **kwargs)
+    assert refused.type is UsageError
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_trial_alone_and_pickled_matches_its_row(name):
     # each trial is a function of (seed, samples, t) alone, so run apart from
