@@ -18,13 +18,16 @@ polish of the winner makes no global-optimality guarantee.
 
 The restarts of one optimization run in lockstep, ``LOCKSTEP_ROWS`` at a
 time.  ``minimize`` is scipy's Nelder-Mead applied to every start at once:
-each step evaluates the objective once on a batch holding the reflected
-point of every restart still running, once on the expansion or contraction
-points of the restarts that need one, and once on the shrink vertices, and
-each restart stops on its own tolerances.  The objective therefore takes a
-(B, param_len) array of parameter rows and returns B values; exp(iH), the
-rotation and the block spectra are all computed as stacked numpy calls
-over the batch.
+each step evaluates the objective on a batch holding the reflected point of
+every restart still running, then on the expansion or contraction points of
+the restarts that need one, and last on the shrink vertices, and each
+restart stops on its own tolerances.  Where every objective row is a closed
+form (``_Workspace.closed_form``), the reflection, expansion and both
+contraction points of every restart go in one batch instead, and a step
+makes one call, or two when some simplex shrinks.  The objective therefore
+takes a (B, param_len) array of parameter rows and returns B values;
+exp(iH), the rotation and the block spectra are all computed as stacked
+numpy calls over the batch.
 """
 
 import math
@@ -254,6 +257,14 @@ class _Workspace:
     else the Kronecker product of the exp(iH)^dag, all subsystems of one
     dimension decoded in one call.  ``apparatus_negativity`` reads G_M off
     fixed bases, and ``bases`` decodes one row through the same exp(iH)^dag.
+
+    ``closed_form``, fixed when the workspace is built, says that a read
+    reaches neither LAPACK nor sigma: every measured subsystem is a qubit,
+    whose exp(iH)^dag is closed form, and the blocks are 1x1 or 2x2 closed
+    forms, in the block layout on the coefficient-row route at m <= 2 or in
+    the factor layout at r = 1.  A row then costs little against the fixed
+    cost of a call, and ``_optimize`` has ``minimize`` evaluate the four
+    trial points of a step in one call.
     """
 
     def __init__(self, reg, rho, measured, factor=None):
@@ -270,16 +281,19 @@ class _Workspace:
         if d_m == 2:
             self._pairs[True] = (slice(0, 1), slice(1, 2))
         order = measured_idx + [i for i in range(reg.n) if i not in measured_idx]
+        qubits = set(self.meas_dims) == {2}
         if factor is not None:  # rows kappa, columns (nu, j)
             r = factor.shape[1]
             self._matrix = linalg.dagger(factor) @ factor
             self._factor = factor.reshape(reg.dims + (r,)).transpose(order + [reg.n])
             self._factor = self._factor.reshape(d_m, m * r)
+            self.closed_form = qubits and r == 1
             return
         self._matrix, self._factor = rho, None
         # sigma rather than coefficient rows when the off-diagonal coefficient
         # rows would hold more than 4 D^2 entries
         self._via_sigma = d_m * (d_m - 1) // 2 > 4 * m * m
+        self.closed_form = qubits and not self._via_sigma and m <= 2
         rho = rho.reshape(reg.dims * 2).transpose(order + [reg.n + i for i in order])
         rho = rho.reshape(d_m, m, d_m, m)
         if self._via_sigma:  # rows kappa, columns (nu, nu', kappa')
@@ -328,8 +342,13 @@ class _Workspace:
 
     def objective(self, negativity):
         """The optimizer's objective: the negativity read, or the deficit read
-        when not ``negativity``, at each parameter row of a (B, param_len) array."""
-        return lambda params: self._read(self._g(params), negativity)
+        when not ``negativity``, at each parameter row of a (B, param_len)
+        array.  Its ``closed_form`` attribute is the workspace's."""
+        def fun(params):
+            return self._read(self._g(params), negativity)
+
+        fun.closed_form = self.closed_form
+        return fun
 
     def _blocks(self, g, a, b):
         """sigma_ab for each record pair of (a, b) at each G_M of ``g`` (B, D_M, D_M): (B, P, m, m)."""
@@ -388,7 +407,11 @@ def _negativity_at_plan(ws, plan):
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Per-row outcome of a lockstep ``minimize``; ``nfev`` is the total."""
+    """Per-row outcome of a lockstep ``minimize``.
+
+    ``nfev`` is the total over rows of the points each row's path uses, as
+    scipy counts them; trial points a ``one_call`` step drops are not counted.
+    """
 
     x: np.ndarray
     fun: np.ndarray
@@ -397,18 +420,26 @@ class MinimizeResult:
     nfev: int
 
 
-def minimize(fun, x0s, max_iter, xatol, fatol, adaptive):
+def minimize(fun, x0s, max_iter, xatol, fatol, adaptive, one_call=False):
     """Nelder-Mead from every row of ``x0s`` (B, N) at once.
 
     Each row follows scipy's ``minimize(method="Nelder-Mead")`` with
     ``maxiter=max_iter``: the same initial simplex (x_k scaled by 1.05, or
     0.00025 where x_k = 0), the same coefficients (Gao & Han's when
     ``adaptive``), the same tests in the same order and the same stopping
-    rule.  ``fun`` maps a (K, N) array of points to their K values; the
-    rows share one call for the reflections, one for the expansion and
-    contraction points, and one for the shrink vertices of every iteration.
-    A row stops on its own tolerances, or at ``max_iter`` with
-    ``success=False``.
+    rule.  ``fun`` maps a (K, N) array of points to their K values, and a
+    point's value must not depend on the batch that carries it.
+
+    Each iteration forms the four trial points of every running row, the
+    reflection, the expansion and the outside and inside contractions, as
+    p * xbar - q * worst.  By default the rows share one call for the
+    reflections, one for the expansion or contraction points of the rows
+    that need one, and one for the shrink vertices.  With ``one_call`` the
+    four points of every row go to ``fun`` in one call, scipy's branches
+    read their values and the unused ones are dropped: worth it when a
+    point costs little against a call.  Either way a row's path is the
+    same, and ``nfev`` counts only the points scipy would evaluate.  A row
+    stops on its own tolerances, or at ``max_iter`` with ``success=False``.
     """
     x0s = np.asarray(x0s, dtype=float)
     n_rows, n = x0s.shape
@@ -416,10 +447,10 @@ def minimize(fun, x0s, max_iter, xatol, fatol, adaptive):
         rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
     else:
         rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    # second trial point p * xbar - q * worst, by kind: 0 expansion,
-    # 1 outside contraction, 2 inside contraction
-    p2 = np.array([1 + rho * chi, 1 + psi * rho, 1 - psi])[:, None]
-    q2 = np.array([rho * chi, psi * rho, -psi])[:, None]
+    # the trial points p * xbar - q * worst, by kind: 0 reflection,
+    # 1 expansion, 2 outside contraction, 3 inside contraction
+    p = np.array([1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi])[:, None, None]
+    q = np.array([rho, rho * chi, psi * rho, -psi])[:, None, None]
 
     sim = np.repeat(x0s[:, None, :], n + 1, axis=1)
     k = np.arange(n)
@@ -460,9 +491,13 @@ def minimize(fun, x0s, max_iter, xatol, fatol, adaptive):
             at = np.arange(len(rows))[:, None]
 
         xbar = np.add.reduce(sim[:, :-1], 1) / n
-        worst = sim[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = fun(xr)
+        trial = p * xbar - q * sim[:, -1]
+        xr = trial[0]
+        if one_call:
+            ftrial = fun(trial.reshape(-1, n)).reshape(4, -1)
+            fxr = ftrial[0]
+        else:
+            fxr = fun(xr)
         nfev += len(rows)
 
         # scipy's branches: expand when xr beats the best vertex, keep xr
@@ -473,18 +508,22 @@ def minimize(fun, x0s, max_iter, xatol, fatol, adaptive):
         n2 = np.count_nonzero(need)
         shrink = None
         if n2:
-            kind = np.where(expand, 0, 2 - (fxr < fsim[:, -1]))
-            x2 = p2[kind] * xbar - q2[kind] * worst
-            if n2 == len(rows):
+            kind = np.where(expand, 1, 3 - (fxr < fsim[:, -1]))
+            x2 = trial[kind, at[:, 0]]
+            if one_call:
+                f2 = ftrial[kind, at[:, 0]]
+            elif n2 == len(rows):
                 f2 = fun(x2)
             else:
-                f2 = np.full(len(rows), np.nan)  # rows that need no second point
+                f2 = np.full(len(rows), np.nan)
                 f2[need] = fun(x2[need])
             nfev += n2
             # an expansion point replaces xr if f2 < fxr, an outside
             # contraction point if f2 <= fxr, an inside one if f2 < f_N;
-            # a contraction that fails shrinks the simplex
-            take = np.where(kind == 2, f2 < fsim[:, -1], np.where(kind == 1, f2 <= fxr, f2 < fxr))
+            # a contraction that fails shrinks the simplex.  Rows that need
+            # no second point take none.
+            take = need & np.where(kind == 3, f2 < fsim[:, -1],
+                                   np.where(kind == 2, f2 <= fxr, f2 < fxr))
             xr = np.where(take[:, None], x2, xr)
             fxr = np.where(take, f2, fxr)
             shrink = need & ~(take | expand)
@@ -512,15 +551,21 @@ def _optimize(objective, param_len, cfg):
     The restarts run through ``minimize`` in chunks of at most
     ``LOCKSTEP_ROWS``, each chunk's starts drawn when it runs, which bounds
     the batch memory, and each restart's path is the one scipy's Nelder-Mead
-    would take from its start alone.  The first strict minimum wins.  ``converged`` is True when any restart stopped on its
+    would take from its start alone.  The first strict minimum wins.
+    ``converged`` is True when any restart stopped on its
     tolerances before ``max_iter``; then the winner, which may have stalled
     on a collapsed simplex or been cut at ``max_iter``, gets one more run
     from its point with a fresh simplex, kept if strictly lower.  With no
-    restart converged, the budget is not extended.
+    restart converged, the budget is not extended.  An objective whose
+    ``closed_form`` attribute is true, as a ``_Workspace.objective`` of
+    closed-form rows, takes ``minimize``'s one-call step; any other takes
+    the default, and the paths are the same either way.
     """
+    one_call = getattr(objective, "closed_form", False)
+
     def run(x0s):  # Gao-Han coefficients unless one qubit is measured
         return minimize(objective, x0s, max_iter=cfg.max_iter, xatol=1e-6, fatol=cfg.tol,
-                        adaptive=param_len > 2)
+                        adaptive=param_len > 2, one_call=one_call)
 
     def starts(k):  # the chunk of restarts from k on
         x0s = np.zeros((min(LOCKSTEP_ROWS, cfg.restarts - k), param_len))

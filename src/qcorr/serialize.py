@@ -19,7 +19,7 @@ import numpy as np
 from .chain import FLAG_COPY, OPTIMIZED, ChainConfig, LinkSpec
 from .errors import InvariantError, ParseError, UsageError
 from .quantumness import OptimizerConfig
-from .states import LabeledState, LocalBasis, Register, _integer
+from .states import LabeledState, LocalBasis, Register, _integer, _label
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +83,10 @@ def _labels(obj, key, where):
     for lab in labels:
         if not isinstance(lab, str):
             raise ParseError(f"{where}: {key!r} entry {lab!r} is not a string")
+        try:
+            _label(lab, f"{where}: {key!r} entry")
+        except InvariantError as exc:
+            raise ParseError(str(exc)) from None
     return tuple(labels)
 
 

@@ -32,6 +32,15 @@ def _integer(value, what, error=InvariantError, low=None):
     return value
 
 
+def _label(value, what="register label"):
+    """``value`` if a cut or a ``--measured`` list can name it: not empty,
+    with no ',' and no whitespace at either end, which their parsers strip."""
+    if not value or "," in value or value != value.strip():
+        raise InvariantError(f"{what} {value!r} must be nonempty, hold no ',' and not start or "
+                             "end with whitespace")
+    return value
+
+
 def apparatus_label(label):
     """Label of the apparatus that records a measurement of ``label``."""
     return APPARATUS_PREFIX + label
@@ -60,6 +69,8 @@ class Register:
             raise InvariantError("a register needs at least one subsystem")
         if not all(isinstance(lab, str) for lab in labels):
             raise InvariantError(f"register labels must be strings, got {labels!r}")
+        for lab in labels:
+            _label(lab)
         if len(set(labels)) != len(labels):
             raise InvariantError(f"duplicate labels in register: {labels}")
         if math.prod(dims) > MAX_TOTAL_DIM:

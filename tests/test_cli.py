@@ -90,6 +90,21 @@ class TestExitCodes:
         assert code == EXIT_INVARIANT
         assert "invariant" in err
 
+    @pytest.mark.parametrize("labels, bad", [(["A,B", "C"], "A,B"), (["A", " B"], " B"),
+                                             (["", "B"], "")])
+    def test_parse_error_label_a_cut_cannot_name(self, capsys, tmp_path, labels, bad):
+        # a cut or --measured could not name it: both split on ',' and strip
+        obj = serialize.state_to_json(bell_state())
+        obj["labels"] = labels
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "measure", "--state", str(path), "--measure", "negativity", "--cut", "A:B"
+        )
+        assert code == EXIT_PARSE
+        assert f"'labels' entry {bad!r} must be nonempty" in err
+        assert "Traceback" not in out + err
+
     def test_invariant_error_oversize_register(self, capsys, tmp_path):
         obj = {"labels": list("ABCDEFGHI"), "dims": [2] * 9,
                "re": (np.eye(512) / 512).tolist(), "im": np.zeros((512, 512)).tolist()}

@@ -299,7 +299,8 @@ class TestWorkspaceAgainstReferencePath:
         for k, (labels, dims, measured) in enumerate(self.SHAPES):
             ws = workspace_on(random_mixed(Register(labels, dims), rank=2, seed=k), measured)
             fun = ws.objective(negativity)
-            for rows in (2, 7, 64, 150):
+            # up to the 4 * LOCKSTEP_ROWS points of a one-call step
+            for rows in (2, 7, 64, 150, 4 * LOCKSTEP_ROWS):
                 params = rng.normal(size=(rows, ws.param_len))
                 batch = fun(params)
                 alone = np.array([fun(row[None])[0] for row in params])
@@ -474,7 +475,7 @@ class TestFactorRead:
             rho = random_mixed(reg, rank=rank, seed=rank).rho
             ws = _Workspace(reg, None, tuple(measured), factor=exact_factor(rho, rank))
             fun = ws.objective(negativity)
-            for rows in (2, 7, 64):
+            for rows in (2, 7, 64, 4 * LOCKSTEP_ROWS):
                 params = rng.normal(size=(rows, ws.param_len))
                 alone = np.array([fun(row[None])[0] for row in params])
                 assert np.array_equal(fun(params), alone), (dims, measured, rows)
@@ -586,8 +587,14 @@ def scipy_nelder_mead(fun, x0, max_iter, adaptive, fatol=1e-8):
 class TestLockstepMinimize:
     """Every row of the lockstep minimize is scipy's Nelder-Mead, bit for bit."""
 
+    ONE_CALL = False
+
+    def run(self, fun, x0s, max_iter, adaptive):
+        return minimize(fun, x0s, max_iter=max_iter, xatol=1e-6, fatol=1e-8, adaptive=adaptive,
+                        one_call=self.ONE_CALL)
+
     def assert_rows_match_scipy(self, fun, x0s, max_iter, adaptive):
-        res = minimize(fun, x0s, max_iter=max_iter, xatol=1e-6, fatol=1e-8, adaptive=adaptive)
+        res = self.run(fun, x0s, max_iter, adaptive)
         nfev = 0
         for i, x0 in enumerate(x0s):
             ref = scipy_nelder_mead(fun, x0, max_iter, adaptive)
@@ -605,7 +612,9 @@ class TestLockstepMinimize:
         x0s[0] = 0.0
         self.assert_rows_match_scipy(rippled_rosenbrock, x0s, 300, adaptive)
 
-        # one row at a time, a batch of n points can only be a shrink
+        # one row at a time, after the first simplex, each iteration makes
+        # one trial call (4 points) in a one-call step and one or two
+        # (1 point each) otherwise, and a shrink one more call of n points
         shrinks = 0
         for x0 in x0s:
             sizes = []
@@ -614,8 +623,14 @@ class TestLockstepMinimize:
                 sizes.append(len(x))
                 return rippled_rosenbrock(x)
 
-            minimize(recorded, x0[None], max_iter=300, xatol=1e-6, fatol=1e-8, adaptive=adaptive)
-            shrinks += sum(1 for size in sizes[1:] if size == n)
+            res = self.run(recorded, x0[None], 300, adaptive)
+            if self.ONE_CALL:  # at n = 4 a size cannot tell a shrink from a trial call
+                assert set(sizes[1:]) <= {4, n}
+                # the first simplex, then one trial call per iteration after it
+                shrinks += len(sizes) - res.nit[0]
+            else:
+                assert set(sizes[1:]) <= {1, n}
+                shrinks += sum(1 for size in sizes[1:] if size == n)
         assert shrinks > 0
 
     def test_rows_stop_at_different_iterations(self):
@@ -631,6 +646,12 @@ class TestLockstepMinimize:
         res = self.assert_rows_match_scipy(rippled_rosenbrock, np.ones((2, 3)), 1, False)
         assert not res.success.any()
         assert res.nfev == 2 * 4
+
+
+class TestLockstepMinimizeOneCall(TestLockstepMinimize):
+    """The same, with the four trial points of every row in one call per step."""
+
+    ONE_CALL = True
 
 
 class TestOptimizeAgainstSerialScipy:
@@ -672,6 +693,26 @@ class TestOptimizeAgainstSerialScipy:
         # restarts converge on both; the polish lowers only the Q^AB winner
         assert converged
         assert polished == (len(measured) == 2)
+
+    @pytest.mark.parametrize("layout", ["block", "factor"])
+    def test_one_call_step_matches_serial_restarts(self, monkeypatch, layout):
+        # (2,2)/A reads are closed forms in the block layout and, at rank 1,
+        # in the factor layout, so every minimize call takes the one-call step
+        state = random_mixed(default_register(2), rank=2 if layout == "block" else 1, seed=21)
+        if layout == "block":
+            ws = workspace_on(state, ("A",))
+        else:
+            ws = _Workspace(state.register, None, ("A",), factor=exact_factor(state.rho, 1))
+        steps = []
+
+        def recorded(fun, x0s, **kwargs):
+            steps.append(kwargs["one_call"])
+            return minimize(fun, x0s, **kwargs)
+
+        monkeypatch.setattr(quantumness, "minimize", recorded)
+        converged, _ = self.check_against_serial(ws, OptimizerConfig(restarts=4, seed=5))
+        assert converged
+        assert steps == [True, True]  # the restarts, then the polish
 
     def test_no_polish_without_a_converged_restart(self):
         ws = workspace_on(random_mixed(default_register(2), rank=2, seed=18), ("A", "B"))
@@ -760,6 +801,76 @@ class TestChunkedRestarts:
         with pytest.raises(Reached):
             q_negativity(bell_state(), ("A",), OptimizerConfig(restarts=10**12))
         assert rows == [LOCKSTEP_ROWS]
+
+
+class TestOneCallStep:
+    """``_Workspace.closed_form`` sends a step's trial points to the objective
+    in one call exactly where a read reaches neither LAPACK nor sigma, and
+    the step taken changes no report."""
+
+    # (dims, measured, rank, one call) on the benchmark's shapes, rank 1 a
+    # pure state; the one-call step is the factor layout at r = 1 or the
+    # block layout on coefficient rows at m <= 2, qubits measured
+    TABLE = [
+        *(((2, 2), measured, rank, True) for measured in ("A", "B") for rank in (1, 2, 3, 4)),
+        ((2, 2), "AB", 1, True),
+        *(((2, 2), "AB", rank, False) for rank in (2, 3, 4)),  # sigma
+        ((2, 2, 2), "AC", 1, True),
+        ((2, 2, 2), "AC", 4, True),
+        ((2, 2, 2), "A", 1, True),
+        ((2, 2, 2), "A", 4, False),  # 4x4 blocks
+        *(((3, 3), measured, rank, False) for measured in ("A", "AB") for rank in (1, 4)),
+    ]
+
+    @pytest.mark.parametrize("dims, measured, rank, one_call", TABLE)
+    def test_which_shapes_take_one_call(self, monkeypatch, dims, measured, rank, one_call):
+        reg = Register(tuple("ABC"[: len(dims)]), dims)
+        state = random_pure(reg, 0) if rank == 1 else random_mixed(reg, rank, seed=rank)
+        seen = []
+
+        def optimize(objective, param_len, cfg):
+            params = make_rng(0).normal(size=(3, param_len))
+            values = objective(params)  # S(rho) of the deficit read is computed once
+            seen.append(objective.closed_form)
+            with monkeypatch.context() as m:
+                if objective.closed_form:  # then no read reaches LAPACK
+                    for name in ("eigh", "eigvalsh", "svd", "qr"):
+                        m.setattr(np.linalg, name, TestRoutes.never)
+                assert np.array_equal(objective(params), values)
+            return 0.0, np.zeros(param_len), (0.0,), True
+
+        monkeypatch.setattr(quantumness, "_optimize", optimize)
+        for fn in (q_negativity, deficit):
+            fn(state, tuple(measured))
+        assert seen == [one_call, one_call]
+
+    def test_reports_do_not_depend_on_the_step(self, monkeypatch):
+        # (2,2)/A at the default settings, with every minimize call forced
+        # to one step or the other
+        state = random_mixed(default_register(2), rank=3, seed=3)
+        runs = {}
+        for forced in (False, True):
+            calls, nfev = [], []
+
+            def forced_minimize(fun, x0s, **kwargs):
+                def counted(x):
+                    calls.append(len(x))
+                    return fun(x)
+
+                res = minimize(counted, x0s, **{**kwargs, "one_call": forced})
+                nfev.append(res.nfev)
+                return res
+
+            monkeypatch.setattr(quantumness, "minimize", forced_minimize)
+            runs[forced] = [fn(state, ("A",)) for fn in (q_negativity, deficit)], calls, nfev
+        (two, two_calls, two_nfev), (one, one_calls, one_nfev) = runs[False], runs[True]
+        for a, b in zip(two, one):
+            assert (a.value, a.restart_values, a.converged) == (b.value, b.restart_values,
+                                                                b.converged)
+            for x, y in zip(a.argmin_bases, b.argmin_bases):
+                assert np.array_equal(x.vectors, y.vectors)
+        assert one_nfev == two_nfev
+        assert len(one_calls) < len(two_calls)
 
 
 class TestQNegativity:
@@ -939,6 +1050,13 @@ class TestLocalInvariancesOnB(TestLocalInvariances):
     a new frame and 1e-13 otherwise."""
 
     MEASURED = ("B",)
+
+
+class TestLocalInvariancesOnAB(TestLocalInvariances):
+    """The same invariances on (2,2)/AB: the spread stays below 2e-8 for Q in
+    a new frame and 1e-13 otherwise."""
+
+    MEASURED = ("A", "B")
 
 
 class TestBellDiagonalClosedForm:

@@ -70,6 +70,12 @@ class TestRegister:
         with pytest.raises(InvariantError, match="labels must be strings"):
             Register(labels, (2, 2))
 
+    @pytest.mark.parametrize("labels", [("A,B", "C"), ("A", " B"), ("", "B"), ("A\t", "B")])
+    def test_label_a_cut_cannot_name_rejected(self, labels):
+        # a cut spec and a --measured list split on ',' and strip each label
+        with pytest.raises(InvariantError, match="must be nonempty, hold no ','"):
+            Register(labels, (2, 2))
+
     def test_numpy_integer_dimensions_stored_as_int(self):
         reg = Register(("A", "B"), np.array([2, 3]))
         assert reg.dims == (2, 3)
