@@ -33,12 +33,11 @@ def _integer(value, what, error=InvariantError, low=None):
 
 
 def _label(value, what="register label"):
-    """``value`` if a cut or a ``--measured`` list can name it: not empty,
-    with no ',' and no whitespace at either end, which their parsers strip."""
+    """Refuse ``value`` unless a cut or a ``--measured`` list can name it: not
+    empty, with no ',' and no whitespace at either end, which their parsers strip."""
     if not value or "," in value or value != value.strip():
         raise InvariantError(f"{what} {value!r} must be nonempty, hold no ',' and not start or "
                              "end with whitespace")
-    return value
 
 
 def apparatus_label(label):
